@@ -15,7 +15,6 @@ level sets I = c for critical points of U.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +34,7 @@ from .inertia import grad_I, moment_of_inertia, _r2_rho2
 
 EPS_FLAT = 1e-9    # rank tolerance in classify
 EPS_AXIS = 1e-9    # a body this close to the axes uses the special branch
+MAX_SUBSET_BODIES = 40  # LevelSetSpec.validate holds two 2^(N/2) sum tables
 
 
 class CCClass(enum.Enum):
@@ -89,12 +89,53 @@ class LevelSetSpec:
             raise OutOfRangeError(f"spherical I ranges over (0, {total}); got c = {self.c}")
         # I^-1(c) fails to be a smooth manifold exactly at subset sums of
         # the masses, where bodies can pin to the axes.
-        for k in range(1, len(m) + 1):
-            for idx in itertools.combinations(range(len(m)), k):
-                if abs(self.c - float(np.sum(m[list(idx)]))) < 1e-9:
-                    raise OutOfRangeError(
-                        f"c = {self.c} is within 1e-9 of mass subset sum over {idx}"
-                    )
+        if len(m) > MAX_SUBSET_BODIES:
+            raise OutOfRangeError(
+                f"cannot check c against the mass subset sums of {len(m)} bodies "
+                f"(at most {MAX_SUBSET_BODIES} on S3)"
+            )
+        idx = _subset_sum_near(m, self.c, 1e-9)
+        if idx is not None:
+            raise OutOfRangeError(
+                f"c = {self.c} is within 1e-9 of mass subset sum over {idx}"
+            )
+
+
+def _subset_sums(m: np.ndarray) -> np.ndarray:
+    """All 2^len(m) subset sums; bit b of the position selects m[b]."""
+    sums = np.zeros(1)
+    for v in m:
+        sums = np.concatenate([sums, sums + v])
+    return sums
+
+
+def _subset_sum_near(m: np.ndarray, c: float, tol: float):
+    """Sorted index tuple of a nonempty subset whose sum lies within tol of
+    c, or None.
+
+    Meet in the middle: the subset sums of the second half are sorted once
+    and each first-half sum looks up c minus itself by binary search, so the
+    cost is 2^(N/2) log, not 2^N.  The lookup window is widened by a
+    rounding margin and every candidate is re-checked with the direct sum.
+    """
+    n = len(m)
+    h = n // 2
+    left = _subset_sums(m[:h])
+    right = _subset_sums(m[h:])
+    order = np.argsort(right, kind="stable")
+    rs = right[order]
+    margin = tol + 1e-12 * (1.0 + abs(c) + float(np.sum(np.abs(m))))
+    target = c - left
+    lo = np.searchsorted(rs, target - margin, side="left")
+    hi = np.searchsorted(rs, target + margin, side="right")
+    for a in np.nonzero(hi > lo)[0]:
+        for b in order[lo[a]:hi[a]]:
+            idx = tuple(k for k in range(h) if (a >> k) & 1) + tuple(
+                h + k for k in range(n - h) if (int(b) >> k) & 1
+            )
+            if idx and abs(c - float(np.sum(m[list(idx)]))) < tol:
+                return idx
+    return None
 
 
 # ─── residuals and multiplier ────────────────────────────────────────────
@@ -322,14 +363,19 @@ def default_seed(masses, space: Space, c: float, rng=None) -> Configuration:
 
 
 def _restore_level(space, m, Q, c, max_iter=40):
-    """One-dimensional Newton along grad_I to put I back on the level."""
+    """One-dimensional Newton along grad_I to put I back on the level.
+
+    The slope of I along G = grad_I is dI(G) = <G, G>_sigma, so the Newton
+    step divides by the sigma-metric norm; the Euclidean sum overshoots it
+    by about 1 + 2 r^2 on H3 and makes the iteration merely linear.
+    """
     for _ in range(max_iter):
         cfg = Configuration(space, m, Q)
         err = moment_of_inertia(cfg) - c
         if abs(err) <= 1e-13 * max(1.0, abs(c)):
             return Q
         G = grad_I(cfg)
-        gg = float(np.sum(G * G))
+        gg = float(np.sum(G * G * space.metric_diagonal))
         if gg < 1e-30:
             raise NoConvergenceError("cannot restore I = c: grad I vanished")
         step = -err / gg
@@ -479,12 +525,16 @@ def find_cc(
         raise ValueError("seed does not match the requested problem")
     Q = _restore_level(space, m, seed.points.copy(), c)
 
+    # tangent vectors pair in the sigma metric; on S3 it is the Euclidean
+    # sum term for term, so the sphere's arithmetic is unchanged
+    md = space.metric_diagonal
+
     def residual_dir(Q):
         cfg = Configuration(space, m, Q)
         Gu = project_tangent(Q, grad_U(cfg), space)
         Gi = project_tangent(Q, grad_I(cfg), space)
-        gg = float(np.sum(Gi * Gi))
-        lam_hat = float(np.sum(Gu * Gi)) / gg if gg > 1e-20 else 0.0
+        gg = float(np.sum(Gi * Gi * md))
+        lam_hat = float(np.sum(Gu * Gi * md)) / gg if gg > 1e-20 else 0.0
         return Gu - lam_hat * Gi, lam_hat, cfg
 
     lam = 0.0
@@ -495,7 +545,7 @@ def find_cc(
                 R, lam, cfg = residual_dir(Q)
             except SingularPairError as exc:
                 raise SingularApproachError(str(exc)) from exc
-            rnorm2 = float(np.sum(R * R))
+            rnorm2 = float(np.sum(R * R * md))
             if math.sqrt(rnorm2) < 1e-6:
                 break
             u0 = force_function(cfg)

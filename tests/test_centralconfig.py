@@ -1,5 +1,7 @@
 """Central-configuration residuals, classification, and the level-set solver."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from curved_nbody import (
     orthogonality_relations,
     swap_xy_zw,
 )
-from curved_nbody.centralconfig import default_seed
+from curved_nbody.centralconfig import _restore_level, default_seed
 from curved_nbody.errors import (
     DegenerateDenominatorError,
     OutOfRangeError,
@@ -245,6 +247,49 @@ def test_level_set_validation():
         LevelSetSpec(0.0).validate(Space.H3, masses)
 
 
+def _brute_force_subset_hit(masses, c):
+    n = len(masses)
+    return any(
+        abs(c - float(np.sum(masses[list(idx)]))) < 1e-9
+        for k in range(1, n + 1)
+        for idx in itertools.combinations(range(n), k)
+    )
+
+
+def test_level_set_validation_matches_brute_force():
+    rng = np.random.default_rng(20)
+    for trial in range(300):
+        n = int(rng.integers(1, 13))
+        masses = rng.uniform(0.1, 3.0, n)
+        if trial % 3 == 0:
+            masses = np.round(masses, 1)  # many coinciding subset sums
+        total = float(np.sum(masses))
+        pick = rng.random(n) < 0.5
+        if trial % 2 == 0 and 0 < pick.sum():
+            # a level within a few 1e-9 of a subset sum, on either side of the cut
+            c = float(np.sum(masses[pick])) + rng.uniform(-2e-9, 2e-9)
+        else:
+            c = total * rng.uniform(0.01, 0.99)
+        expect_reject = not 0.0 < c < total or _brute_force_subset_hit(masses, c)
+        try:
+            LevelSetSpec(c).validate(Space.S3, masses)
+            rejected = False
+        except OutOfRangeError:
+            rejected = True
+        assert rejected == expect_reject, (masses, c)
+
+
+def test_level_set_validation_names_the_subset():
+    masses = np.array([1.0, 2.0, 3.5])
+    with pytest.raises(OutOfRangeError, match=r"subset sum over \(0, 2\)"):
+        LevelSetSpec(4.5).validate(Space.S3, masses)
+    # N = 40 takes a quarter second; beyond that the sum tables grow past 64 MiB
+    masses = np.random.default_rng(3).uniform(0.5, 2.0, 41)
+    LevelSetSpec(0.5).validate(Space.S3, masses[:40])
+    with pytest.raises(OutOfRangeError, match="41 bodies"):
+        LevelSetSpec(0.5).validate(Space.S3, masses)
+
+
 @pytest.mark.parametrize("space,c", [(Space.S3, 0.4), (Space.S3, 2.2), (Space.H3, 1.0), (Space.H3, 4.0)])
 def test_default_seed_sits_on_the_level_set(space, c):
     masses = np.array([1.0, 1.5, 0.7])
@@ -289,6 +334,44 @@ def test_find_cc_is_deterministic_for_a_fixed_generator_seed():
     a, _ = find_cc(*args, rng=np.random.default_rng(42))
     b, _ = find_cc(*args, rng=np.random.default_rng(42))
     assert np.array_equal(a.points, b.points)
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("off", [0.8, 1.2])
+def test_restore_level_is_quadratic_on_h3(r, off):
+    # the Newton step along grad I must divide by the sigma-metric slope;
+    # a Euclidean denominator converges only linearly this far out
+    rng = np.random.default_rng(int(10 * r))
+    m = np.array([1.0, 1.7, 0.6])
+    phi = rng.uniform(0.0, 2.0 * np.pi, 3)
+    rr = r * rng.uniform(0.8, 1.0, 3)
+    rho = np.sqrt(1.0 + rr * rr)
+    t = rng.uniform(-0.5, 0.5, 3)
+    Q = np.stack([rr * np.cos(phi), rr * np.sin(phi),
+                  rho * np.sinh(t), rho * np.cosh(t)], axis=1)
+    c = off * moment_of_inertia(Configuration(Space.H3, m, Q))
+    out = _restore_level(Space.H3, m, Q, c, max_iter=6)
+    assert moment_of_inertia(Configuration(Space.H3, m, out)) == pytest.approx(
+        c, rel=1e-12
+    )
+
+
+# find_cc([1.0, 1.2, 0.8], S3, I = 0.5, rng = default_rng(42)) as computed with
+# Euclidean sums in the descent; the sigma metric on S3 is term for term the
+# same arithmetic, so the sphere's iterates must not move by a single bit
+_S3_PINNED = [
+    ["0x1.a60d664310fa6p-2", "-0x1.77873982b8492p-5", "0x1.d1e5ed7135080p-1", "0x0.0p+0"],
+    ["-0x1.a18f3c6c087ffp-3", "0x1.325fc18ac694ep-2", "0x1.dd437785afe92p-1", "0x0.0p+0"],
+    ["-0x1.a8428bdda15acp-3", "-0x1.a6ce70d2d0b47p-2", "0x1.c6187fb85f1dep-1", "0x0.0p+0"],
+]
+
+
+def test_find_cc_sphere_points_are_pinned_bitwise():
+    cfg, _ = find_cc(
+        [1.0, 1.2, 0.8], Space.S3, LevelSetSpec(0.5), rng=np.random.default_rng(42)
+    )
+    expected = np.array([[float.fromhex(v) for v in row] for row in _S3_PINNED])
+    assert np.array_equal(cfg.points, expected)
 
 
 def test_make_report_round_trip():
