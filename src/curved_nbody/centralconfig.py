@@ -28,7 +28,7 @@ from .errors import (
     SingularApproachError,
     SingularPairError,
 )
-from .manifold import Space, inner, project_point, project_tangent
+from .manifold import EPS_SINGULAR, Space, inner, project_point, project_tangent
 from .dynamics import Configuration, force_function, grad_U
 from .inertia import grad_I, moment_of_inertia, _r2_rho2
 
@@ -572,7 +572,20 @@ def find_cc(
         try:
             Q, lam = _kkt_newton(space, m, Q, c, lam, level.tol)
         except NoConvergenceError:
-            Q, lam = _kkt_newton(space, m, Q, c, lam, level.tol, damped=True)
+            try:
+                Q, lam = _kkt_newton(space, m, Q, c, lam, level.tol, damped=True)
+            except NoConvergenceError as exc:
+                # U = sum m m cot d falls without bound as d -> pi, so the
+                # descent can hand Newton a pair next to the antipodal set
+                s = Q @ Q.T
+                np.fill_diagonal(s, np.inf)
+                i, j = map(int, np.unravel_index(np.argmin(s), s.shape))
+                if space is Space.S3 and s[i, j] < -1.0 + 10.0 * EPS_SINGULAR:
+                    raise SingularApproachError(
+                        f"refinement failed from the near-antipodal pair "
+                        f"({i}, {j}) at sigma-inner product "
+                        f"{float(s[i, j])!r}: {exc}") from exc
+                raise
         except SingularPairError as exc:
             raise SingularApproachError(str(exc)) from exc
     elif mode == "saddle":

@@ -14,9 +14,7 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -46,14 +44,6 @@ __all__ = ["main", "build_parser"]
 # ---------------------------------------------------------------------------
 # small plumbing helpers
 # ---------------------------------------------------------------------------
-
-def _thread_cap(n_jobs: int) -> int:
-    cap = os.environ.get("CURVED_NBODY_THREADS")
-    workers = os.cpu_count() or 1
-    if cap:
-        workers = max(1, int(cap))
-    return max(1, min(workers, n_jobs))
-
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
@@ -169,22 +159,13 @@ def cmd_find(args) -> int:
     level = LevelSetSpec(args.c, tol=args.tol)
     level.validate(space, masses)  # reject impossible levels before searching
 
-    def attempt(seed):
-        try:
-            return find_cc(masses, space, level,
-                           rng=np.random.default_rng(seed))
-        except CurvedNBodyError:
-            return None
-
-    seeds = list(range(args.seeds))
-    with ThreadPoolExecutor(max_workers=_thread_cap(len(seeds))) as pool:
-        outcomes = list(pool.map(attempt, seeds))
-
     kept = []
-    for outcome in outcomes:
-        if outcome is None:
+    for seed in range(args.seeds):
+        try:
+            config, _ = find_cc(masses, space, level,
+                                rng=np.random.default_rng(seed))
+        except CurvedNBodyError:
             continue
-        config, _ = outcome
         canon, _ = canonicalize(config)
         if any(equivalent(canon, other) for other in kept):
             continue
@@ -218,13 +199,13 @@ def cmd_simulate(args) -> int:
     drift, cons_drift = certify_rigidity(
         instance, horizon=args.horizon, dt=args.dt)
 
-    steps = max(1, round(args.horizon / args.dt))
-    record_every = max(1, steps // 1000)
-    state = PhaseState(config, generator_momenta(config, instance.generator))
-    traj = integrate(state, args.dt, steps, record_every=record_every)
-    sidecar = f"{args.out}.conserved.json" if args.out else None
     if args.out:
-        trajectory_to_csv(traj, args.out, sidecar_path=sidecar)
+        steps = max(1, round(args.horizon / args.dt))
+        record_every = max(1, steps // 1000)
+        state = PhaseState(config, generator_momenta(config, instance.generator))
+        traj = integrate(state, args.dt, steps, record_every=record_every)
+        trajectory_to_csv(traj, args.out,
+                          sidecar_path=f"{args.out}.conserved.json")
 
     summary = instance.to_json_dict()
     summary.update({

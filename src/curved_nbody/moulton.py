@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -181,38 +179,24 @@ def geodesic_lambda(config: GeodesicHConfig) -> float:
 # hyperbolic geodesic: solver
 # ---------------------------------------------------------------------------
 
-def _barrier_value(u, mu, w, masses_sorted):
-    """Potential plus ordering barrier, in u = sinh(theta) coordinates."""
-    t = np.arcsinh(u)
-    val = _potential_theta(t, masses_sorted)
-    if w > 0.0:
-        gaps = np.diff(u)
-        val -= w * float(np.sum(np.log(gaps)))
-    return val
-
-
-def _barrier_grad(u, w, masses_sorted):
-    t = np.arcsinh(u)
-    g = _grad_potential_theta(t, masses_sorted) / np.cosh(t)
-    if w > 0.0:
-        inv = 1.0 / np.diff(u)
-        g[:-1] += w * inv
-        g[1:] -= w * inv
-    return g
-
-
 def _project_ellipsoid(u, masses, c):
     return u * math.sqrt(c / float(np.sum(masses * u * u)))
 
 
-def _descend_ordered(u, masses, c, w, max_iter=300, gtol=1e-8):
-    """Projected gradient descent on {sum m u^2 = c}, ordering kept by barrier."""
-    grad_con = lambda v: 2.0 * masses * v
-    val = _barrier_value(u, masses, w, masses)
+def _descend_ordered(u, masses, c, max_iter=50, gtol=1e-8):
+    """Projected gradient descent on {sum m u^2 = c} in u = sinh(theta).
+
+    U itself keeps the ordering: coth d grows without bound as two bodies
+    meet, so U rejects every Armijo step toward a collision, and a step that
+    jumps past one fails the ordering test.  A few dozen steps put the
+    iterate where Newton converges; the polish does the rest.
+    """
+    val = _potential_theta(np.arcsinh(u), masses)
     step = 1.0
     for _ in range(max_iter):
-        g = _barrier_grad(u, w, masses)
-        gc = grad_con(u)
+        t = np.arcsinh(u)
+        g = _grad_potential_theta(t, masses) / np.cosh(t)
+        gc = 2.0 * masses * u
         g = g - (np.dot(g, gc) / np.dot(gc, gc)) * gc
         gnorm = float(np.linalg.norm(g))
         if gnorm < gtol:
@@ -222,7 +206,7 @@ def _descend_ordered(u, masses, c, w, max_iter=300, gtol=1e-8):
         for _ in range(60):
             trial = _project_ellipsoid(u - step * g, masses, c)
             if np.all(np.diff(trial) > 0.0):
-                tval = _barrier_value(trial, masses, w, masses)
+                tval = _potential_theta(np.arcsinh(trial), masses)
                 if np.isfinite(tval) and tval <= val - 1e-4 * step * gnorm**2:
                     u, val, moved = trial, tval, True
                     break
@@ -304,14 +288,7 @@ def solve_geodesic_h(masses, c: float, ordering: Optional[Sequence[int]] = None,
     if rng is not None:
         t0 = np.sort(rng.uniform(-1.5, 1.5, size=n) * max(1.0, base))
         t0 += np.arange(n) * 1e-3
-    u = _project_ellipsoid(np.sinh(t0), m_sorted, c)
-
-    # annealed barrier keeps the ordering while descending toward the minimum
-    w = 1e-2 * max(1.0, abs(_potential_theta(np.arcsinh(u), m_sorted)))
-    while w > 1e-9:
-        u = _descend_ordered(u, m_sorted, c, w)
-        w *= 0.1
-    u = _descend_ordered(u, m_sorted, c, 0.0, max_iter=500)
+    u = _descend_ordered(_project_ellipsoid(np.sinh(t0), m_sorted, c), m_sorted, c)
 
     t = np.arcsinh(u)
     g_u = _grad_potential_theta(t, m_sorted)
@@ -340,15 +317,7 @@ def _solution_record(ordering, config: GeodesicHConfig) -> GeodesicHSolution:
     )
 
 
-def _max_workers(n_jobs: int) -> int:
-    cap = os.environ.get("CURVED_NBODY_THREADS")
-    workers = os.cpu_count() or 1
-    if cap:
-        workers = max(1, int(cap))
-    return max(1, min(workers, n_jobs))
-
-
-def enumerate_geodesic_h(masses, c: float, max_workers: Optional[int] = None):
+def enumerate_geodesic_h(masses, c: float):
     """Solve every ordering and deduplicate mirror images.
 
     Reversing an ordering produces the 180-degree xy-rotated configuration
@@ -357,27 +326,20 @@ def enumerate_geodesic_h(masses, c: float, max_workers: Optional[int] = None):
     """
     masses = np.asarray(masses, dtype=float).reshape(-1)
     orderings = list(itertools.permutations(range(masses.size)))
-    if max_workers is None:
-        max_workers = _max_workers(len(orderings))
-
-    def solve_one(ordering):
-        return ordering, solve_geodesic_h(masses, c, ordering)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            solved = list(pool.map(solve_one, orderings))
-    else:
-        solved = [solve_one(o) for o in orderings]
-
-    reps = []
+    reps = np.empty((len(orderings), masses.size))
     out = []
-    for ordering, config in solved:
+    for ordering in orderings:
+        config = solve_geodesic_h(masses, c, ordering)
         t = config.thetas
-        # the mirror image negates every body's theta, body labels unchanged
-        if any(np.allclose(t, r, atol=1e-7) or np.allclose(t, -r, atol=1e-7)
-               for r in reps):
+        # np.allclose(t, +-r, atol=1e-7) against every representative r at
+        # once; the mirror image negates every body's theta, labels unchanged
+        r = reps[:len(out)]
+        tol = 1e-7 + 1e-5 * np.abs(r)
+        same = np.all(np.abs(t - r) <= tol, axis=1)
+        mirror = np.all(np.abs(t + r) <= tol, axis=1)
+        if np.any(same | mirror):
             continue
-        reps.append(t.copy())
+        reps[len(out)] = t
         out.append(_solution_record(ordering, config))
     return out
 

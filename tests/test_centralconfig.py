@@ -26,7 +26,9 @@ from curved_nbody import (
 from curved_nbody.centralconfig import _restore_level, default_seed
 from curved_nbody.errors import (
     DegenerateDenominatorError,
+    NoConvergenceError,
     OutOfRangeError,
+    SingularApproachError,
 )
 from curved_nbody.fixtures import FIXTURE_BUILDERS, default_fixtures
 from curved_nbody.manifold import isometry_matrix, GeneratorKind, IsometryGenerator
@@ -334,6 +336,16 @@ def test_find_cc_is_deterministic_for_a_fixed_generator_seed():
     a, _ = find_cc(*args, rng=np.random.default_rng(42))
     b, _ = find_cc(*args, rng=np.random.default_rng(42))
     assert np.array_equal(a.points, b.points)
+
+
+def test_find_cc_reports_a_near_antipodal_handoff_as_singular():
+    # the descent drives one pair within 1e-9 of antipodal on this S3 level,
+    # and both Newton attempts then fail
+    masses = [0.6723989499213578, 1.593522675614464, 1.8911358929368398]
+    with pytest.raises(SingularApproachError) as info:
+        find_cc(masses, Space.S3, LevelSetSpec(2.4409014417556723),
+                rng=np.random.default_rng(0))
+    assert isinstance(info.value.__cause__, NoConvergenceError)
 
 
 @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])

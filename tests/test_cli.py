@@ -183,6 +183,20 @@ def test_simulate_writes_certificates(tmp_path):
     assert (tmp_path / "orbit.csv.conserved.json").exists()
 
 
+def test_simulate_without_out_skips_the_trajectory(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "ex1.json", _payload("example1_s3"))
+    argv = ["simulate", path, "--beta", "0", "--horizon", "0.2"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate ran without --out")
+
+    monkeypatch.setattr("curved_nbody.cli.integrate", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_simulate_requires_a_rate(tmp_path, capsys):
     path = _write(tmp_path, "ex1.json", _payload("example1_s3"))
     assert main(["simulate", path, "--horizon", "0.5"]) == 1

@@ -101,6 +101,14 @@ def test_solution_satisfies_balance_and_level():
     assert rmax < 1e-9
 
 
+def test_descent_brings_a_lopsided_pair_within_newton_reach():
+    # Newton from the unrefined start stalls here; the descent must not
+    m, c = [5.104101873155492, 0.29422821498375307], 26.063712995063234
+    g = solve_geodesic_h(m, c)
+    assert abs(float(np.sum(g.masses * np.sinh(2.0 * g.thetas)))) < 1e-10
+    assert g.inertia() == pytest.approx(c, rel=1e-12)
+
+
 def test_solver_respects_requested_ordering():
     g = solve_geodesic_h([1.0, 2.0, 3.0], 1.0, ordering=[2, 0, 1])
     t = g.thetas
@@ -116,7 +124,7 @@ def test_solver_input_validation():
         solve_geodesic_h([1.0, 1.0, 1.0], 1.0, ordering=[0, 0, 1])
 
 
-@pytest.mark.parametrize("n,classes", [(2, 1), (3, 3), (4, 12)])
+@pytest.mark.parametrize("n,classes", [(2, 1), (3, 3), (4, 12), (5, 60)])
 def test_enumeration_counts_ordering_classes(n, classes):
     rng = np.random.default_rng(100 + n)
     masses = rng.uniform(0.5, 2.0, size=n)
