@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDenominatorError,
+    DegenerateVectorError,
     NoConvergenceError,
     OffShellError,
     OutOfRangeError,
@@ -29,8 +30,14 @@ from .errors import (
     SingularPairError,
 )
 from .manifold import EPS_SINGULAR, Space, inner, project_point, project_tangent
-from .dynamics import Configuration, force_function, grad_U
-from .inertia import grad_I, moment_of_inertia, _r2_rho2
+from .dynamics import (
+    Configuration,
+    _check_points,
+    _grad_U_raw,
+    force_function,
+    grad_U,
+)
+from .inertia import _grad_I_raw, _r2_rho2, grad_I, moment_of_inertia
 
 EPS_FLAT = 1e-9    # rank tolerance in classify
 EPS_AXIS = 1e-9    # a body this close to the axes uses the special branch
@@ -384,7 +391,23 @@ def _restore_level(space, m, Q, c, max_iter=40):
 
 
 def _reproject(space, Q):
-    return np.array([project_point(row, space) for row in Q])
+    """project_point on every row of a (..., 4) stack, bit for bit.
+
+    The S3 row norms come from a stacked matmul of each row with itself,
+    which reduces in the order np.dot does.  A row project_point refuses
+    raises its error; the first such row in C order is the one reported.
+    """
+    if space is Space.S3:
+        norm = np.sqrt(np.matmul(Q[..., None, :], Q[..., :, None])[..., 0, 0])
+        bad = norm < 1e-12
+    else:
+        norm2 = -inner(Q, Q, space)
+        bad = (Q[..., 3] <= 0.0) | (norm2 <= 1e-12)
+    if np.any(bad):
+        project_point(Q[np.unravel_index(np.argmax(bad), bad.shape)], space)
+    if space is Space.H3:
+        norm = np.sqrt(norm2)  # only now: a refused row can have norm2 < 0
+    return Q / norm[..., None]
 
 
 def _tangent_bases(space, Q):
@@ -405,11 +428,53 @@ def _tangent_bases(space, Q):
     return np.array(bases)  # (N, 3, 4)
 
 
-def _residual_components(space, m, Q, lam, bases):
-    cfg = Configuration(space, m, Q)
-    R = grad_U(cfg) - lam * grad_I(cfg)
-    comps = np.einsum("nkd,nd,d->nk", bases, R, space.metric_diagonal)
-    return comps.ravel()
+# what a chart point outside the feasible region raises
+_INFEASIBLE = (SingularPairError, OffShellError, DegenerateVectorError)
+
+
+def _chart_residuals(space, m, Q, bases, c, Y):
+    """The stationarity system at a stack of chart points around Q.
+
+    Row b of Y (B, 3N+1) holds three tangent coordinates per body, in the
+    frames `bases` (N, 3, 4), and lambda.  Returns the residual rows
+    (B, 3N+1), the tangent components of grad U - lambda grad I followed by
+    I - c, and the points (B, N, 4).  Each row is bitwise what it is when
+    evaluated alone.  When rows leave the feasible region, this raises
+    what the first of them raises alone.
+    """
+    n = len(m)
+    try:
+        X = Y[:, :-1].reshape(len(Y), n, 3)
+        Qx = _reproject(space, Q + np.einsum("bnk,nkd->bnd", X, bases))
+        _check_points(space, Qx)
+    except _INFEASIBLE:
+        if len(Y) > 1:
+            # the halves in order: the first to raise holds the first fault
+            h = len(Y) // 2
+            _chart_residuals(space, m, Q, bases, c, Y[:h])
+            _chart_residuals(space, m, Q, bases, c, Y[h:])
+        raise
+    R = _grad_U_raw(space, m, Qx) - Y[:, -1, None, None] * _grad_I_raw(space, m, Qx)
+    comps = np.einsum("nkd,bnd,d->bnk", bases, R, space.metric_diagonal)
+    r2, _ = _r2_rho2(space, Qx)
+    lvl = np.sum(m * r2, axis=-1) - c
+    return np.concatenate([comps.reshape(len(Y), -1), lvl[:, None]], axis=1), Qx
+
+
+def _fd_jacobian(residuals, y, h=1e-7):
+    """Central-difference Jacobian of residuals (a stack map) at y.
+
+    All 2 len(y) probes go in one stack, +h then -h per coordinate, so a
+    probe outside the feasible region raises what the first such probe in
+    that order raises alone.
+    """
+    k = len(y)
+    Y = np.tile(y, (2 * k, 1))
+    idx = np.arange(k)
+    Y[2 * idx, idx] += h
+    Y[2 * idx + 1, idx] -= h
+    G = residuals(Y)[0].reshape(k, 2, -1)
+    return ((G[:, 0] - G[:, 1]) / (2.0 * h)).T.copy()
 
 
 def _kkt_newton(space, m, Q, c, lam, tol, max_iter=60, damped=False):
@@ -425,15 +490,12 @@ def _kkt_newton(space, m, Q, c, lam, tol, max_iter=60, damped=False):
     for _ in range(max_iter):
         bases = _tangent_bases(space, Q)
 
-        def eval_G(x, lam_v):
-            Qx = _reproject(space, Q + np.einsum("nk,nkd->nd", x.reshape(n, 3), bases))
-            comps = _residual_components(space, m, Qx, lam_v, bases)
-            lvl = moment_of_inertia(Configuration(space, m, Qx)) - c
-            return np.concatenate([comps, [lvl]]), Qx
+        def eval_G(Y):
+            return _chart_residuals(space, m, Q, bases, c, Y)
 
         y = np.zeros(3 * n + 1)
         y[-1] = lam
-        G0, _ = eval_G(y[:-1], y[-1])
+        G0 = eval_G(y[None])[0][0]
         if not np.all(np.isfinite(G0)):
             raise NoConvergenceError("refinement residual is not finite")
         crit = criterion_residual(Configuration(space, m, Q), lam)
@@ -442,17 +504,9 @@ def _kkt_newton(space, m, Q, c, lam, tol, max_iter=60, damped=False):
             and abs(G0[-1]) <= tol * max(1.0, abs(c))
         ):
             return Q, lam
-        # finite-difference Jacobian, central differences
-        h = 1e-7
-        J = np.empty((3 * n + 1, 3 * n + 1))
         try:
-            for k in range(3 * n + 1):
-                yp = y.copy(); yp[k] += h
-                ym = y.copy(); ym[k] -= h
-                gp, _ = eval_G(yp[:-1], yp[-1])
-                gm, _ = eval_G(ym[:-1], ym[-1])
-                J[:, k] = (gp - gm) / (2.0 * h)
-        except (SingularPairError, OffShellError) as exc:
+            J = _fd_jacobian(eval_G, y)
+        except _INFEASIBLE as exc:
             raise NoConvergenceError(
                 f"jacobian probe left the feasible region: {exc}"
             ) from exc
@@ -473,12 +527,12 @@ def _kkt_newton(space, m, Q, c, lam, tol, max_iter=60, damped=False):
         t, ok = 1.0, False
         while t >= 1e-6:
             try:
-                Gt, Qt = eval_G(y[:-1] + t * delta[:-1], y[-1] + t * delta[-1])
-            except (SingularPairError, OffShellError):
+                Gt, Qt = eval_G((y + t * delta)[None])
+            except _INFEASIBLE:
                 t *= 0.5
                 continue
-            if np.linalg.norm(Gt) < (1.0 - 1e-4 * t) * base:
-                Q, lam = Qt, float(y[-1] + t * delta[-1])
+            if np.linalg.norm(Gt[0]) < (1.0 - 1e-4 * t) * base:
+                Q, lam = Qt[0], float(y[-1] + t * delta[-1])
                 ok = True
                 mu = max(mu / 3.0, 1e-12)
                 break
@@ -554,7 +608,7 @@ def find_cc(
                 try:
                     Qt = _restore_level(space, m, _reproject(space, Q - gamma * R), c)
                     ut = force_function(Configuration(space, m, Qt))
-                except (SingularPairError, NoConvergenceError, OffShellError):
+                except (NoConvergenceError, *_INFEASIBLE):
                     gamma *= 0.5
                     continue
                 if ut <= u0 - 1e-4 * gamma * rnorm2:

@@ -70,18 +70,7 @@ class Configuration:
             raise ValueError("need one mass per point, at least one body")
         if not np.all(np.isfinite(m)) or np.any(m <= 0.0):
             raise ValueError("masses must be positive and finite")
-        sigma = self.space.sigma
-        unit = inner(q, q, self.space)
-        # the quadratic form carries rounding noise ~ |q|^2 eps, so the
-        # on-shell tolerance has to scale with the squared coordinate size
-        scale = np.maximum(1.0, np.sum(q * q, axis=1))
-        if np.max(np.abs(unit - sigma) / scale) > EPS_MANIFOLD:
-            raise OffShellError(
-                f"point constraint violated by {np.max(np.abs(unit - sigma)):.3e}"
-            )
-        if self.space is Space.H3 and np.min(q[:, 3]) < 1.0 - EPS_MANIFOLD:
-            raise OffShellError("hyperbolic points must lie on the w >= 1 sheet")
-        _gram_checked(self.space, q)  # raises SingularPairError on bad pairs
+        _check_points(self.space, q)
         m.setflags(write=False)
         q.setflags(write=False)
         object.__setattr__(self, "masses", m)
@@ -198,16 +187,39 @@ class Trajectory:
 # ─── pairwise geometry kernels (raw arrays, no validation) ───────────────
 
 
+def _check_points(space: Space, q: np.ndarray) -> np.ndarray:
+    """Configuration's point checks on an (N, 4) array or a (..., N, 4)
+    stack; returns the Gram matrices.
+
+    Raises OffShellError for a point off the quadric or, on H3, off the
+    w >= 1 sheet, and SingularPairError for a singular pair.  A stack
+    raises when any of its configurations would, though not always with
+    the message that configuration raises alone.
+    """
+    unit = inner(q, q, space)
+    # the quadratic form carries rounding noise ~ |q|^2 eps, so the
+    # on-shell tolerance has to scale with the squared coordinate size
+    scale = np.maximum(1.0, np.sum(q * q, axis=-1))
+    dev = np.abs(unit - space.sigma)
+    if np.max(dev / scale) > EPS_MANIFOLD:
+        raise OffShellError(f"point constraint violated by {np.max(dev):.3e}")
+    if space is Space.H3 and np.min(q[..., 3]) < 1.0 - EPS_MANIFOLD:
+        raise OffShellError("hyperbolic points must lie on the w >= 1 sheet")
+    return _gram_checked(space, q)
+
+
 def _gram_checked(space: Space, Q: np.ndarray) -> np.ndarray:
     """Matrix s_ij = csn(d_ij); raises SingularPairError on singular pairs.
 
-    The predicate is one-sided where the geometry is one-sided: on H3 any
-    off-diagonal s below 1 + EPS_SINGULAR is singular (true points always
-    have cosh d > 1; integrator stages that cross a collision dip below 1),
-    and on S3 anything within EPS_SINGULAR of +-1, from either side.
+    Q is (N, 4) or a (..., N, 4) stack, which raises for the first
+    singular pair of its first singular configuration.  The predicate is
+    one-sided where the geometry is one-sided: on H3 any off-diagonal s
+    below 1 + EPS_SINGULAR is singular (true points always have cosh d > 1;
+    integrator stages that cross a collision dip below 1), and on S3
+    anything within EPS_SINGULAR of +-1, from either side.
     """
-    s = space.sigma * ((Q * space.metric_diagonal) @ Q.T)
-    n = len(Q)
+    s = space.sigma * ((Q * space.metric_diagonal) @ Q.swapaxes(-1, -2))
+    n = Q.shape[-2]
     if n > 1:
         off = ~np.eye(n, dtype=bool)
         bad = off & ~np.isfinite(s)
@@ -216,15 +228,25 @@ def _gram_checked(space: Space, Q: np.ndarray) -> np.ndarray:
         else:
             bad |= off & (s < 1.0 + EPS_SINGULAR)
         if np.any(bad):
-            i, j = map(int, np.argwhere(bad)[0])
-            raise SingularPairError(i, j, float(s[i, j]))
+            at = tuple(np.argwhere(bad)[0])
+            raise SingularPairError(int(at[-2]), int(at[-1]), float(s[at]))
     return s
 
 
+def _fill_diagonal(a: np.ndarray, value: float) -> None:
+    """np.fill_diagonal on each matrix of a C-contiguous (..., N, N) stack.
+
+    The reshape is a view only because the stack is contiguous, which every
+    caller's freshly computed array is.
+    """
+    n = a.shape[-1]
+    a.reshape(a.shape[:-2] + (n * n,))[..., :: n + 1] = value
+
+
 def _sn_powers(space: Space, s: np.ndarray):
-    """(sn d_ij, sn^3 d_ij) with the diagonal patched to 1."""
+    """(sn d_ij, sn^3 d_ij) with the diagonal patched to 1; s may be a stack."""
     sn2 = space.sigma * (1.0 - s * s)
-    np.fill_diagonal(sn2, 1.0)
+    _fill_diagonal(sn2, 1.0)
     sn = np.sqrt(np.maximum(sn2, 0.0))
     return sn, sn * sn * sn
 
@@ -238,11 +260,12 @@ def _potential_raw(space: Space, m: np.ndarray, Q: np.ndarray) -> float:
 
 
 def _grad_U_raw(space: Space, m: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """grad U of an (N, 4) array or of each configuration of a stack."""
     s = _gram_checked(space, Q)
     _, sn3 = _sn_powers(space, s)
     w = np.outer(m, m) / sn3
-    np.fill_diagonal(w, 0.0)
-    return w @ Q - np.sum(w * s, axis=1)[:, None] * Q
+    _fill_diagonal(w, 0.0)
+    return w @ Q - np.sum(w * s, axis=-1)[..., None] * Q
 
 
 def _rhs_raw(space: Space, m: np.ndarray, Q: np.ndarray, P: np.ndarray):

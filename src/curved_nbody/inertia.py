@@ -32,8 +32,9 @@ def cylindrical_split(config: Configuration) -> CylindricalSplit:
 
 
 def _r2_rho2(space: Space, Q: np.ndarray):
-    r2 = Q[:, 0] ** 2 + Q[:, 1] ** 2
-    rho2 = space.sigma * Q[:, 2] ** 2 + Q[:, 3] ** 2
+    """r^2 and rho^2 of each row of an (N, 4) array or a (..., N, 4) stack."""
+    r2 = Q[..., 0] ** 2 + Q[..., 1] ** 2
+    rho2 = space.sigma * Q[..., 2] ** 2 + Q[..., 3] ** 2
     return r2, rho2
 
 
@@ -49,15 +50,19 @@ def grad_I(config: Configuration) -> np.ndarray:
     Vanishes exactly for bodies on S1_xy or S1_zw (sphere) / H1_zw
     (hyperbolic), which is what makes some configurations special.
     """
-    Q = config.points
-    sigma = config.space.sigma
-    r2, rho2 = _r2_rho2(config.space, Q)
+    return _grad_I_raw(config.space, config.masses, config.points)
+
+
+def _grad_I_raw(space: Space, m: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """grad I of an (N, 4) array or of each configuration of a stack."""
+    sigma = space.sigma
+    r2, rho2 = _r2_rho2(space, Q)
     out = np.empty_like(Q)
-    out[:, 0] = Q[:, 0] * rho2
-    out[:, 1] = Q[:, 1] * rho2
-    out[:, 2] = -sigma * Q[:, 2] * r2
-    out[:, 3] = -sigma * Q[:, 3] * r2
-    return 2.0 * config.masses[:, None] * out
+    out[..., 0] = Q[..., 0] * rho2
+    out[..., 1] = Q[..., 1] * rho2
+    out[..., 2] = -sigma * Q[..., 2] * r2
+    out[..., 3] = -sigma * Q[..., 3] * r2
+    return 2.0 * m[:, None] * out
 
 
 def locked_inertia(q, m: float, alpha: float, beta: float, space: Space) -> float:

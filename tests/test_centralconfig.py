@@ -23,15 +23,29 @@ from curved_nbody import (
     orthogonality_relations,
     swap_xy_zw,
 )
-from curved_nbody.centralconfig import _restore_level, default_seed
+from curved_nbody import centralconfig, grad_I, grad_U
+from curved_nbody.centralconfig import (
+    _chart_residuals,
+    _fd_jacobian,
+    _restore_level,
+    _tangent_bases,
+    default_seed,
+)
 from curved_nbody.errors import (
     DegenerateDenominatorError,
+    DegenerateVectorError,
     NoConvergenceError,
     OutOfRangeError,
     SingularApproachError,
+    SingularPairError,
 )
 from curved_nbody.fixtures import FIXTURE_BUILDERS, default_fixtures
-from curved_nbody.manifold import isometry_matrix, GeneratorKind, IsometryGenerator
+from curved_nbody.manifold import (
+    GeneratorKind,
+    IsometryGenerator,
+    isometry_matrix,
+    project_point,
+)
 
 from helpers import random_config
 
@@ -384,6 +398,156 @@ def test_find_cc_sphere_points_are_pinned_bitwise():
     )
     expected = np.array([[float.fromhex(v) for v in row] for row in _S3_PINNED])
     assert np.array_equal(cfg.points, expected)
+
+
+# the descent hands Newton a pair at 1 + s = 1.009e-9 on this level, and
+# Newton charts 49 times on its way out; recorded with one probe at a time
+_DRAW4 = ([1.7947683835248298, 1.3121918303736375, 0.9495678358060772],
+          1.4971626375568972)
+_S3_PINNED_LONG_NEWTON = [
+    ["0x1.36643cba7752dp-3", "0x1.b75c31f4edea8p-2", "-0x1.c7eb92b123163p-1", "0x0.0p+0"],
+    ["-0x1.3439435c35a84p-2", "-0x1.b44aa0b1a9a63p-1", "-0x1.b6601c36f44e5p-2", "0x0.0p+0"],
+    ["-0x1.44cbc00ec09e7p-4", "-0x1.cbbfe164e524ep-3", "-0x1.f1471547cf8c4p-1", "0x0.0p+0"],
+]
+
+
+def test_find_cc_sphere_points_are_pinned_bitwise_after_a_long_newton_run():
+    masses, c = _DRAW4
+    cfg, _ = find_cc(masses, Space.S3, LevelSetSpec(c), rng=np.random.default_rng(1))
+    expected = np.array(
+        [[float.fromhex(v) for v in row] for row in _S3_PINNED_LONG_NEWTON]
+    )
+    assert np.array_equal(cfg.points, expected)
+
+
+# ─── the stacked finite-difference Jacobian ──────────────────────────────
+
+
+def _reference_residual(space, m, Q, bases, c, y):
+    """One chart point through the public per-point calls."""
+    x = y[:-1].reshape(len(m), 3)
+    Qx = np.array(
+        [project_point(row, space) for row in Q + np.einsum("nk,nkd->nd", x, bases)]
+    )
+    cfg = Configuration(space, m, Qx)
+    R = grad_U(cfg) - y[-1] * grad_I(cfg)
+    comps = np.einsum("nkd,nd,d->nk", bases, R, space.metric_diagonal).ravel()
+    return np.concatenate([comps, [moment_of_inertia(cfg) - c]])
+
+
+def _reference_jacobian(space, m, Q, bases, c, y, h=1e-7):
+    """Central differences one probe at a time, +h then -h per coordinate."""
+    J = np.empty((len(y), len(y)))
+    for k in range(len(y)):
+        yp = y.copy(); yp[k] += h
+        ym = y.copy(); ym[k] -= h
+        J[:, k] = (
+            _reference_residual(space, m, Q, bases, c, yp)
+            - _reference_residual(space, m, Q, bases, c, ym)
+        ) / (2.0 * h)
+    return J
+
+
+def _stacked_jacobian(space, m, Q, c, lam):
+    bases = _tangent_bases(space, Q)
+    y = np.append(np.zeros(3 * len(m)), lam)
+    J = _fd_jacobian(lambda Y: _chart_residuals(space, m, Q, bases, c, Y), y)
+    return J, _reference_jacobian(space, m, Q, bases, c, y)
+
+
+def _newton_handoff(monkeypatch, masses, space, c, seed):
+    """(m, Q, lam) that find_cc's descent hands to its first Newton attempt."""
+    seen = []
+    newton = centralconfig._kkt_newton
+
+    def spy(space, m, Q, c, lam, tol, **kw):
+        seen.append((m, Q.copy(), lam))
+        return newton(space, m, Q, c, lam, tol, **kw)
+
+    monkeypatch.setattr(centralconfig, "_kkt_newton", spy)
+    find_cc(masses, space, LevelSetSpec(c), rng=np.random.default_rng(seed))
+    return seen[0]
+
+
+@pytest.mark.parametrize("space, n", [(Space.S3, 3), (Space.H3, 4)])
+def test_stacked_jacobian_matches_one_probe_at_a_time(space, n):
+    cfg = random_config(space, n, np.random.default_rng(n))
+    J, ref = _stacked_jacobian(space, cfg.masses, cfg.points, 0.8, -0.4)
+    assert J.tobytes() == ref.tobytes()
+
+
+def test_stacked_jacobian_matches_at_a_near_antipodal_handoff(monkeypatch):
+    masses, c = _DRAW4
+    m, Q, lam = _newton_handoff(monkeypatch, masses, Space.S3, c, 1)
+    s = Q @ Q.T
+    assert 1.0 + np.min(s) < 2e-9
+    J, ref = _stacked_jacobian(Space.S3, m, Q, c, lam)
+    assert J.tobytes() == ref.tobytes()
+
+
+def _near_antipodal_s3():
+    # bodies 1 and 2 sit at 1 + s = 1.001e-9, just outside the singular
+    # band, so several of their probes fall into it, each at its own s
+    a = np.sqrt(2.0 * 1.001e-9)
+    Q = np.array([[0.6, 0.0, 0.8, 0.0], [0.0, 0.0, 0.0, 1.0],
+                  [0.0, np.sin(a), 0.0, -np.cos(a)]])
+    return Space.S3, np.array([1.0, 1.5, 0.7]), Q
+
+
+def test_a_faulty_probe_raises_what_the_first_one_raised_alone():
+    space, m, Q = _near_antipodal_s3()
+    bases = _tangent_bases(space, Q)
+    y = np.append(np.zeros(9), -0.3)
+    with pytest.raises(SingularPairError) as ref:
+        _reference_jacobian(space, m, Q, bases, 0.4, y)
+    with pytest.raises(SingularPairError) as got:
+        _fd_jacobian(lambda Y: _chart_residuals(space, m, Q, bases, 0.4, Y), y)
+    assert str(got.value) == str(ref.value)
+    with pytest.raises(NoConvergenceError, match="jacobian probe left the feasible"):
+        centralconfig._kkt_newton(space, m, Q, 0.4, -0.3, 1e-10)
+
+
+def _h3_pair_one_chart_step_apart():
+    a = 1e-3
+    Q = np.array([[0.0, 0.0, 0.0, 1.0], [np.sinh(a), 0.0, 0.0, np.cosh(a)],
+                  [0.0, np.sinh(1.0), 0.0, np.cosh(1.0)]])
+    m = np.array([1.0, 2.0, 0.5])
+    bases = _tangent_bases(Space.H3, Q)
+    fine = np.zeros(10)
+    onto = fine.copy(); onto[0] = np.sinh(a)   # body 0 onto body 1
+    spacelike = fine.copy(); spacelike[0] = 2.0  # body 0 off the hyperboloid
+    return m, Q, bases, fine, onto, spacelike
+
+
+@pytest.mark.parametrize("order, error", [
+    ("onto spacelike", SingularPairError),
+    ("spacelike onto", DegenerateVectorError),
+])
+def test_chart_residuals_raise_for_the_first_faulty_row(order, error):
+    # a stage-by-stage stack would report the spacelike row's reprojection
+    # before any pair check, whichever row comes first
+    m, Q, bases, fine, onto, spacelike = _h3_pair_one_chart_step_apart()
+    rows = {"onto": onto, "spacelike": spacelike}
+    Y = np.array([fine, fine] + [rows[k] for k in order.split()])
+    with pytest.raises(error) as ref:
+        for y in Y:
+            _reference_residual(Space.H3, m, Q, bases, 1.0, y)
+    with pytest.raises(error) as got:
+        _chart_residuals(Space.H3, m, Q, bases, 1.0, Y)
+    assert str(got.value) == str(ref.value)
+
+
+def test_find_cc_halves_an_h3_step_that_cannot_be_reprojected():
+    # a long descent step leaves the timelike half-space here; it used to
+    # escape find_cc as DegenerateVectorError
+    c = 0.8252106489007681
+    cfg, report = find_cc(
+        [0.12579999237131617, 4.124019250075555, 4.0056402008850265],
+        Space.H3, LevelSetSpec(c), rng=np.random.default_rng(1),
+    )
+    assert report.residual_max < 1e-12
+    assert report.cc_class is CCClass.GEODESIC
+    assert moment_of_inertia(cfg) == pytest.approx(c, abs=1e-9)
 
 
 def test_make_report_round_trip():

@@ -109,6 +109,21 @@ def test_descent_brings_a_lopsided_pair_within_newton_reach():
     assert g.inertia() == pytest.approx(c, rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+def test_solve_accepts_a_residual_at_its_rounding_floor(seed):
+    # heavy and tight (gaps ~0.01): gradient terms near 5e5 leave the polish
+    # one or two of their ulps above an absolute 1e-10
+    m = [7.583700913106819, 7.153140102070889, 7.933992857190704,
+         8.689188936460802, 9.781336274180493, 6.421005818743957]
+    c = 0.0283368838908319
+    rng = None if seed is None else np.random.default_rng(seed)
+    g = solve_geodesic_h(m, c, (4, 2, 5, 1, 0, 3), rng=rng)
+    assert list(np.argsort(g.thetas)) == [4, 2, 5, 1, 0, 3]
+    assert g.inertia() == pytest.approx(c, rel=1e-12)
+    lam = geodesic_lambda(g)
+    assert np.linalg.eigvalsh(hessian_geodesic_h(g, lam))[0] > 0.0
+
+
 def test_solver_respects_requested_ordering():
     g = solve_geodesic_h([1.0, 2.0, 3.0], 1.0, ordering=[2, 0, 1])
     t = g.thetas
