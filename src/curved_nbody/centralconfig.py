@@ -29,11 +29,21 @@ from .errors import (
     SingularApproachError,
     SingularPairError,
 )
-from .manifold import EPS_SINGULAR, Space, inner, project_point, project_tangent
+from .manifold import (
+    EPS_SINGULAR,
+    Space,
+    _boost,
+    _reproject,
+    _rot,
+    inner,
+    project_tangent,
+)
 from .dynamics import (
     Configuration,
     _check_points,
     _grad_U_raw,
+    _gram_checked,
+    _sn_powers,
     force_function,
     grad_U,
 )
@@ -162,8 +172,6 @@ def lambda_estimate(config: Configuration) -> float:
     is 2 sum_i m_i r_i^2 rho_i^2.  The denominator vanishing means every
     body sits on the axes, where lambda is undetermined.
     """
-    from .dynamics import _gram_checked, _sn_powers
-
     space, m, Q = config.space, config.masses, config.points
     r2, rho2 = _r2_rho2(space, Q)
     den = 2.0 * float(np.sum(m * r2 * rho2))
@@ -284,11 +292,6 @@ def make_report(
 # ─── equivalence and canonical form ──────────────────────────────────────
 
 
-def _rot2(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s], [s, c]])
-
-
 def canonicalize(config: Configuration, eps: float = 1e-9):
     """Rotate/boost within the block group to a canonical representative.
 
@@ -308,18 +311,17 @@ def canonicalize(config: Configuration, eps: float = 1e-9):
     idx = np.nonzero(np.sqrt(r2) > eps)[0]
     if len(idx):
         i = int(idx[0])
-        T[:2, :2] = _rot2(-math.atan2(Q[i, 1], Q[i, 0]))
+        T[:2, :2] = _rot(-math.atan2(Q[i, 1], Q[i, 0]))
     if config.space is Space.S3:
         idx = np.nonzero(np.sqrt(np.abs(rho2)) > eps)[0]
         if len(idx):
             i = int(idx[0])
-            T[2:, 2:] = _rot2(-math.atan2(Q[i, 3], Q[i, 2]))
+            T[2:, 2:] = _rot(-math.atan2(Q[i, 3], Q[i, 2]))
     else:
         p = float(np.sum(m * (Q[:, 2] ** 2 + Q[:, 3] ** 2)))
         q = float(np.sum(m * Q[:, 2] * Q[:, 3]))
         s = 0.5 * math.atanh(-2.0 * q / p)
-        ch, sh = math.cosh(s), math.sinh(s)
-        T[2:, 2:] = np.array([[ch, sh], [sh, ch]])
+        T[2:, 2:] = _boost(s)
     return config.with_points(Q @ T.T), T
 
 
@@ -358,7 +360,7 @@ def default_seed(masses, space: Space, c: float, rng=None) -> Configuration:
             [rr * np.cos(phis), rr * np.sin(phis), np.full(n, zz), np.zeros(n)],
             axis=1,
         )
-        return Configuration(space, m, np.array([project_point(p, space) for p in pts]))
+        return Configuration(space, m, _reproject(space, pts))
     u = np.linspace(-1.0, 1.0, n) if n > 1 else np.array([1.0])
     u = u + rng.uniform(-0.02, 0.02, n)
     u = u * math.sqrt(c / float(np.sum(m * u * u)))
@@ -388,26 +390,6 @@ def _restore_level(space, m, Q, c, max_iter=40):
         step = -err / gg
         Q = _reproject(space, Q + step * G)
     raise NoConvergenceError("level-set restoration stalled")
-
-
-def _reproject(space, Q):
-    """project_point on every row of a (..., 4) stack, bit for bit.
-
-    The S3 row norms come from a stacked matmul of each row with itself,
-    which reduces in the order np.dot does.  A row project_point refuses
-    raises its error; the first such row in C order is the one reported.
-    """
-    if space is Space.S3:
-        norm = np.sqrt(np.matmul(Q[..., None, :], Q[..., :, None])[..., 0, 0])
-        bad = norm < 1e-12
-    else:
-        norm2 = -inner(Q, Q, space)
-        bad = (Q[..., 3] <= 0.0) | (norm2 <= 1e-12)
-    if np.any(bad):
-        project_point(Q[np.unravel_index(np.argmax(bad), bad.shape)], space)
-    if space is Space.H3:
-        norm = np.sqrt(norm2)  # only now: a refused row can have norm2 < 0
-    return Q / norm[..., None]
 
 
 def _tangent_bases(space, Q):

@@ -17,16 +17,25 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    DegenerateVectorError,
     OffShellError,
     SingularEncounterError,
     SingularPairError,
 )
-from .manifold import EPS_MANIFOLD, EPS_SINGULAR, Space, inner, project_tangent
+from .manifold import (
+    EPS_MANIFOLD,
+    EPS_SINGULAR,
+    Space,
+    _reproject,
+    inner,
+    project_tangent,
+)
 
 __all__ = [
     "Body",
@@ -79,11 +88,8 @@ class Configuration:
     @classmethod
     def from_raw(cls, space: Space, masses, raw_points) -> "Configuration":
         """Build after scaling each raw 4-vector onto the manifold."""
-        from .manifold import project_point
-
         raw = np.asarray(raw_points, dtype=float).reshape(-1, 4)
-        pts = np.array([project_point(row, space) for row in raw])
-        return cls(space, masses, pts)
+        return cls(space, masses, _reproject(space, raw))
 
     @property
     def n(self) -> int:
@@ -276,15 +282,6 @@ def _rhs_raw(space: Space, m: np.ndarray, Q: np.ndarray, P: np.ndarray):
     return V, dP
 
 
-def _project_rows(space: Space, Q: np.ndarray) -> np.ndarray:
-    if space is Space.S3:
-        return Q / np.linalg.norm(Q, axis=1)[:, None]
-    norm2 = -inner(Q, Q, space)
-    if np.any(norm2 <= 0.0) or np.any(Q[:, 3] <= 0.0):
-        raise OffShellError("integration step left the w >= 1 sheet")
-    return Q / np.sqrt(norm2)[:, None]
-
-
 # ─── public operations ───────────────────────────────────────────────────
 
 
@@ -334,14 +331,16 @@ def kinetic_energy(state: PhaseState, half: bool = False) -> float:
     return 0.5 * val if half else val
 
 
-_OMEGA_PAIRS = (
-    ("omega_xy", 0, 1),
-    ("omega_xz", 0, 2),
-    ("omega_xw", 0, 3),
-    ("omega_yz", 1, 2),
-    ("omega_yw", 1, 3),
-    ("omega_zw", 2, 3),
-)
+def _first_integrals(space: Space, m, Q, P) -> np.ndarray:
+    """conserved()'s seven values as one array, in the dtype of Q and P.
+
+    The order is ConservedSet's.  Only the potential comes back rounded to
+    float64, as _potential_raw returns it.
+    """
+    kin = 0.5 * np.sum(np.sum(P * P * space.metric_diagonal, axis=1) / m)
+    omegas = [np.sum(P[:, a] * Q[:, b] - Q[:, a] * P[:, b])
+              for a, b in combinations(range(4), 2)]
+    return np.array([kin - _potential_raw(space, m, Q), *omegas])
 
 
 def conserved(state: PhaseState) -> ConservedSet:
@@ -352,13 +351,9 @@ def conserved(state: PhaseState) -> ConservedSet:
     six omegas are sum_i (p_a q_b - q_a p_b) over coordinate pairs; all six
     are constant in both geometries.
     """
-    Q, P = state.config.points, state.momenta
-    vals = {
-        name: float(np.sum(P[:, a] * Q[:, b] - Q[:, a] * P[:, b]))
-        for name, a, b in _OMEGA_PAIRS
-    }
-    energy = kinetic_energy(state, half=True) - force_function(state.config)
-    return ConservedSet(energy=energy, **vals)
+    cfg = state.config
+    vals = _first_integrals(cfg.space, cfg.masses, cfg.points, state.momenta)
+    return ConservedSet(*(float(v) for v in vals))
 
 
 def pairwise_distances(config: Configuration) -> np.ndarray:
@@ -380,6 +375,38 @@ def generator_momenta(config: Configuration, generator) -> np.ndarray:
     return config.masses[:, None] * (config.points @ xi.T)
 
 
+def _rk4(space: Space, rhs, Q, P, dt: float, steps: int, visit) -> None:
+    """Fixed-step RK4 plus projection, calling visit(k, Q, P) after step k.
+
+    rhs(Q, P) returns the rows (dQ/dt, dP/dt).  After each step the
+    positions are rescaled onto the manifold and the momenta re-projected
+    onto tangent spaces.  A singular pair, a non-finite state or a row that
+    cannot be scaled back, met in a stage, the projection or visit, raises
+    SingularEncounterError chained from its cause.
+    """
+    for k in range(1, steps + 1):
+        try:
+            k1q, k1p = rhs(Q, P)
+            k2q, k2p = rhs(Q + 0.5 * dt * k1q, P + 0.5 * dt * k1p)
+            k3q, k3p = rhs(Q + 0.5 * dt * k2q, P + 0.5 * dt * k2p)
+            k4q, k4p = rhs(Q + dt * k3q, P + dt * k3p)
+            Q = Q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+            P = P + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(P))):
+                raise OffShellError("non-finite state")
+            Q = _reproject(space, Q)
+            P = project_tangent(Q, P, space)
+            visit(k, Q, P)
+        except SingularPairError as exc:
+            raise SingularEncounterError(
+                f"singular pair ({exc.i}, {exc.j}) near t = {(k - 1) * dt:.6g}"
+            ) from exc
+        except (OffShellError, DegenerateVectorError) as exc:
+            raise SingularEncounterError(
+                f"step left the resolvable region near t = {(k - 1) * dt:.6g}: {exc}"
+            ) from exc
+
+
 def integrate(
     state: PhaseState, dt: float, steps: int, record_every: int = 1
 ) -> Trajectory:
@@ -393,42 +420,24 @@ def integrate(
     if dt <= 0.0 or steps < 1:
         raise ValueError("need dt > 0 and steps >= 1")
     space, m = state.config.space, state.config.masses
-    Q = state.config.points.copy()
-    P = state.momenta.copy()
-    times = [0.0]
-    qs, ps = [Q.copy()], [P.copy()]
+    times, qs, ps = [0.0], [state.config.points], [state.momenta]
 
-    def partial() -> Trajectory:
-        return Trajectory(
-            space, m, np.array(times), np.array(qs), np.array(ps), completed=False
-        )
-
-    for k in range(1, steps + 1):
-        try:
-            k1q, k1p = _rhs_raw(space, m, Q, P)
-            k2q, k2p = _rhs_raw(space, m, Q + 0.5 * dt * k1q, P + 0.5 * dt * k1p)
-            k3q, k3p = _rhs_raw(space, m, Q + 0.5 * dt * k2q, P + 0.5 * dt * k2p)
-            k4q, k4p = _rhs_raw(space, m, Q + dt * k3q, P + dt * k3p)
-            Q = Q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            P = P + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(P))):
-                raise OffShellError("non-finite state")
-            Q = _project_rows(space, Q)
-            P = project_tangent(Q, P, space)
-        except SingularPairError as exc:
-            raise SingularEncounterError(
-                f"singular pair ({exc.i}, {exc.j}) near t = {(k - 1) * dt:.6g}",
-                partial=partial(),
-            ) from exc
-        except OffShellError as exc:
-            raise SingularEncounterError(
-                f"step left the resolvable region near t = {(k - 1) * dt:.6g}: {exc}",
-                partial=partial(),
-            ) from exc
+    def record(k, Q, P):
         if k % record_every == 0 or k == steps:
             times.append(k * dt)
-            qs.append(Q.copy())
-            ps.append(P.copy())
+            qs.append(Q)
+            ps.append(P)
+
+    def rhs(Q, P):
+        return _rhs_raw(space, m, Q, P)
+
+    try:
+        _rk4(space, rhs, state.config.points, state.momenta, dt, steps, record)
+    except SingularEncounterError as exc:
+        exc.partial = Trajectory(
+            space, m, np.array(times), np.array(qs), np.array(ps), completed=False
+        )
+        raise
     return Trajectory(space, m, np.array(times), np.array(qs), np.array(ps))
 
 

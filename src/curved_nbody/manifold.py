@@ -139,6 +139,26 @@ def project_point(v, space: Space) -> np.ndarray:
     return v / math.sqrt(-q)
 
 
+def _reproject(space, Q):
+    """project_point on every row of a (..., 4) stack, bit for bit.
+
+    The S3 row norms come from a stacked matmul of each row with itself,
+    which reduces in the order np.dot does.  A row project_point refuses
+    raises its error; the first such row in C order is the one reported.
+    """
+    if space is Space.S3:
+        norm = np.sqrt(np.matmul(Q[..., None, :], Q[..., :, None])[..., 0, 0])
+        bad = norm < 1e-12
+    else:
+        norm2 = -inner(Q, Q, space)
+        bad = (Q[..., 3] <= 0.0) | (norm2 <= 1e-12)
+    if np.any(bad):
+        project_point(Q[np.unravel_index(np.argmax(bad), bad.shape)], space)
+    if space is Space.H3:
+        norm = np.sqrt(norm2)  # only now: a refused row can have norm2 < 0
+    return Q / norm[..., None]
+
+
 def project_tangent(q, v, space: Space) -> np.ndarray:
     """Remove the sigma-normal component of v at base point q.
 
@@ -218,32 +238,35 @@ def _boost(t: float) -> np.ndarray:
     return np.array([[c, s], [s, c]])
 
 
-def isometry_matrix(g: IsometryGenerator, t: float) -> np.ndarray:
-    """Closed-form exp(xi t) for the three generator kinds.
+def isometry_matrix(g: IsometryGenerator, t: float, dtype=float) -> np.ndarray:
+    """Closed-form exp(xi t) for the three generator kinds, built at dtype.
 
     The parabolic generator is nilpotent of order three, so its exponential
     is the exact quadratic polynomial I + xi t + (xi t)^2 / 2; the other two
     are block rotations/boosts.  All three preserve their space's bilinear
-    form to machine precision.
+    form to machine precision.  Boost entries grow like e^{|beta| t}, so a
+    frame whose rounding must stay below that of the state it multiplies
+    is built at dtype=np.longdouble.
     """
-    m = np.eye(4)
-    if g.kind is GeneratorKind.DOUBLE_ROTATION:
-        m[:2, :2] = _rot(g.alpha * t)
-        m[2:, 2:] = _rot(g.beta * t)
+    m = np.eye(4, dtype=dtype)
+    if g.kind is GeneratorKind.PARABOLIC:
+        u = dtype(g.eta) * dtype(t)
+        h = u * u / 2.0
+        m[1, 2:] = -u, u
+        m[2, 1:] = u, 1.0 - h, h
+        m[3, 1:] = u, -h, 1.0 + h
         return m
+    a = dtype(g.alpha) * dtype(t)
+    b = dtype(g.beta) * dtype(t)
+    c, s = np.cos(a), np.sin(a)
+    m[:2, :2] = [[c, -s], [s, c]]
     if g.kind is GeneratorKind.ROTATION_BOOST:
-        m[:2, :2] = _rot(g.alpha * t)
-        m[2:, 2:] = _boost(g.beta * t)
-        return m
-    u = g.eta * t
-    return np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, -u, u],
-            [0.0, u, 1.0 - u * u / 2.0, u * u / 2.0],
-            [0.0, u, -u * u / 2.0, 1.0 + u * u / 2.0],
-        ]
-    )
+        c, s = np.cosh(b), np.sinh(b)
+        m[2:, 2:] = [[c, s], [s, c]]
+    else:
+        c, s = np.cos(b), np.sin(b)
+        m[2:, 2:] = [[c, -s], [s, c]]
+    return m
 
 
 def rescale_curvature(points, kappa: float, masses=None):

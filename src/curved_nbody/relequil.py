@@ -19,18 +19,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    InadmissibleBetaError,
-    NotACentralConfigError,
-    SingularEncounterError,
-    SingularPairError,
-)
-from .manifold import GeneratorKind, IsometryGenerator, Space, project_tangent
+from .errors import InadmissibleBetaError, NotACentralConfigError
+from .manifold import GeneratorKind, IsometryGenerator, Space, isometry_matrix
 from .dynamics import (
-    _OMEGA_PAIRS,
-    _potential_raw,
-    _project_rows,
+    _first_integrals,
     _rhs_raw,
+    _rk4,
     Configuration,
     generator_momenta,
     grad_U,
@@ -222,64 +216,6 @@ def re_criterion_residual(
     return grad_U(config) - coeff[:, None] * block
 
 
-def _comoving_frame(generator: IsometryGenerator, t) -> np.ndarray:
-    """exp(xi t) in extended precision.
-
-    Boost entries grow like e^{|beta| t}, and float64 rounding of cosh/sinh
-    feeds straight into the reconstructed momenta, so the frame has to carry
-    more precision than the state it multiplies.
-    """
-    ld = np.longdouble
-    a = ld(generator.alpha) * ld(t)
-    R = np.eye(4, dtype=ld)
-    R[0, 0] = np.cos(a)
-    R[0, 1] = -np.sin(a)
-    R[1, 0] = np.sin(a)
-    R[1, 1] = np.cos(a)
-    if generator.kind is GeneratorKind.PARABOLIC:
-        u = ld(generator.eta) * ld(t)
-        R[1, 2] = -u
-        R[1, 3] = u
-        R[2, 1] = u
-        R[2, 2] = 1.0 - u * u / 2.0
-        R[2, 3] = u * u / 2.0
-        R[3, 1] = u
-        R[3, 2] = -u * u / 2.0
-        R[3, 3] = 1.0 + u * u / 2.0
-        return R
-    b = ld(generator.beta) * ld(t)
-    if generator.kind is GeneratorKind.ROTATION_BOOST:
-        R[2, 2] = np.cosh(b)
-        R[2, 3] = np.sinh(b)
-        R[3, 2] = np.sinh(b)
-        R[3, 3] = np.cosh(b)
-    else:
-        R[2, 2] = np.cos(b)
-        R[2, 3] = -np.sin(b)
-        R[3, 2] = np.sin(b)
-        R[3, 3] = np.cos(b)
-    return R
-
-
-def _conserved_ambient(space: Space, m, Y, Z, R) -> np.ndarray:
-    """Energy + six omegas of the ambient state (Y R^T, Z R^T).
-
-    Evaluated in extended precision: at large boost rapidity the omega
-    products cancel huge coordinates down to O(1) values, which float64
-    cannot do below the certification tolerances.
-    """
-    Q = Y.astype(np.longdouble) @ R.T
-    P = Z.astype(np.longdouble) @ R.T
-    met = space.metric_diagonal.astype(np.longdouble)
-    ml = m.astype(np.longdouble)
-    kin = 0.5 * np.sum(np.sum(P * P * met, axis=1) / ml)
-    vals = [kin - _potential_raw(space, ml, Q)]
-    vals.extend(
-        np.sum(P[:, a] * Q[:, b] - Q[:, a] * P[:, b]) for _, a, b in _OMEGA_PAIRS
-    )
-    return np.array([float(v) for v in vals])
-
-
 def certify_rigidity(instance: REInstance, horizon: float = 10.0, dt: float = 1e-3):
     """Integrate the instance and measure how rigid the orbit stays.
 
@@ -293,19 +229,23 @@ def certify_rigidity(instance: REInstance, horizon: float = 10.0, dt: float = 1e
 
     Returns (max_distance_drift, conserved_drift): the largest
     |d_ij(t) - d_ij(0)| over steps and pairs, and the largest drift among
-    energy and the six omegas of the reconstructed ambient states.
+    energy and the six omegas of the reconstructed ambient states.  The
+    steps are integrate's: a singular pair or a step leaving the manifold
+    raises SingularEncounterError, which here carries no partial trajectory.
     """
     cfg = instance.config
     space = cfg.space
     m = cfg.masses
     met = space.metric_diagonal
     xiT = np.ascontiguousarray(instance.generator.matrix_log().T)
-    Y = cfg.points.copy()
+    Y = cfg.points
     Z = generator_momenta(cfg, instance.generator)
     steps = max(1, round(horizon / dt))
     stride = max(1, steps // 100)
 
     iu = np.triu_indices(cfg.n, 1)
+    ld = np.longdouble
+    ml = m.astype(ld)
 
     def distances(Y):
         s = space.sigma * ((Y * met) @ Y.T)[iu]
@@ -313,31 +253,30 @@ def certify_rigidity(instance: REInstance, horizon: float = 10.0, dt: float = 1e
             return np.arccos(np.clip(s, -1.0, 1.0))
         return np.arccosh(np.maximum(s, 1.0))
 
+    def integrals(t, Y, Z):
+        # the ambient state (Y R^T, Z R^T) in extended precision: boost
+        # entries of R grow like e^{|beta| t}, and at large rapidity the
+        # omega products cancel huge coordinates down to O(1) values, which
+        # float64 cannot do below the certification tolerances
+        RT = isometry_matrix(instance.generator, t, ld).T
+        vals = _first_integrals(space, ml, Y.astype(ld) @ RT, Z.astype(ld) @ RT)
+        return vals.astype(float)
+
     def rhs(Y, Z):
         dY, dZ = _rhs_raw(space, m, Y, Z)
         return dY - Y @ xiT, dZ - Z @ xiT
 
     d0 = distances(Y)
-    c0 = _conserved_ambient(space, m, Y, Z, _comoving_frame(instance.generator, 0.0))
+    c0 = integrals(0.0, Y, Z)
     drift = 0.0
     cons = 0.0
-    try:
-        for k in range(1, steps + 1):
-            k1y, k1z = rhs(Y, Z)
-            k2y, k2z = rhs(Y + 0.5 * dt * k1y, Z + 0.5 * dt * k1z)
-            k3y, k3z = rhs(Y + 0.5 * dt * k2y, Z + 0.5 * dt * k2z)
-            k4y, k4z = rhs(Y + dt * k3y, Z + dt * k3z)
-            Y = Y + (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            Z = Z + (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-            Y = _project_rows(space, Y)
-            Z = project_tangent(Y, Z, space)
-            if len(d0):
-                drift = max(drift, float(np.max(np.abs(distances(Y) - d0))))
-            if k % stride == 0 or k == steps:
-                ck = _conserved_ambient(
-                    space, m, Y, Z, _comoving_frame(instance.generator, k * dt)
-                )
-                cons = max(cons, float(np.max(np.abs(ck - c0))))
-    except SingularPairError as exc:
-        raise SingularEncounterError(str(exc)) from exc
+
+    def measure(k, Y, Z):
+        nonlocal drift, cons
+        if len(d0):
+            drift = max(drift, float(np.max(np.abs(distances(Y) - d0))))
+        if k % stride == 0 or k == steps:
+            cons = max(cons, float(np.max(np.abs(integrals(k * dt, Y, Z) - c0))))
+
+    _rk4(space, rhs, Y, Z, dt, steps, measure)
     return drift, cons

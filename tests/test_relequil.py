@@ -19,7 +19,11 @@ from curved_nbody import (
     re_family_from_cc,
     swap_xy_zw,
 )
-from curved_nbody.errors import InadmissibleBetaError, NotACentralConfigError
+from curved_nbody.errors import (
+    InadmissibleBetaError,
+    NotACentralConfigError,
+    SingularEncounterError,
+)
 from curved_nbody.fixtures import FIXTURE_BUILDERS
 
 from helpers import random_config
@@ -206,3 +210,18 @@ def test_instance_json_payload():
     assert set(d) == {"alpha", "beta", "type", "lambda", "periodic"}
     full = inst.to_json_dict(include_base=True)
     assert full["base"]["lambda"] == pytest.approx(-0.5, abs=1e-10)
+
+
+def test_certificate_reports_a_step_off_the_sheet_as_an_encounter():
+    # dt = 0.3 at rotation rate 3 throws a body off the w >= 1 sheet; the
+    # certifier must report it the way integrate does
+    cfg = FIXTURE_BUILDERS["example2_h3"]().config
+    inst = REInstance(
+        config=cfg,
+        generator=IsometryGenerator(GeneratorKind.ROTATION_BOOST, 3.0, 0.0),
+        classification=None,
+        lam=-0.5,
+        periodic=None,
+    )
+    with pytest.raises(SingularEncounterError, match="near t ="):
+        certify_rigidity(inst, horizon=12.0, dt=0.3)
