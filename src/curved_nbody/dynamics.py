@@ -16,6 +16,7 @@ round-off level.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -34,7 +35,6 @@ from .manifold import (
     Space,
     _reproject,
     inner,
-    project_tangent,
 )
 
 __all__ = [
@@ -265,21 +265,54 @@ def _potential_raw(space: Space, m: np.ndarray, Q: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.outer(m, m) * ctn))
 
 
+class _ForceKernel:
+    """The pairwise force law of one mass vector on one space.
+
+    Built once per run from (space, m), so that the stage loop of an
+    integration does not rebuild the metric diagonal, the mass column, the
+    off-diagonal mask and the singular-pair bounds on every call.  grad and
+    rhs take an (N, 4) array or a (B, N, 4) stack.  The Gram matrix is
+    _gram_checked's expression, so results and errors match it bitwise.
+    The mass outer product is rebuilt per call rather than kept, so that a
+    run holds no extra N x N array.
+    """
+
+    def __init__(self, space: Space, m: np.ndarray):
+        self.space = space
+        self.sigma = space.sigma
+        self.met = space.metric_diagonal
+        self.m = m
+        self.mcol = m[:, None]
+        self.off = ~np.eye(len(m), dtype=bool)
+        # off the diagonal, s is nonsingular exactly when lo <= s <= hi:
+        # NaN fails both comparisons, and the H3 upper bound, the largest
+        # finite float, refuses +inf as _gram_checked's isfinite test does
+        if space is Space.S3:
+            self.lo, self.hi = -1.0 + EPS_SINGULAR, 1.0 - EPS_SINGULAR
+        else:
+            self.lo, self.hi = 1.0 + EPS_SINGULAR, np.finfo(float).max
+
+    def grad(self, Q: np.ndarray) -> np.ndarray:
+        """grad U of Q; a singular pair raises what _gram_checked raises."""
+        s = self.sigma * ((Q * self.met) @ Q.swapaxes(-1, -2))
+        if (self.off & ~((s >= self.lo) & (s <= self.hi))).any():
+            _gram_checked(self.space, Q)
+        _, sn3 = _sn_powers(self.space, s)
+        w = self.mcol * self.m / sn3
+        _fill_diagonal(w, 0.0)
+        return w @ Q - (w * s).sum(axis=-1)[..., None] * Q
+
+    def rhs(self, Q: np.ndarray, P: np.ndarray):
+        """(dQ/dt, dP/dt) of the equations of motion at (Q, P)."""
+        V = P / self.mcol
+        # inner(V, V): numpy reduces the length-4 axis in order, so bitwise
+        vsq = (V * V * self.met).sum(axis=-1)
+        return V, self.grad(Q) - (self.sigma * (self.m * vsq))[..., None] * Q
+
+
 def _grad_U_raw(space: Space, m: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """grad U of an (N, 4) array or of each configuration of a stack."""
-    s = _gram_checked(space, Q)
-    _, sn3 = _sn_powers(space, s)
-    w = np.outer(m, m) / sn3
-    _fill_diagonal(w, 0.0)
-    return w @ Q - np.sum(w * s, axis=-1)[..., None] * Q
-
-
-def _rhs_raw(space: Space, m: np.ndarray, Q: np.ndarray, P: np.ndarray):
-    V = P / m[:, None]
-    G = _grad_U_raw(space, m, Q)
-    vsq = inner(V, V, space)
-    dP = G - space.sigma * (m * vsq)[:, None] * Q
-    return V, dP
+    return _ForceKernel(space, m).grad(Q)
 
 
 # ─── public operations ───────────────────────────────────────────────────
@@ -294,15 +327,13 @@ def pair_force(i: int, j: int, config: Configuration) -> np.ndarray:
     """Force exerted on body i by body j (tangent to the manifold at q_i)."""
     if i == j:
         raise ValueError("pair_force needs two distinct bodies")
-    s = _gram_checked(config.space, config.points)
-    _, sn3 = _sn_powers(config.space, s)
+    space = config.space
     qi, qj = config.points[i], config.points[j]
-    return (
-        config.masses[i]
-        * config.masses[j]
-        * (qj - s[i, j] * qi)
-        / sn3[i, j]
-    )
+    # a Configuration holds no singular pair, so s is safely inside the
+    # domain and needs no check of its own
+    s = space.sigma * inner(qi, qj, space)
+    sn = math.sqrt(max(space.sigma * (1.0 - s * s), 0.0))
+    return config.masses[i] * config.masses[j] * (qj - s * qi) / (sn * sn * sn)
 
 
 def grad_U(config: Configuration) -> np.ndarray:
@@ -312,9 +343,8 @@ def grad_U(config: Configuration) -> np.ndarray:
 
 def eom_rhs(state: PhaseState):
     """(dq/dt, dp/dt) rows for the constrained equations of motion."""
-    return _rhs_raw(
-        state.config.space, state.config.masses, state.config.points, state.momenta
-    )
+    cfg = state.config
+    return _ForceKernel(cfg.space, cfg.masses).rhs(cfg.points, state.momenta)
 
 
 def kinetic_energy(state: PhaseState, half: bool = False) -> float:
@@ -384,18 +414,22 @@ def _rk4(space: Space, rhs, Q, P, dt: float, steps: int, visit) -> None:
     cannot be scaled back, met in a stage, the projection or visit, raises
     SingularEncounterError chained from its cause.
     """
+    # 0.5 * dt * k already evaluates as (0.5 * dt) * k, so hoisting is bitwise
+    half, sixth = 0.5 * dt, dt / 6.0
+    sigma, met = space.sigma, space.metric_diagonal
     for k in range(1, steps + 1):
         try:
             k1q, k1p = rhs(Q, P)
-            k2q, k2p = rhs(Q + 0.5 * dt * k1q, P + 0.5 * dt * k1p)
-            k3q, k3p = rhs(Q + 0.5 * dt * k2q, P + 0.5 * dt * k2p)
+            k2q, k2p = rhs(Q + half * k1q, P + half * k1p)
+            k3q, k3p = rhs(Q + half * k2q, P + half * k2p)
             k4q, k4p = rhs(Q + dt * k3q, P + dt * k3p)
-            Q = Q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            P = P + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(P))):
+            Q = Q + sixth * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+            P = P + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            if not (np.isfinite(Q).all() and np.isfinite(P).all()):
                 raise OffShellError("non-finite state")
             Q = _reproject(space, Q)
-            P = project_tangent(Q, P, space)
+            # project_tangent, bitwise: sigma = +-1 scales exactly
+            P = P - (sigma * (Q * P * met).sum(axis=-1))[..., None] * Q
             visit(k, Q, P)
         except SingularPairError as exc:
             raise SingularEncounterError(
@@ -428,9 +462,7 @@ def integrate(
             qs.append(Q)
             ps.append(P)
 
-    def rhs(Q, P):
-        return _rhs_raw(space, m, Q, P)
-
+    rhs = _ForceKernel(space, m).rhs
     try:
         _rk4(space, rhs, state.config.points, state.momenta, dt, steps, record)
     except SingularEncounterError as exc:

@@ -22,8 +22,8 @@ import numpy as np
 from .errors import InadmissibleBetaError, NotACentralConfigError
 from .manifold import GeneratorKind, IsometryGenerator, Space, isometry_matrix
 from .dynamics import (
+    _ForceKernel,
     _first_integrals,
-    _rhs_raw,
     _rk4,
     Configuration,
     generator_momenta,
@@ -262,8 +262,10 @@ def certify_rigidity(instance: REInstance, horizon: float = 10.0, dt: float = 1e
         vals = _first_integrals(space, ml, Y.astype(ld) @ RT, Z.astype(ld) @ RT)
         return vals.astype(float)
 
+    kernel = _ForceKernel(space, m)
+
     def rhs(Y, Z):
-        dY, dZ = _rhs_raw(space, m, Y, Z)
+        dY, dZ = kernel.rhs(Y, Z)
         return dY - Y @ xiT, dZ - Z @ xiT
 
     d0 = distances(Y)

@@ -113,6 +113,18 @@ def test_pair_force_magnitude_and_tangency(space):
 
 
 @pytest.mark.parametrize("space", [Space.S3, Space.H3])
+def test_pair_forces_sum_to_grad_U(space):
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 5):
+        cfg = random_config(space, n, rng)
+        g = grad_U(cfg)
+        for i in range(n):
+            forces = [pair_force(i, j, cfg) for j in range(n) if j != i]
+            scale = max(np.max(np.abs(f)) for f in forces)
+            assert np.max(np.abs(np.sum(forces, axis=0) - g[i])) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("space", [Space.S3, Space.H3])
 def test_grad_U_matches_finite_differences(space):
     # central differences along geodesics through each body
     rng = np.random.default_rng(9)

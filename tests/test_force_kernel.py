@@ -1,0 +1,222 @@
+"""The per-run force kernel against the formulas it replaced, and the RK4
+stepper that calls it against float-hex pins.
+
+The kernel hoists the metric, the mass column, the off-diagonal mask and
+the singular-pair bounds out of the stage loop, and tests singular pairs
+with one fused predicate.  None of that may change a bit of any result or
+any SingularPairError.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from curved_nbody.centralconfig import make_report
+from curved_nbody.dynamics import (
+    PhaseState,
+    _ForceKernel,
+    _gram_checked,
+    _sn_powers,
+    generator_momenta,
+    integrate,
+)
+from curved_nbody.errors import SingularPairError
+from curved_nbody.fixtures import FIXTURE_BUILDERS
+from curved_nbody.manifold import EPS_SINGULAR, Space, inner
+from curved_nbody.relequil import certify_rigidity, pick_member, re_family_from_cc
+
+from helpers import random_config, random_momenta
+
+
+# ─── the kernel against the formula it replaced ─────────────────────────
+
+
+def _reference_grad(space, m, Q):
+    s = _gram_checked(space, Q)
+    _, sn3 = _sn_powers(space, s)
+    w = np.outer(m, m) / sn3
+    n = len(m)
+    w[..., range(n), range(n)] = 0.0
+    return w @ Q - np.sum(w * s, axis=-1)[..., None] * Q
+
+
+def _reference_rhs(space, m, Q, P):
+    V = P / m[:, None]
+    G = _reference_grad(space, m, Q)
+    vsq = inner(V, V, space)
+    return V, G - space.sigma * (m * vsq)[:, None] * Q
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+draws = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([Space.S3, Space.H3]),
+    st.integers(1, 4),   # B
+    st.integers(1, 6),   # N
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(draws)
+def test_kernel_is_bitwise_the_reference_formula(args):
+    seed, space, b, n = args
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.1, 5.0, n)
+    cfgs = [random_config(space, n, rng, masses=m) for _ in range(b)]
+    Q = np.array([c.points for c in cfgs])
+    P = np.array([random_momenta(c, rng, scale=1.0) for c in cfgs])
+    kernel = _ForceKernel(space, m)
+    assert _bits(kernel.grad(Q)) == _bits(_reference_grad(space, m, Q))
+    V, dP = kernel.rhs(Q, P)
+    want = [_reference_rhs(space, m, q, p) for q, p in zip(Q, P)]
+    assert _bits(V) == _bits([v for v, _ in want])
+    assert _bits(dP) == _bits([d for _, d in want])
+    for q, p in zip(Q, P):
+        assert _bits(kernel.grad(q)) == _bits(_reference_grad(space, m, q))
+        assert _bits(kernel.rhs(q, p)) == _bits(_reference_rhs(space, m, q, p))
+
+
+# ─── the fused singular-pair predicate ──────────────────────────────────
+
+
+def _pair(space, s01):
+    """Two rows whose Gram entry s_01 is exactly s01 (the rows need not be
+    on the manifold: integrator stages are not either)."""
+    if space is Space.S3:
+        return np.array([[1.0, 0.0, 0.0, 0.0], [s01, 0.5, 0.0, 0.0]])
+    return np.array([[0.0, 0.0, 0.0, 1.0], [0.5, 0.0, 0.0, s01]])
+
+
+def _edges():
+    up, dn = math.inf, -math.inf
+    cases = []
+    bounds = {Space.S3: ("1-eps", 1.0 - EPS_SINGULAR, "-1+eps", -1.0 + EPS_SINGULAR),
+              Space.H3: ("1+eps", 1.0 + EPS_SINGULAR)}
+    for space, edges in bounds.items():
+        for name, b in zip(edges[::2], edges[1::2]):
+            for side, v in (("below", np.nextafter(b, dn)), ("at", b),
+                            ("above", np.nextafter(b, up))):
+                cases.append(pytest.param(space, _pair(space, v),
+                                          id=f"{space.value}-{side}-{name}"))
+    big = 1e200
+    x_pos = np.array([[big, 0, 0, 1.0], [big, 0, 0, 1.0]])
+    x_neg = np.array([[big, 0, 0, 1.0], [-big, 0, 0, 1.0]])
+    w_pos = np.array([[0, 0, 0, big], [0, 0, 0, big]])
+    w_neg = np.array([[0, 0, 0, big], [0, 0, 0, -big]])
+    nan = np.array([[np.nan, 0, 0, 1.0], [0, 0, 0, 1.0]])
+    cases += [
+        pytest.param(Space.S3, nan, id="S3-nan"),
+        pytest.param(Space.S3, x_pos, id="S3-+inf"),
+        pytest.param(Space.S3, x_neg, id="S3--inf"),
+        pytest.param(Space.H3, nan, id="H3-nan"),
+        pytest.param(Space.H3, x_pos, id="H3--inf"),
+        # s = +inf: the case a bare s >= 1 + EPS_SINGULAR lets through
+        pytest.param(Space.H3, x_neg, id="H3-+inf-from-x"),
+        pytest.param(Space.H3, w_pos, id="H3-+inf-from-w"),
+        pytest.param(Space.H3, w_neg, id="H3--inf-from-w"),
+    ]
+    return cases
+
+
+def _embed(rows, rng, space, n, at):
+    """rows placed at bodies (at, at + 1) of an otherwise harmless n-body
+    configuration, so that the offending pair is not always (0, 1)."""
+    Q = random_config(space, n, rng).points.copy()
+    Q[at:at + 2] = rows
+    return Q
+
+
+def _assert_raises_alike(space, m, Q):
+    with np.errstate(all="ignore"):
+        try:
+            _gram_checked(space, Q)
+        except SingularPairError as exc:
+            want = exc
+        else:
+            want = None
+        if want is None:
+            _ForceKernel(space, m).grad(Q)
+            return
+        with pytest.raises(SingularPairError) as got:
+            _ForceKernel(space, m).grad(Q)
+    assert (got.value.i, got.value.j) == (want.i, want.j)
+    assert _bits(got.value.value) == _bits(want.value)
+    assert str(got.value) == str(want)
+
+
+@pytest.mark.parametrize("space,rows", _edges())
+def test_fused_predicate_raises_what_gram_checked_raises(space, rows):
+    rng = np.random.default_rng(11)
+    _assert_raises_alike(space, np.ones(2), rows)
+    # the same pair at bodies (1, 2) of four, alone and in a stack whose
+    # first slice is harmless
+    Q = _embed(rows, rng, space, 4, 1)
+    _assert_raises_alike(space, np.ones(4), Q)
+    stack = np.array([random_config(space, 4, rng).points, Q, Q[::-1]])
+    _assert_raises_alike(space, np.ones(4), stack)
+
+
+# ─── float-hex pins of the stepper ──────────────────────────────────────
+#
+# The bits of the per-stage arithmetic that the kernel keeps, on one S3 and
+# one H3 criterion-4 member: the final state of a 200-step integrate at
+# dt = 1e-3, and certify_rigidity(horizon=0.2).  They were recorded with
+# the constants still rebuilt on every stage.
+
+
+def _members():
+    ex1 = FIXTURE_BUILDERS["example1_s3"]().config
+    ex2 = FIXTURE_BUILDERS["example2_h3"]().config
+    fam1 = re_family_from_cc(make_report(ex1), ex1)
+    fam2 = re_family_from_cc(make_report(ex2), ex2)
+    return {"S3": pick_member(fam1, 1),
+            "H3": pick_member(fam2, math.sqrt(3.0) / 2.0)}
+
+
+_PINNED_FINAL = {
+    "S3": (
+        [["-0x1.71939246629e8p-2", "0x1.6257304a74ff0p-2", "0x1.b29101655f341p-1", "0x1.605d28cd4f4c3p-3"],
+         ["-0x1.e851a1ddeb755p-4", "-0x1.f13b9e5e95620p-2", "0x1.b29101655f341p-1", "0x1.605d28cd4f4c2p-3"],
+         ["0x1.eba7fabddd7aap-2", "0x1.1dc8dc2840c5ap-3", "0x1.b29101655f341p-1", "0x1.605d28cd4f4c1p-3"]],
+        [["-0x1.3dd5bbac9ee5bp-4", "-0x1.4b80481d914eap-4", "-0x1.befa9e11b1763p-6", "0x1.13a08739d02f1p-3"],
+         ["0x1.be017d8971ea0p-4", "-0x1.b6029aa36534bp-6", "-0x1.befa9e11b17c8p-6", "0x1.13a08739d02f3p-3"],
+         ["-0x1.005783b9a60b5p-5", "0x1.b900eec66a9bap-4", "-0x1.befa9e11b17d4p-6", "0x1.13a08739d02f1p-3"]],
+    ),
+    "H3": (
+        [["0x1.1f158182c8a05p-67", "0x1.646eb449e04f9p-69", "0x1.648012db9d16ap-3", "0x1.03d98003dc76ap+0"],
+         ["0x1.fd712f9a815dbp-1", "0x1.98eaecb8bcaa0p-4", "0x1.f82ae40709b7ep-3", "0x1.6f7b9b89e2c4dp+0"],
+         ["-0x1.fd712f9a815dbp-1", "-0x1.98eaecb8bcaa0p-4", "0x1.f82ae40709b7ep-3", "0x1.6f7b9b89e2c4dp+0"]],
+        [["-0x1.581bb3dfcb2f9p-62", "0x1.74e691eaa8d2cp-65", "0x1.1ae36fbcd43d3p+0", "0x1.841bbd22ae01dp-3"],
+         ["-0x1.010556ae8da15p-4", "0x1.403455b0c28f1p-1", "0x1.90108c9b26f4bp+0", "0x1.126f1ddd98d36p-2"],
+         ["0x1.010556ae8da15p-4", "-0x1.403455b0c28f1p-1", "0x1.90108c9b26f4bp+0", "0x1.126f1ddd98d36p-2"]],
+    ),
+}
+
+_PINNED_CERTIFICATE = {
+    "S3": ("0x1.8000000000000p-52", "0x1.0000000000000p-54"),
+    "H3": ("0x1.8000000000000p-51", "0x1.0000000000000p-50"),
+}
+
+
+def _hex(a):
+    return [[float(v).hex() for v in row] for row in a]
+
+
+@pytest.mark.parametrize("space", ["S3", "H3"])
+def test_integrate_final_state_matches_the_recorded_bits(space):
+    inst = _members()[space]
+    state = PhaseState(inst.config, generator_momenta(inst.config, inst.generator))
+    traj = integrate(state, 1e-3, 200)
+    assert _hex(traj.positions[-1]) == _PINNED_FINAL[space][0]
+    assert _hex(traj.momenta[-1]) == _PINNED_FINAL[space][1]
+
+
+@pytest.mark.parametrize("space", ["S3", "H3"])
+def test_certificate_matches_the_recorded_bits(space):
+    drift, cons = certify_rigidity(_members()[space], horizon=0.2)
+    assert (drift.hex(), cons.hex()) == _PINNED_CERTIFICATE[space]
