@@ -43,6 +43,7 @@ from .dynamics import (
     _check_points,
     _grad_U_raw,
     _gram_checked,
+    _potential_raw,
     _sn_powers,
     force_function,
     grad_U,
@@ -211,17 +212,12 @@ def criterion_residual(config: Configuration, lam: float) -> np.ndarray:
         if space is Space.S3
         else np.sqrt(r2) < EPS_AXIS
     )
-    out = np.empty(3 * config.n)
-    for i in range(config.n):
-        x, y, z, w = Q[i]
-        if on_axes[i]:
-            keep = [k for k in range(4) if k != int(np.argmax(np.abs(Q[i])))]
-            out[3 * i : 3 * i + 3] = G[i, keep]
-        else:
-            out[3 * i] = G[i, 0] * x + G[i, 1] * y
-            out[3 * i + 1] = -G[i, 0] * y + G[i, 1] * x
-            out[3 * i + 2] = -G[i, 2] * w + G[i, 3] * z
-    return out
+    x, y, z, w = Q.T
+    out = np.stack([G[:, 0] * x + G[:, 1] * y, -G[:, 0] * y + G[:, 1] * x,
+                    -G[:, 2] * w + G[:, 3] * z], axis=1)
+    for i in np.flatnonzero(on_axes):
+        out[i] = np.delete(G[i], np.argmax(np.abs(Q[i])))
+    return out.ravel()
 
 
 def orthogonality_relations(config: Configuration):
@@ -376,14 +372,16 @@ def _restore_level(space, m, Q, c, max_iter=40):
 
     The slope of I along G = grad_I is dI(G) = <G, G>_sigma, so the Newton
     step divides by the sigma-metric norm; the Euclidean sum overshoots it
-    by about 1 + 2 r^2 on H3 and makes the iteration merely linear.
+    by about 1 + 2 r^2 on H3 and makes the iteration merely linear.  Every
+    iterate, the returned one too, passes Configuration's point checks.
     """
     for _ in range(max_iter):
-        cfg = Configuration(space, m, Q)
-        err = moment_of_inertia(cfg) - c
+        _check_points(space, Q)
+        r2, _ = _r2_rho2(space, Q)
+        err = float(np.sum(m * r2)) - c
         if abs(err) <= 1e-13 * max(1.0, abs(c)):
             return Q
-        G = grad_I(cfg)
+        G = _grad_I_raw(space, m, Q)
         gg = float(np.sum(G * G * space.metric_diagonal))
         if gg < 1e-30:
             raise NoConvergenceError("cannot restore I = c: grad I vanished")
@@ -459,74 +457,99 @@ def _fd_jacobian(residuals, y, h=1e-7):
     return ((G[:, 0] - G[:, 1]) / (2.0 * h)).T.copy()
 
 
+def _newton(chart, x, lam, done, max_iter, damped=False):
+    """Newton on a stationarity system, re-charted at each accepted point.
+
+    chart(x, lam) returns (G, jac, trial): the residual rows at the point,
+    a callable for their Jacobian in chart coordinates (lambda last), and
+    trial(d) -> (G, x, lam) a chart step d away, which raises one of
+    _INFEASIBLE outside the feasible region.  Stops when done(x, lam, G)
+    holds; otherwise takes a Newton step (lstsq if J is singular, a
+    Levenberg step if damped) backtracked on ||G||_2 by halving to 1e-6.
+    Returns (x, lam, G, why): the last accepted point, the rows at that
+    point, and None if done accepted it, else why the iteration stopped.
+    """
+    mu = 1e-3
+    G, jac, trial = chart(x, lam)
+    for _ in range(max_iter):
+        if not np.all(np.isfinite(G)):
+            raise NoConvergenceError("refinement residual is not finite")
+        if done(x, lam, G):
+            return x, lam, G, None
+        J = jac()
+        if not np.all(np.isfinite(J)):
+            raise NoConvergenceError("refinement jacobian is not finite")
+        try:
+            if damped:
+                delta = np.linalg.solve(J.T @ J + mu * np.eye(len(G)), -J.T @ G)
+            else:
+                try:
+                    delta = np.linalg.solve(J, -G)
+                except np.linalg.LinAlgError:
+                    delta = np.linalg.lstsq(J, -G, rcond=None)[0]
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"refinement step solve failed: {exc}") from exc
+        base = float(np.linalg.norm(G))
+        t = 1.0
+        while t >= 1e-6:
+            try:
+                Gt, xt, lt = trial(t * delta)
+            except _INFEASIBLE:
+                t *= 0.5
+                continue
+            if np.linalg.norm(Gt) < (1.0 - 1e-4 * t) * base:
+                break
+            t *= 0.5
+        else:  # no trial accepted
+            mu *= 10.0
+            if not damped:
+                return x, lam, G, "refinement step rejected"
+            if mu > 1e8:
+                return x, lam, G, "least-squares refinement stalled"
+            continue
+        x, lam = xt, lt
+        mu = max(mu / 3.0, 1e-12)
+        G, jac, trial = chart(x, lam)
+    return x, lam, G, "refinement did not reach tolerance"
+
+
 def _kkt_newton(space, m, Q, c, lam, tol, max_iter=60, damped=False):
     """Solve the stationarity system on I = c by finite-difference Newton.
 
     Unknowns: 3 tangent chart coordinates per body plus lambda.  Equations:
     tangent components of grad U - lambda grad I plus the level constraint.
-    Re-charts at every accepted step.  damped=True switches to a
-    Levenberg-style least-squares step, used when starting far out.
+    _newton iterates; damped=True, its Levenberg-style least-squares step,
+    is used when starting far out.
     """
-    n = len(m)
-    mu = 1e-3
-    for _ in range(max_iter):
+    def chart(Q, lam):
         bases = _tangent_bases(space, Q)
+        y = np.append(np.zeros(3 * len(m)), lam)
 
-        def eval_G(Y):
+        def residuals(Y):
             return _chart_residuals(space, m, Q, bases, c, Y)
 
-        y = np.zeros(3 * n + 1)
-        y[-1] = lam
-        G0 = eval_G(y[None])[0][0]
-        if not np.all(np.isfinite(G0)):
-            raise NoConvergenceError("refinement residual is not finite")
-        crit = criterion_residual(Configuration(space, m, Q), lam)
-        if (
-            np.max(np.abs(crit)) < tol
-            and abs(G0[-1]) <= tol * max(1.0, abs(c))
-        ):
-            return Q, lam
-        try:
-            J = _fd_jacobian(eval_G, y)
-        except _INFEASIBLE as exc:
-            raise NoConvergenceError(
-                f"jacobian probe left the feasible region: {exc}"
-            ) from exc
-        if not np.all(np.isfinite(J)):
-            raise NoConvergenceError("refinement jacobian is not finite")
-        try:
-            if damped:
-                A = J.T @ J + mu * np.eye(3 * n + 1)
-                delta = np.linalg.solve(A, -J.T @ G0)
-            else:
-                try:
-                    delta = np.linalg.solve(J, -G0)
-                except np.linalg.LinAlgError:
-                    delta = np.linalg.lstsq(J, -G0, rcond=None)[0]
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"refinement step solve failed: {exc}") from exc
-        base = float(np.linalg.norm(G0))
-        t, ok = 1.0, False
-        while t >= 1e-6:
+        def jac():
             try:
-                Gt, Qt = eval_G((y + t * delta)[None])
-            except _INFEASIBLE:
-                t *= 0.5
-                continue
-            if np.linalg.norm(Gt[0]) < (1.0 - 1e-4 * t) * base:
-                Q, lam = Qt[0], float(y[-1] + t * delta[-1])
-                ok = True
-                mu = max(mu / 3.0, 1e-12)
-                break
-            t *= 0.5
-        if not ok:
-            if damped:
-                mu *= 10.0
-                if mu > 1e8:
-                    raise NoConvergenceError("least-squares refinement stalled")
-            else:
-                raise NoConvergenceError("refinement step rejected")
-    raise NoConvergenceError("refinement did not reach tolerance")
+                return _fd_jacobian(residuals, y)
+            except _INFEASIBLE as exc:
+                raise NoConvergenceError(
+                    f"jacobian probe left the feasible region: {exc}"
+                ) from exc
+
+        def trial(d):
+            G, Qt = residuals((y + d)[None])
+            return G[0], Qt[0], float(y[-1] + d[-1])
+
+        return residuals(y[None])[0][0], jac, trial
+
+    def done(Q, lam, G):
+        crit = criterion_residual(Configuration(space, m, Q), lam)
+        return np.max(np.abs(crit)) < tol and abs(G[-1]) <= tol * max(1.0, abs(c))
+
+    Q, lam, _, why = _newton(chart, Q, lam, done, max_iter, damped)
+    if why is not None:
+        raise NoConvergenceError(why)
+    return Q, lam
 
 
 def find_cc(
@@ -542,11 +565,12 @@ def find_cc(
 
     mode="descent" minimizes U over the level set (projected gradient with
     Armijo backtracking, multiplier re-estimated each step) and finishes
-    with a Newton refinement of the stationarity system — correct wherever
-    critical points are minima, which covers the guaranteed-existence
-    settings in both geometries.  mode="saddle" skips the descent bias and
-    drives the stationarity residual itself to zero from the seed, finding
-    non-minimal critical points too.
+    with a Newton refinement of the stationarity system.  That is correct
+    where critical points are minima, which fails on S3: the level sets
+    contain antipodal pairs, where U = sum m m cot d falls without bound,
+    and the descent can dive at them (SingularApproachError).  mode="saddle"
+    skips the descent bias and drives the stationarity residual itself to
+    zero from the seed, finding non-minimal critical points too.
 
     Returns (configuration, report).  Raises NoConvergence when iterations
     run out and SingularApproach when the iterate degenerates into the
@@ -559,48 +583,43 @@ def find_cc(
         seed = default_seed(m, space, c, rng=rng)
     if seed.space is not space or len(seed.masses) != len(m):
         raise ValueError("seed does not match the requested problem")
-    Q = _restore_level(space, m, seed.points.copy(), c)
+    # validates m, which a caller's seed need not carry
+    Q = _restore_level(space, m, Configuration(space, m, seed.points).points, c)
 
     # tangent vectors pair in the sigma metric; on S3 it is the Euclidean
     # sum term for term, so the sphere's arithmetic is unchanged
     md = space.metric_diagonal
 
     def residual_dir(Q):
-        cfg = Configuration(space, m, Q)
-        Gu = project_tangent(Q, grad_U(cfg), space)
-        Gi = project_tangent(Q, grad_I(cfg), space)
+        Gu = project_tangent(Q, _grad_U_raw(space, m, Q), space)
+        Gi = project_tangent(Q, _grad_I_raw(space, m, Q), space)
         gg = float(np.sum(Gi * Gi * md))
         lam_hat = float(np.sum(Gu * Gi * md)) / gg if gg > 1e-20 else 0.0
-        return Gu - lam_hat * Gi, lam_hat, cfg
+        return Gu - lam_hat * Gi, lam_hat
 
     lam = 0.0
     if mode == "descent":
         gamma = 0.1
+        u0 = _potential_raw(space, m, Q)
         for _ in range(max_iter):
-            try:
-                R, lam, cfg = residual_dir(Q)
-            except SingularPairError as exc:
-                raise SingularApproachError(str(exc)) from exc
+            R, lam = residual_dir(Q)
             rnorm2 = float(np.sum(R * R * md))
             if math.sqrt(rnorm2) < 1e-6:
                 break
-            u0 = force_function(cfg)
-            accepted = False
             while gamma > 1e-16:
                 try:
                     Qt = _restore_level(space, m, _reproject(space, Q - gamma * R), c)
-                    ut = force_function(Configuration(space, m, Qt))
                 except (NoConvergenceError, *_INFEASIBLE):
                     gamma *= 0.5
                     continue
+                ut = _potential_raw(space, m, Qt)
                 if ut <= u0 - 1e-4 * gamma * rnorm2:
-                    Q = Qt
-                    gamma = min(gamma * 1.3, 10.0)
-                    accepted = True
                     break
                 gamma *= 0.5
-            if not accepted:
+            else:
                 break  # flat to line-search resolution; hand off to Newton
+            Q, u0 = Qt, ut
+            gamma = min(gamma * 1.3, 10.0)
         try:
             lam = lambda_estimate(Configuration(space, m, Q))
         except DegenerateDenominatorError:
@@ -626,7 +645,7 @@ def find_cc(
             raise SingularApproachError(str(exc)) from exc
     elif mode == "saddle":
         try:
-            _, lam, _ = residual_dir(Q)
+            _, lam = residual_dir(Q)
             Q, lam = _kkt_newton(
                 space, m, Q, c, lam, level.tol, damped=True, max_iter=200
             )

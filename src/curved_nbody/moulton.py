@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .centralconfig import _newton
 from .dynamics import Configuration
 from .errors import (
     NoConvergenceError,
@@ -119,24 +120,23 @@ class GeodesicHSolution:
 # hyperbolic geodesic: scalar reductions of U and I
 # ---------------------------------------------------------------------------
 
-def _gap_trig(thetas):
-    """Pairwise |theta_i - theta_j| with its sinh/cosh, diagonal patched to 1."""
+def _gap_trig(thetas, masses):
+    """sinh and cosh of the gaps |theta_i - theta_j| (diagonal patched to a
+    gap of 1), and the pair weights m_i m_j with a zero diagonal."""
     d = np.abs(thetas[:, None] - thetas[None, :])
     np.fill_diagonal(d, 1.0)
-    return d, np.sinh(d), np.cosh(d)
+    mm = np.outer(masses, masses)
+    np.fill_diagonal(mm, 0.0)
+    return np.sinh(d), np.cosh(d), mm
 
 
 def _potential_theta(thetas, masses) -> float:
-    d, sh, ch = _gap_trig(thetas)
-    mm = np.outer(masses, masses)
-    np.fill_diagonal(mm, 0.0)
+    sh, ch, mm = _gap_trig(thetas, masses)
     return float(0.5 * np.sum(mm * ch / sh))
 
 
 def _grad_potential_theta(thetas, masses):
-    d, sh, _ = _gap_trig(thetas)
-    mm = np.outer(masses, masses)
-    np.fill_diagonal(mm, 0.0)
+    sh, _, mm = _gap_trig(thetas, masses)
     sgn = np.sign(thetas[:, None] - thetas[None, :])
     return -np.sum(mm * sgn / sh**2, axis=1)
 
@@ -148,9 +148,7 @@ def _grad_inertia_theta(thetas, masses):
 def _rounding_floor(thetas, lam, masses) -> float:
     """The residual dU - lam dI cannot be resolved below this: each row sums
     n terms, so it carries about n ulps of the largest of them."""
-    _, sh, _ = _gap_trig(thetas)
-    mm = np.outer(masses, masses)
-    np.fill_diagonal(mm, 0.0)
+    sh, _, mm = _gap_trig(thetas, masses)
     lam_terms = np.abs(lam * _grad_inertia_theta(thetas, masses))
     largest = max(float(np.max(mm / sh**2)), float(np.max(lam_terms)))
     return thetas.size * np.finfo(float).eps * largest
@@ -164,13 +162,9 @@ def hessian_geodesic_h(config: GeodesicHConfig, lam: float) -> np.ndarray:
     on the diagonal.  At a minimizer with its own lambda (< 0) the matrix is
     positive definite, which certifies the configuration.
     """
-    t = config.thetas
-    m = config.masses
-    _, sh, ch = _gap_trig(t)
-    mm = np.outer(m, m)
-    np.fill_diagonal(mm, 0.0)
+    t, m = config.thetas, config.masses
+    sh, ch, mm = _gap_trig(t, m)
     off = -2.0 * mm * ch / sh**3
-    np.fill_diagonal(off, 0.0)
     hess = off - np.diag(np.sum(off, axis=1))
     hess -= lam * np.diag(2.0 * m * np.cosh(2.0 * t))
     return hess
@@ -200,7 +194,7 @@ def _descend_ordered(u, masses, c, max_iter=50, gtol=1e-8):
     U itself keeps the ordering: coth d grows without bound as two bodies
     meet, so U rejects every Armijo step toward a collision, and a step that
     jumps past one fails the ordering test.  A few dozen steps put the
-    iterate where Newton converges; the polish does the rest.
+    iterate where Newton converges; _newton does the rest.
     """
     val = _potential_theta(np.arcsinh(u), masses)
     step = 1.0
@@ -227,46 +221,32 @@ def _descend_ordered(u, masses, c, max_iter=50, gtol=1e-8):
     return u
 
 
-def _kkt_polish(t, lam, masses, c, tol=1e-12, max_iter=80):
-    """Damped Newton on [dU - lam dI; I - c] in theta coordinates."""
-    n = t.size
+def _theta_chart(masses, c):
+    """[dU - lam dI; I - c] in theta as a chart for _newton, with the exact
+    Jacobian.  A trial that reorders two bodies raises SingularPairError:
+    the crossing passes through their collision, where cosh d = 1."""
+    n = masses.size
 
-    def residual(tv, lv):
-        f = np.empty(n + 1)
-        f[:n] = _grad_potential_theta(tv, masses) - lv * _grad_inertia_theta(tv, masses)
-        f[n] = float(np.sum(masses * np.sinh(tv) ** 2)) - c
-        return f
+    def chart(t, lam):
+        def jac():
+            g_i = _grad_inertia_theta(t, masses)[None]
+            hess = hessian_geodesic_h(GeodesicHConfig(t, masses), lam)
+            return np.block([[hess, -g_i.T], [g_i, np.zeros((1, 1))]])
 
-    f = residual(t, lam)
-    for _ in range(max_iter):
-        nrm = float(np.max(np.abs(f)))
-        if nrm < tol:
-            break
-        cfg = GeodesicHConfig(t, masses)
-        hess = hessian_geodesic_h(cfg, lam)
-        g_i = _grad_inertia_theta(t, masses)
-        jac = np.zeros((n + 1, n + 1))
-        jac[:n, :n] = hess
-        jac[:n, n] = -g_i
-        jac[n, :n] = g_i
-        try:
-            delta = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            jac += 1e-12 * np.eye(n + 1)
-            delta = np.linalg.solve(jac, -f)
-        scale = 1.0
-        for _ in range(40):
-            t_new = t + scale * delta[:n]
-            lam_new = lam + scale * delta[n]
-            if np.all(np.diff(t_new) > 0.0):
-                f_new = residual(t_new, lam_new)
-                if float(np.max(np.abs(f_new))) < nrm * (1.0 - 1e-4 * scale) + 1e-15:
-                    t, lam, f = t_new, lam_new, f_new
-                    break
-            scale *= 0.5
-        else:
-            break
-    return t, lam, float(np.max(np.abs(f)))
+        def trial(d):
+            t_new, lam_new = t + d[:n], lam + d[n]
+            if not np.all(np.diff(t_new) > 0.0):
+                k = int(np.argmin(np.diff(t_new)))
+                raise SingularPairError(k, k + 1, 1.0)
+            f = np.empty(n + 1)
+            f[:n] = (_grad_potential_theta(t_new, masses)
+                     - lam_new * _grad_inertia_theta(t_new, masses))
+            f[n] = float(np.sum(masses * np.sinh(t_new) ** 2)) - c
+            return f, t_new, lam_new
+
+        return trial(np.zeros(n + 1))[0], jac, trial
+
+    return chart
 
 
 def solve_geodesic_h(masses, c: float, ordering: Optional[Sequence[int]] = None,
@@ -302,10 +282,10 @@ def solve_geodesic_h(masses, c: float, ordering: Optional[Sequence[int]] = None,
     u = _descend_ordered(_project_ellipsoid(np.sinh(t0), m_sorted, c), m_sorted, c)
 
     t = np.arcsinh(u)
-    g_u = _grad_potential_theta(t, m_sorted)
-    g_i = _grad_inertia_theta(t, m_sorted)
-    lam = float(np.dot(g_u, g_i) / np.dot(g_i, g_i))
-    t, lam, res = _kkt_polish(t, lam, m_sorted, c)
+    lam = geodesic_lambda(GeodesicHConfig(t, m_sorted))
+    t, lam, f, _ = _newton(_theta_chart(m_sorted, c), t, lam,
+                           lambda t, lam, f: np.max(np.abs(f)) < 1e-12, 80)
+    res = float(np.max(np.abs(f)))
     # tight, heavy configurations have a rounding floor above 1e-10
     if res >= 1e-10 and res >= _rounding_floor(t, lam, m_sorted):
         raise NoConvergenceError(

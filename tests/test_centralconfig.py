@@ -25,6 +25,7 @@ from curved_nbody import (
 )
 from curved_nbody import centralconfig, grad_I, grad_U
 from curved_nbody.centralconfig import (
+    EPS_AXIS,
     _chart_residuals,
     _fd_jacobian,
     _restore_level,
@@ -115,6 +116,44 @@ def test_criterion_residual_handles_axis_bodies():
     res = criterion_residual(fix.config, 0.0)
     assert res.shape == (18,)
     assert np.max(np.abs(res)) < 1e-9
+
+
+def _criterion_residual_by_body(config, lam):
+    """criterion_residual's rows worked out one body at a time."""
+    Q = config.points
+    G = grad_U(config) - lam * grad_I(config)
+    r2 = Q[:, 0] ** 2 + Q[:, 1] ** 2
+    rho2 = config.space.sigma * Q[:, 2] ** 2 + Q[:, 3] ** 2
+    if config.space is Space.S3:
+        on_axes = np.sqrt(r2 * np.abs(rho2)) < EPS_AXIS
+    else:
+        on_axes = np.sqrt(r2) < EPS_AXIS
+    out = np.empty(3 * config.n)
+    for i, (x, y, z, w) in enumerate(Q):
+        if on_axes[i]:
+            keep = [k for k in range(4) if k != int(np.argmax(np.abs(Q[i])))]
+            out[3 * i : 3 * i + 3] = G[i, keep]
+        else:
+            out[3 * i] = G[i, 0] * x + G[i, 1] * y
+            out[3 * i + 1] = -G[i, 0] * y + G[i, 1] * x
+            out[3 * i + 2] = -G[i, 2] * w + G[i, 3] * z
+    return out
+
+
+@pytest.mark.parametrize("space", [Space.S3, Space.H3])
+def test_criterion_residual_equals_a_per_body_loop_bitwise(space):
+    rng = np.random.default_rng(11)
+    axis = [0.0, 0.0, 0.6, 0.8] if space is Space.S3 else [0.0, 0.0, 0.75, 1.25]
+    configs = [FIXTURE_BUILDERS["double_triangle_s3"](1.0).config]
+    for n in range(1, 7):
+        cfg = random_config(space, n, rng)
+        on_axis = cfg.points.copy()
+        on_axis[0] = axis  # body 0 takes the on-axes branch
+        configs += [cfg, cfg.with_points(on_axis)]
+    for cfg in configs:
+        lam = float(rng.normal())
+        got = criterion_residual(cfg, lam)
+        assert got.tobytes() == _criterion_residual_by_body(cfg, lam).tobytes()
 
 
 @pytest.mark.parametrize("fix", FIXTURES, ids=lambda f: f.name)
@@ -418,6 +457,29 @@ def test_find_cc_sphere_points_are_pinned_bitwise_after_a_long_newton_run():
         [[float.fromhex(v) for v in row] for row in _S3_PINNED_LONG_NEWTON]
     )
     assert np.array_equal(cfg.points, expected)
+
+
+# draw 9 of the cc_search distribution (panel seed 0) at rng 1: the H3 descent
+# restores the level about 2800 times before Newton, so every descent iterate
+# and every trial's U shows in these bits
+_H3_LONG_DESCENT = ([1.2287530382476837, 1.8342317515235003, 1.9010652739343745],
+                    0.8893201130693243)
+_H3_PINNED_LONG_DESCENT = [
+    ["-0x1.32b315e108865p-1", "0x0.0p+0", "0x0.0p+0", "0x1.2a6a83e62f50bp+0"],
+    ["-0x1.50ff2f93f56b6p-4", "0x0.0p+0", "0x0.0p+0", "0x1.00dd6fa8a52a8p+0"],
+    ["0x1.ea63b789d2e0dp-2", "0x0.0p+0", "0x0.0p+0", "0x1.1bd77a721c7c2p+0"],
+]
+
+
+def test_find_cc_hyperbolic_points_are_pinned_bitwise_after_a_long_descent():
+    masses, c = _H3_LONG_DESCENT
+    cfg, report = find_cc(masses, Space.H3, LevelSetSpec(c),
+                          rng=np.random.default_rng(1))
+    expected = np.array(
+        [[float.fromhex(v) for v in row] for row in _H3_PINNED_LONG_DESCENT]
+    )
+    assert np.array_equal(cfg.points, expected)
+    assert report.lam == float.fromhex("-0x1.83b9e677d248cp+2")
 
 
 # ─── the stacked finite-difference Jacobian ──────────────────────────────

@@ -16,10 +16,17 @@ from curved_nbody import (
     solve_geodesic_h,
     solve_two_body_s,
 )
+from curved_nbody import moulton
+from curved_nbody.centralconfig import _newton
 from curved_nbody.errors import (
     NoConvergenceError,
     OutOfRangeError,
     SingularPairError,
+)
+from curved_nbody.moulton import (
+    _grad_inertia_theta,
+    _grad_potential_theta,
+    _theta_chart,
 )
 
 
@@ -109,9 +116,74 @@ def test_descent_brings_a_lopsided_pair_within_newton_reach():
     assert g.inertia() == pytest.approx(c, rel=1e-12)
 
 
+# ─── the theta chart through the shared Newton core ──────────────────────
+
+
+def _never(t, lam, f):
+    return False
+
+
+def _newton_handoff(monkeypatch, masses, c):
+    """(theta, lambda) that solve_geodesic_h's descent hands to Newton."""
+    seen = []
+
+    def spy(chart, t, lam, done, max_iter):
+        seen.append((t.copy(), lam))
+        return _newton(chart, t, lam, done, max_iter)
+
+    monkeypatch.setattr(moulton, "_newton", spy)
+    solve_geodesic_h(masses, c)
+    return seen[0]
+
+
+def test_newton_returns_the_rows_at_the_point_it_returns(monkeypatch):
+    # the lopsided pair takes three accepted steps before its rows stop
+    # moving; rows left over from before the last step would differ here
+    m = np.array([5.104101873155492, 0.29422821498375307])
+    c = 26.063712995063234
+    t0, lam0 = _newton_handoff(monkeypatch, m, c)
+    previous = None
+    for max_iter in (1, 2, 3):
+        t, lam, f, why = _newton(_theta_chart(m, c), t0, lam0, _never, max_iter)
+        assert why == "refinement did not reach tolerance"
+        expected = np.append(
+            _grad_potential_theta(t, m) - lam * _grad_inertia_theta(t, m),
+            float(np.sum(m * np.sinh(t) ** 2)) - c,
+        )
+        assert f.tobytes() == expected.tobytes()
+        assert previous is None or f.tobytes() != previous.tobytes()
+        previous = f
+
+
+def test_newton_halves_a_step_that_reorders_the_bodies():
+    # from here the full Newton step carries body 0 past body 1
+    m, c = np.array([1.0, 2.0, 3.0]), 1.0
+    chart = _theta_chart(m, c)
+    tried = []
+
+    def spy(t, lam):
+        f, jac, trial = chart(t, lam)
+
+        def recorded(d):
+            tried.append(d)
+            return trial(d)
+
+        return f, jac, recorded
+
+    t0 = np.array([-0.54, 0.29, 0.5])
+    t, lam, f, why = _newton(spy, t0, 2.3, _never, 1)
+    assert len(tried) == 2
+    full, half = tried
+    with pytest.raises(SingularPairError):
+        chart(t0, 2.3)[2](full)
+    assert np.all(np.diff(t) > 0.0)
+    assert t.tobytes() == (t0 + half[:3]).tobytes()
+    assert half.tobytes() == (0.5 * full).tobytes()
+
+
 @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
 def test_solve_accepts_a_residual_at_its_rounding_floor(seed):
-    # heavy and tight (gaps ~0.01): gradient terms near 5e5 leave the polish
+    # heavy and tight (gaps ~0.01): gradient terms near 5e5 leave Newton
     # one or two of their ulps above an absolute 1e-10
     m = [7.583700913106819, 7.153140102070889, 7.933992857190704,
          8.689188936460802, 9.781336274180493, 6.421005818743957]
