@@ -98,6 +98,11 @@ class LevelSetSpec:
 
     def validate(self, space: Space, masses) -> None:
         m = np.asarray(masses, dtype=float)
+        if not math.isfinite(self.c):
+            raise OutOfRangeError(f"the level must be finite; got c = {self.c}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise OutOfRangeError(
+                f"the tolerance must be positive and finite; got tol = {self.tol}")
         if space is Space.H3:
             if self.c <= 0.0:
                 raise OutOfRangeError("hyperbolic level sets need c > 0")
@@ -429,10 +434,10 @@ def _chart_residuals(space, m, Q, bases, c, Y):
         _check_points(space, Qx)
     except _INFEASIBLE:
         if len(Y) > 1:
-            # the halves in order: the first to raise holds the first fault
-            h = len(Y) // 2
-            _chart_residuals(space, m, Q, bases, c, Y[:h])
-            _chart_residuals(space, m, Q, bases, c, Y[h:])
+            # each row alone, in order, the last one too: a stack's message
+            # can differ from the one its faulty row raises alone
+            for y in Y:
+                _chart_residuals(space, m, Q, bases, c, y[None])
         raise
     R = _grad_U_raw(space, m, Qx) - Y[:, -1, None, None] * _grad_I_raw(space, m, Qx)
     comps = np.einsum("nkd,bnd,d->bnk", bases, R, space.metric_diagonal)

@@ -6,9 +6,9 @@ Two settings are covered:
   ``(sinh theta, 0, 0, cosh theta)``.  For every ordering of the bodies
   there is exactly one central configuration, found by minimizing the
   cotangent potential on a fixed moment-of-inertia level set; the
-  certified Hessian shows it is a minimum, and enumeration over all
-  orderings yields exactly N!/2 distinct classes after identifying a
-  configuration with its 180-degree xy-rotation (theta -> -theta).
+  certified Hessian shows it is a minimum.  Reversing an ordering gives
+  the 180-degree xy-rotation (theta -> -theta) of its configuration, so
+  enumeration solves one ordering of each of the N!/2 classes.
 
 * Two bodies on the circle S1_xz, embedded as ``(-sin theta, 0, cos theta, 0)``,
   where the count of solutions depends on the size c of the configuration
@@ -310,30 +310,20 @@ def _solution_record(ordering, config: GeodesicHConfig) -> GeodesicHSolution:
 
 
 def enumerate_geodesic_h(masses, c: float):
-    """Solve every ordering and deduplicate mirror images.
+    """Solve one ordering per mirror class.
 
     Reversing an ordering produces the 180-degree xy-rotated configuration
-    (theta -> -theta), so the N! solves collapse to exactly N!/2 classes.
-    Returns one :class:`GeodesicHSolution` per class, in first-seen order.
+    (theta -> -theta), so the N! orderings form exactly N!/2 classes.
+    permutations() yields an ordering before its reverse exactly when its
+    first index is below its last, so those orderings are solved, in that
+    order.  Returns one :class:`GeodesicHSolution` per class.
     """
     masses = np.asarray(masses, dtype=float).reshape(-1)
-    orderings = list(itertools.permutations(range(masses.size)))
-    reps = np.empty((len(orderings), masses.size))
-    out = []
-    for ordering in orderings:
-        config = solve_geodesic_h(masses, c, ordering)
-        t = config.thetas
-        # np.allclose(t, +-r, atol=1e-7) against every representative r at
-        # once; the mirror image negates every body's theta, labels unchanged
-        r = reps[:len(out)]
-        tol = 1e-7 + 1e-5 * np.abs(r)
-        same = np.all(np.abs(t - r) <= tol, axis=1)
-        mirror = np.all(np.abs(t + r) <= tol, axis=1)
-        if np.any(same | mirror):
-            continue
-        reps[len(out)] = t
-        out.append(_solution_record(ordering, config))
-    return out
+    if masses.size < 2:
+        raise ValueError("need at least two bodies")
+    return [_solution_record(p, solve_geodesic_h(masses, c, p))
+            for p in itertools.permutations(range(masses.size))
+            if p[0] < p[-1]]
 
 
 # ---------------------------------------------------------------------------

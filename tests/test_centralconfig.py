@@ -1,6 +1,7 @@
 """Central-configuration residuals, classification, and the level-set solver."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -300,6 +301,13 @@ def test_level_set_validation():
         LevelSetSpec(-1.0).validate(Space.H3, masses)
     with pytest.raises(OutOfRangeError):
         LevelSetSpec(0.0).validate(Space.H3, masses)
+    for space in (Space.S3, Space.H3):
+        for c in (math.nan, math.inf, -math.inf):
+            with pytest.raises(OutOfRangeError, match="finite"):
+                LevelSetSpec(c).validate(space, masses)
+        for tol in (math.nan, math.inf, 0.0, -1e-10):
+            with pytest.raises(OutOfRangeError, match="tolerance"):
+                LevelSetSpec(2.5, tol=tol).validate(space, masses)
 
 
 def _brute_force_subset_hit(masses, c):

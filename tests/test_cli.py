@@ -118,6 +118,19 @@ def test_find_rejects_bad_level(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("space", ["S3", "H3"])
+@pytest.mark.parametrize("flag,value", [
+    ("--c", "nan"), ("--c", "inf"), ("--tol", "nan"), ("--tol", "0"),
+])
+def test_find_rejects_a_non_finite_level_or_tolerance(space, flag, value, capsys):
+    # an operational error (1), not a search that found nothing (2)
+    args = {"--c": "0.5", "--tol": "1e-10"}
+    args[flag] = value
+    argv = ["find", "1,1", "--space", space, "--seeds", "1"]
+    assert main(argv + [a for kv in args.items() for a in kv]) == 1
+    assert "OutOfRangeError" in capsys.readouterr().err
+
+
 # ─── moulton ─────────────────────────────────────────────────────────────
 
 

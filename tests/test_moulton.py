@@ -1,5 +1,6 @@
 """Counting and solving geodesic configurations: hyperbolic line and spherical pairs."""
 
+import itertools
 import math
 
 import numpy as np
@@ -222,6 +223,70 @@ def test_enumeration_counts_ordering_classes(n, classes):
         t, m = s.config.thetas, s.config.masses
         assert abs(float(np.sum(m * np.sinh(2.0 * t)))) < 1e-10
         assert s.inertia == pytest.approx(1.0, abs=1e-11)
+
+
+def _enumerate_every_ordering(masses, c):
+    """Reference enumeration: solve all N! orderings and keep the first of
+    each pair whose thetas agree, or agree up to sign, within 1e-7."""
+    masses = np.asarray(masses, dtype=float)
+    reps, out = [], []
+    for ordering in itertools.permutations(range(masses.size)):
+        config = solve_geodesic_h(masses, c, ordering)
+        t = config.thetas
+        if any(np.allclose(t, r, atol=1e-7) or np.allclose(t, -r, atol=1e-7)
+               for r in reps):
+            continue
+        reps.append(t)
+        out.append(moulton._solution_record(ordering, config))
+    return out
+
+
+@pytest.mark.parametrize("n,c", [(2, 0.3), (2, 15.0), (3, 1.0), (3, 0.05),
+                                 (4, 2.5), (4, 0.2), (5, 1.0)])
+def test_enumeration_equals_the_every_ordering_reference(n, c):
+    masses = np.random.default_rng(300 + n).uniform(0.3, 3.0, size=n)
+    got = enumerate_geodesic_h(masses, c)
+    ref = _enumerate_every_ordering(masses, c)
+    assert [s.ordering for s in got] == [s.ordering for s in ref]
+    for a, b in zip(got, ref):
+        assert a.config.thetas.tobytes() == b.config.thetas.tobytes()
+        assert (a.lam, a.inertia, a.potential, a.min_hessian_eig) == (
+            b.lam, b.inertia, b.potential, b.min_hessian_eig)
+
+
+def test_reversed_ordering_solves_to_the_mirror_image():
+    # the property that lets the enumeration solve one ordering per class
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for _ in range(12):
+        n = int(rng.integers(2, 6))
+        masses = rng.uniform(0.3, 3.0, size=n)
+        c = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+        p = tuple(int(k) for k in rng.permutation(n))
+        t = solve_geodesic_h(masses, c, p).thetas
+        mirror = solve_geodesic_h(masses, c, p[::-1]).thetas
+        worst = max(worst, float(np.max(np.abs(mirror + t))))
+    print(f"largest |theta(reversed) + theta|: {worst:.3e}")
+    assert worst < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumeration_solves_one_ordering_per_class(n, monkeypatch):
+    solved = []
+
+    def counting(masses, c, ordering=None, rng=None):
+        solved.append(tuple(ordering))
+        return solve_geodesic_h(masses, c, ordering, rng)
+
+    monkeypatch.setattr(moulton, "solve_geodesic_h", counting)
+    enumerate_geodesic_h(np.linspace(1.0, 2.0, n), 1.0)
+    assert len(solved) == math.factorial(n) // 2
+    assert all(p[0] < p[-1] for p in solved)
+
+
+def test_enumeration_needs_two_bodies():
+    with pytest.raises(ValueError, match="two bodies"):
+        enumerate_geodesic_h([1.0], 1.0)
 
 
 def test_enumeration_solutions_are_genuinely_distinct():
