@@ -28,6 +28,8 @@ from .errors import (
     OutOfRangeError,
     SingularApproachError,
     SingularPairError,
+    check_masses,
+    check_scalar,
 )
 from .manifold import (
     EPS_SINGULAR,
@@ -97,18 +99,16 @@ class LevelSetSpec:
     tol: float = 1e-10
 
     def validate(self, space: Space, masses) -> None:
-        m = np.asarray(masses, dtype=float)
-        if not math.isfinite(self.c):
-            raise OutOfRangeError(f"the level must be finite; got c = {self.c}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise OutOfRangeError(
-                f"the tolerance must be positive and finite; got tol = {self.tol}")
+        """Refuse masses that are not a positive finite vector (ValueError),
+        and with OutOfRangeError a tol or c that is not finite and positive,
+        an S3 level outside (0, sum m) or within 1e-9 of a mass subset sum."""
+        m = check_masses(masses)
+        check_scalar("level c", self.c)
+        check_scalar("tolerance tol", self.tol)
         if space is Space.H3:
-            if self.c <= 0.0:
-                raise OutOfRangeError("hyperbolic level sets need c > 0")
             return
         total = float(np.sum(m))
-        if not 0.0 < self.c < total:
+        if self.c >= total:
             raise OutOfRangeError(f"spherical I ranges over (0, {total}); got c = {self.c}")
         # I^-1(c) fails to be a smooth manifold exactly at subset sums of
         # the masses, where bodies can pin to the axes.
@@ -269,8 +269,9 @@ def make_report(
 ) -> CCReport:
     """Assemble the standard report; lambda defaults to lambda_estimate
     (zero when the multiplier is undetermined because all bodies sit on
-    the axes)."""
+    the axes).  A lambda given that is not finite raises OutOfRangeError."""
     special = is_special_cc(config, special_tol)
+    lam = None if lam is None else check_scalar("lambda", lam, positive=False)
     if lam is None:
         try:
             lam = lambda_estimate(config)
@@ -588,8 +589,7 @@ def find_cc(
         seed = default_seed(m, space, c, rng=rng)
     if seed.space is not space or len(seed.masses) != len(m):
         raise ValueError("seed does not match the requested problem")
-    # validates m, which a caller's seed need not carry
-    Q = _restore_level(space, m, Configuration(space, m, seed.points).points, c)
+    Q = _restore_level(space, m, seed.points, c)
 
     # tangent vectors pair in the sigma metric; on S3 it is the Euclidean
     # sum term for term, so the sphere's arithmetic is unchanged

@@ -30,9 +30,10 @@ from .dynamics import (
     PhaseState,
     generator_momenta,
     integrate,
+    step_count,
     trajectory_to_csv,
 )
-from .errors import CurvedNBodyError
+from .errors import CurvedNBodyError, check_scalar
 from .fixtures import FIXTURE_BUILDERS, default_fixtures
 from .manifold import Space
 from .moulton import enumerate_geodesic_h, solve_two_body_s
@@ -63,11 +64,6 @@ def _config_from_payload(payload: dict) -> Configuration:
     return Configuration.from_dict(payload)
 
 
-def _payload_lambda(payload: dict):
-    lam = payload.get("lambda")
-    return None if lam is None else float(lam)
-
-
 def _emit_json(obj, out_path):
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if out_path:
@@ -87,12 +83,9 @@ def _report_item(config: Configuration, lam=None, tol: float = 1e-8) -> dict:
 
 def _parse_masses(text: str) -> np.ndarray:
     try:
-        masses = np.array([float(tok) for tok in text.split(",") if tok.strip()])
+        return np.array([float(tok) for tok in text.split(",") if tok.strip()])
     except ValueError as exc:
         raise ValueError(f"cannot parse masses '{text}': {exc}") from exc
-    if masses.size == 0:
-        raise ValueError("empty mass list")
-    return masses
 
 
 def _parse_grid(text: str):
@@ -139,13 +132,14 @@ def _write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    check_scalar("tolerance --tol", args.tol)
     payload = _load_json(args.input)
     items = payload["items"] if "items" in payload else [payload]
     reports = []
     all_ok = True
     for entry in items:
         config = _config_from_payload(entry)
-        item = _report_item(config, lam=_payload_lambda(entry), tol=args.tol)
+        item = _report_item(config, lam=entry.get("lambda"), tol=args.tol)
         all_ok = all_ok and item["confirmed"]
         reports.append(item)
     _emit_json(reports[0] if "items" not in payload else {"items": reports},
@@ -154,6 +148,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_find(args) -> int:
+    check_scalar("seed count --seeds", args.seeds)
     masses = _parse_masses(args.masses)
     space = Space(args.space)
     level = LevelSetSpec(args.c, tol=args.tol)
@@ -184,9 +179,10 @@ def cmd_find(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    steps = step_count(args.horizon, args.dt)
     payload = _load_json(args.input)
     config = _config_from_payload(payload)
-    report = make_report(config, lam=_payload_lambda(payload))
+    report = make_report(config, lam=payload.get("lambda"))
     family = re_family_from_cc(report, config)
 
     beta = args.beta if args.beta is not None else payload.get("beta")
@@ -200,7 +196,6 @@ def cmd_simulate(args) -> int:
         instance, horizon=args.horizon, dt=args.dt)
 
     if args.out:
-        steps = max(1, round(args.horizon / args.dt))
         record_every = max(1, steps // 1000)
         state = PhaseState(config, generator_momenta(config, instance.generator))
         traj = integrate(state, args.dt, steps, record_every=record_every)
@@ -221,6 +216,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_moulton(args) -> int:
+    check_scalar("tolerance --tol", args.tol)
     masses = _parse_masses(args.masses)
     space = Space(args.space)
     n = masses.size
@@ -231,7 +227,7 @@ def cmd_moulton(args) -> int:
 
     if space is Space.H3:
         solutions = enumerate_geodesic_h(masses, args.c)
-        count = len(solutions)
+        count_field = len(solutions)
         for sol in solutions:
             rows.append(["-".join(str(k) for k in sol.ordering)]
                         + [t for t in sol.config.thetas]
@@ -239,7 +235,6 @@ def cmd_moulton(args) -> int:
                            sol.min_hessian_eig])
             items.append(_report_item(sol.config.to_configuration(),
                                       lam=sol.lam, tol=args.tol))
-        count_field = count
     else:
         if n != 2:
             raise ValueError("the circular count is available for exactly "
@@ -368,7 +363,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CurvedNBodyError as exc:

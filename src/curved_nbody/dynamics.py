@@ -28,6 +28,8 @@ from .errors import (
     OffShellError,
     SingularEncounterError,
     SingularPairError,
+    check_masses,
+    check_scalar,
 )
 from .manifold import (
     EPS_MANIFOLD,
@@ -48,6 +50,7 @@ __all__ = [
     "grad_U",
     "eom_rhs",
     "integrate",
+    "step_count",
     "conserved",
     "kinetic_energy",
     "pairwise_distances",
@@ -73,12 +76,10 @@ class Configuration:
     points: np.ndarray
 
     def __post_init__(self):
-        m = np.atleast_1d(np.asarray(self.masses, dtype=float)).copy()
+        m = check_masses(self.masses)
         q = np.asarray(self.points, dtype=float).reshape(-1, 4).copy()
-        if m.ndim != 1 or len(m) != len(q) or len(m) < 1:
-            raise ValueError("need one mass per point, at least one body")
-        if not np.all(np.isfinite(m)) or np.any(m <= 0.0):
-            raise ValueError("masses must be positive and finite")
+        if len(m) != len(q):
+            raise ValueError("need one mass per point")
         _check_points(self.space, q)
         m.setflags(write=False)
         q.setflags(write=False)
@@ -128,7 +129,7 @@ class PhaseState:
             raise ValueError("need one momentum row per body")
         tang = np.abs(inner(self.config.points, p, self.config.space))
         tol = 1e-10 * max(1.0, float(np.max(np.abs(p), initial=0.0)))
-        if np.max(tang) > tol:
+        if not np.max(tang) <= tol:
             raise OffShellError(
                 f"momentum not tangent: |<p, q>| = {np.max(tang):.3e}"
             )
@@ -198,18 +199,19 @@ def _check_points(space: Space, q: np.ndarray) -> np.ndarray:
     stack; returns the Gram matrices.
 
     Raises OffShellError for a point off the quadric or, on H3, off the
-    w >= 1 sheet, and SingularPairError for a singular pair.  A stack
-    raises when any of its configurations would, though not always with
-    the message that configuration raises alone.
+    w >= 1 sheet (a NaN coordinate fails both tests), and SingularPairError
+    for a singular pair.  A stack raises when any of its configurations
+    would, though not always with the message that configuration raises
+    alone.
     """
     unit = inner(q, q, space)
     # the quadratic form carries rounding noise ~ |q|^2 eps, so the
     # on-shell tolerance has to scale with the squared coordinate size
     scale = np.maximum(1.0, np.sum(q * q, axis=-1))
     dev = np.abs(unit - space.sigma)
-    if np.max(dev / scale) > EPS_MANIFOLD:
+    if not np.max(dev / scale) <= EPS_MANIFOLD:
         raise OffShellError(f"point constraint violated by {np.max(dev):.3e}")
-    if space is Space.H3 and np.min(q[..., 3]) < 1.0 - EPS_MANIFOLD:
+    if space is Space.H3 and not np.min(q[..., 3]) >= 1.0 - EPS_MANIFOLD:
         raise OffShellError("hyperbolic points must lie on the w >= 1 sheet")
     return _gram_checked(space, q)
 
@@ -441,6 +443,16 @@ def _rk4(space: Space, rhs, Q, P, dt: float, steps: int, visit) -> None:
             ) from exc
 
 
+def step_count(horizon: float, dt: float) -> int:
+    """The number of fixed steps of size dt that cover horizon, at least one.
+
+    Raises OutOfRangeError unless horizon, dt and their ratio are finite
+    and positive.
+    """
+    ratio = check_scalar("horizon", horizon) / check_scalar("step dt", dt)
+    return max(1, round(check_scalar("horizon / dt", ratio)))
+
+
 def integrate(
     state: PhaseState, dt: float, steps: int, record_every: int = 1
 ) -> Trajectory:
@@ -450,9 +462,12 @@ def integrate(
     re-projected onto tangent spaces, so recorded states satisfy the
     constraints to round-off.  A singular pair encountered mid-run raises
     SingularEncounterError carrying the trajectory up to the last good step.
+    A dt that is not finite and positive raises OutOfRangeError, and steps
+    or record_every below one ValueError.
     """
-    if dt <= 0.0 or steps < 1:
-        raise ValueError("need dt > 0 and steps >= 1")
+    check_scalar("step dt", dt)
+    if steps < 1 or record_every < 1:
+        raise ValueError("need steps >= 1 and record_every >= 1")
     space, m = state.config.space, state.config.masses
     times, qs, ps = [0.0], [state.config.points], [state.momenta]
 
@@ -494,14 +509,10 @@ def trajectory_to_csv(
     if sidecar_path is None:
         return
     samples = []
-    for k in range(0, len(traj), max(1, sample_stride)):
+    last = len(traj) - 1
+    for k in [*range(0, last, max(1, sample_stride)), last]:
         entry = {"t": float(traj.times[k])}
         entry.update(conserved(traj.state_at(k)).as_dict())
-        samples.append(entry)
-    last = len(traj) - 1
-    if last % max(1, sample_stride) != 0:
-        entry = {"t": float(traj.times[last])}
-        entry.update(conserved(traj.state_at(last)).as_dict())
         samples.append(entry)
     with open(sidecar_path, "w") as fh:
         json.dump({"completed": traj.completed, "samples": samples}, fh, indent=2)

@@ -25,6 +25,7 @@ from .errors import (
     DegenerateVectorError,
     OffShellError,
     SingularPairError,
+    check_scalar,
 )
 
 # Tolerances: EPS_SINGULAR flags collision/antipodal pairs, EPS_MANIFOLD is
@@ -281,8 +282,7 @@ def rescale_curvature(points, kappa: float, masses=None):
     """
     from .dynamics import Configuration  # local import: avoids a cycle
 
-    if kappa == 0.0:
-        raise ValueError("kappa must be nonzero")
+    check_scalar("curvature |kappa|", abs(kappa))
     space = Space.S3 if kappa > 0 else Space.H3
     pts = np.asarray(points, dtype=float).reshape(-1, 4)
     target = 1.0 / kappa

@@ -30,6 +30,8 @@ from .errors import (
     NoConvergenceError,
     OutOfRangeError,
     SingularPairError,
+    check_masses,
+    check_scalar,
 )
 from .manifold import Space
 
@@ -64,15 +66,9 @@ class GeodesicHConfig:
 
     def __post_init__(self):
         thetas = np.asarray(self.thetas, dtype=float).reshape(-1)
-        masses = np.asarray(self.masses, dtype=float).reshape(-1)
-        if thetas.shape != masses.shape:
-            raise ValueError("thetas and masses must have the same length")
-        if thetas.size < 2:
-            raise ValueError("need at least two bodies")
-        if not np.all(np.isfinite(thetas)):
-            raise ValueError("thetas must be finite")
-        if not (np.all(np.isfinite(masses)) and np.all(masses > 0.0)):
-            raise ValueError("masses must be positive and finite")
+        masses = check_masses(self.masses, 2)
+        if thetas.shape != masses.shape or not np.isfinite(thetas).all():
+            raise ValueError("need one finite theta per mass")
         order = np.argsort(thetas)
         gaps = np.diff(thetas[order])
         if np.any(gaps <= 0.0):
@@ -257,14 +253,9 @@ def solve_geodesic_h(masses, c: float, ordering: Optional[Sequence[int]] = None,
     the identity ordering is used when omitted.  ``rng`` jitters the initial
     guess (the minimizer is unique per ordering, so all seeds agree).
     """
-    masses = np.asarray(masses, dtype=float).reshape(-1)
+    masses = check_masses(masses, 2)
+    check_scalar("size c", c)
     n = masses.size
-    if n < 2:
-        raise ValueError("need at least two bodies")
-    if not (np.all(np.isfinite(masses)) and np.all(masses > 0.0)):
-        raise ValueError("masses must be positive and finite")
-    if not (np.isfinite(c) and c > 0.0):
-        raise OutOfRangeError("size parameter c must be positive")
     if ordering is None:
         ordering = tuple(range(n))
     ordering = tuple(int(k) for k in ordering)
@@ -318,9 +309,7 @@ def enumerate_geodesic_h(masses, c: float):
     first index is below its last, so those orderings are solved, in that
     order.  Returns one :class:`GeodesicHSolution` per class.
     """
-    masses = np.asarray(masses, dtype=float).reshape(-1)
-    if masses.size < 2:
-        raise ValueError("need at least two bodies")
+    masses = check_masses(masses, 2)
     return [_solution_record(p, solve_geodesic_h(masses, c, p))
             for p in itertools.permutations(range(masses.size))
             if p[0] < p[-1]]
@@ -405,12 +394,10 @@ def solve_two_body_s(m1: float, m2: float, c: float) -> TwoBodySResult:
     is 2 for c in (0, min m) or (max m, M), 0 between, with an equal-mass
     degenerate continuum at c = m reported as ``family``.
     """
-    if not (m1 > 0.0 and m2 > 0.0 and np.isfinite(m1) and np.isfinite(m2)):
-        raise ValueError("masses must be positive and finite")
+    check_masses([m1, m2])
     total = m1 + m2
-    if not np.isfinite(c) or c <= 0.0 or c >= total:
-        raise OutOfRangeError(
-            f"size parameter c={c} outside the admissible range (0, {total})")
+    if check_scalar("size c", c) >= total:
+        raise OutOfRangeError(f"size c must lie below m1 + m2 = {total}; got {c}")
 
     if math.isclose(m1, m2, rel_tol=1e-12) and math.isclose(c, m1, rel_tol=1e-12):
         return TwoBodySResult(solutions=[], family=TwoBodySFamily(0.5 * (m1 + m2), c))

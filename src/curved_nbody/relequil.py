@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InadmissibleBetaError, NotACentralConfigError
+from .errors import InadmissibleBetaError, NotACentralConfigError, check_scalar
 from .manifold import GeneratorKind, IsometryGenerator, Space, isometry_matrix
 from .dynamics import (
     _ForceKernel,
@@ -28,6 +28,7 @@ from .dynamics import (
     Configuration,
     generator_momenta,
     grad_U,
+    step_count,
 )
 from .inertia import grad_I, _r2_rho2
 from .centralconfig import CCReport, cc_residual
@@ -93,8 +94,9 @@ def re_family_from_cc(
     or when a claimed hyperbolic CC has lambda >= 0 or claims to be special
     (neither can happen for true hyperbolic CCs).
     """
+    check_scalar("tolerance tol", tol)
     _, rmax = cc_residual(config, report.lam)
-    if rmax >= tol:
+    if not rmax < tol:
         raise NotACentralConfigError(
             f"residual {rmax:.3e} at lambda = {report.lam} exceeds {tol}"
         )
@@ -141,7 +143,8 @@ def pick_member(family: REFamily, beta, alpha=None) -> REInstance:
     of alpha/beta is checked with exact arithmetic when beta is supplied as
     an int or Fraction (the stored lambda is interpreted exactly as stored),
     boosts are never periodic, single rotations and fixed points always
-    are; otherwise the flag is None.
+    are; otherwise the flag is None.  Raises InadmissibleBetaError when
+    the constraint excludes beta or a rate is not finite.
     """
     exact_beta = isinstance(beta, (int, Fraction)) and not isinstance(beta, bool)
     b = float(beta)
@@ -172,6 +175,8 @@ def pick_member(family: REFamily, beta, alpha=None) -> REInstance:
         exact_alpha = isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool)
         if (exact_beta or beta == 0) and (exact_alpha or not a):
             periodic = True  # rational ratio (or a pure/zero rotation)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InadmissibleBetaError(f"rates must be finite; got ({a}, {b})")
     if family.space is Space.S3:
         gen = IsometryGenerator(GeneratorKind.DOUBLE_ROTATION, a, b)
         if a == 0.0 or b == 0.0:
@@ -232,7 +237,10 @@ def certify_rigidity(instance: REInstance, horizon: float = 10.0, dt: float = 1e
     energy and the six omegas of the reconstructed ambient states.  The
     steps are integrate's: a singular pair or a step leaving the manifold
     raises SingularEncounterError, which here carries no partial trajectory.
+    A horizon or dt that step_count refuses raises OutOfRangeError before
+    any step is taken.
     """
+    steps = step_count(horizon, dt)
     cfg = instance.config
     space = cfg.space
     m = cfg.masses
@@ -240,7 +248,6 @@ def certify_rigidity(instance: REInstance, horizon: float = 10.0, dt: float = 1e
     xiT = np.ascontiguousarray(instance.generator.matrix_log().T)
     Y = cfg.points
     Z = generator_momenta(cfg, instance.generator)
-    steps = max(1, round(horizon / dt))
     stride = max(1, steps // 100)
 
     iu = np.triu_indices(cfg.n, 1)

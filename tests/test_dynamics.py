@@ -41,6 +41,14 @@ def test_configuration_rejects_off_shell_points():
     pts = np.array([[1.1, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     with pytest.raises(OffShellError):
         Configuration(Space.S3, [1.0, 1.0], pts)
+    # a NaN coordinate is off the quadric, alone or beside a valid point
+    nan_point = [math.nan, 0.0, 0.0, 1.0]
+    for space in (Space.S3, Space.H3):
+        with pytest.raises(OffShellError):
+            Configuration(space, [1.0], np.array([nan_point]))
+        with pytest.raises(OffShellError):
+            Configuration(space, [1.0, 1.0],
+                          np.array([nan_point, [0.0, 0.0, 0.0, 1.0]]))
 
 
 def test_configuration_rejects_bad_masses():
@@ -89,6 +97,8 @@ def test_phasestate_requires_tangency():
     cfg = random_config(Space.H3, 3, np.random.default_rng(5))
     with pytest.raises(OffShellError):
         PhaseState(cfg, np.ones_like(cfg.points))
+    with pytest.raises(OffShellError):
+        PhaseState(cfg, np.full_like(cfg.points, math.nan))
     p = random_momenta(cfg, np.random.default_rng(6))
     state = PhaseState(cfg, p)
     v = state.velocities
@@ -313,3 +323,23 @@ def test_trajectory_csv_and_sidecar(tmp_path):
     first = csv_path.read_bytes()
     trajectory_to_csv(traj, csv_path, sidecar_path=side_path)
     assert csv_path.read_bytes() == first
+
+
+@pytest.mark.parametrize("stride,expected", [
+    (5, [0, 5, 10]),        # the last record is a multiple of the stride
+    (4, [0, 4, 8, 10]),     # it is not, and is sampled once at the end
+    (1, list(range(11))),
+    (100, [0, 10]),
+])
+def test_sidecar_samples_every_stride_and_the_last_record(tmp_path, stride, expected):
+    cfg = random_config(Space.H3, 3, np.random.default_rng(23))
+    state = PhaseState(cfg, random_momenta(cfg, np.random.default_rng(24)))
+    traj = integrate(state, 1e-3, 10)
+    side_path = tmp_path / "traj.json"
+    trajectory_to_csv(traj, tmp_path / "traj.csv", sidecar_path=side_path,
+                      sample_stride=stride)
+    samples = json.loads(side_path.read_text())["samples"]
+    assert [s["t"] for s in samples] == [float(traj.times[k]) for k in expected]
+    for k, sample in zip(expected, samples):
+        assert sample == {"t": float(traj.times[k]),
+                          **conserved(traj.state_at(k)).as_dict()}
