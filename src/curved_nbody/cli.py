@@ -25,19 +25,12 @@ from .centralconfig import (
     find_cc,
     make_report,
 )
-from .dynamics import (
-    Configuration,
-    PhaseState,
-    generator_momenta,
-    integrate,
-    step_count,
-    trajectory_to_csv,
-)
+from .dynamics import Configuration, step_count, trajectory_to_csv
 from .errors import CurvedNBodyError, check_scalar
 from .fixtures import FIXTURE_BUILDERS, default_fixtures
 from .manifold import Space
 from .moulton import enumerate_geodesic_h, solve_two_body_s
-from .relequil import certify_rigidity, pick_member, re_family_from_cc
+from .relequil import _comoving_run, pick_member, re_family_from_cc
 
 __all__ = ["main", "build_parser"]
 
@@ -179,7 +172,13 @@ def cmd_find(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    steps = step_count(args.horizon, args.dt)
+    """Certify the rigid orbit of the input CC at rate --beta (and --alpha).
+
+    One co-moving RK4 run gives the drift certificate and, with --out, the
+    trajectory CSV: the certified states mapped back by exp(t xi), so the
+    rows follow the orbit the certificate measured.
+    """
+    step_count(args.horizon, args.dt)  # refuse a bad step before any work
     payload = _load_json(args.input)
     config = _config_from_payload(payload)
     report = make_report(config, lam=payload.get("lambda"))
@@ -192,13 +191,9 @@ def cmd_simulate(args) -> int:
     instance = pick_member(family, float(beta),
                            alpha=None if alpha is None else float(alpha))
 
-    drift, cons_drift = certify_rigidity(
-        instance, horizon=args.horizon, dt=args.dt)
-
-    if args.out:
-        record_every = max(1, steps // 1000)
-        state = PhaseState(config, generator_momenta(config, instance.generator))
-        traj = integrate(state, args.dt, steps, record_every=record_every)
+    drift, cons_drift, traj = _comoving_run(
+        instance, args.horizon, args.dt, record=bool(args.out))
+    if traj is not None:
         trajectory_to_csv(traj, args.out,
                           sidecar_path=f"{args.out}.conserved.json")
 

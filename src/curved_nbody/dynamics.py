@@ -414,33 +414,37 @@ def _rk4(space: Space, rhs, Q, P, dt: float, steps: int, visit) -> None:
     positions are rescaled onto the manifold and the momenta re-projected
     onto tangent spaces.  A singular pair, a non-finite state or a row that
     cannot be scaled back, met in a stage, the projection or visit, raises
-    SingularEncounterError chained from its cause.
+    SingularEncounterError chained from its cause.  Overflow and invalid
+    operations raise no RuntimeWarning here: a step of huge dt reaches that
+    error through the non-finite values they leave.
     """
     # 0.5 * dt * k already evaluates as (0.5 * dt) * k, so hoisting is bitwise
     half, sixth = 0.5 * dt, dt / 6.0
     sigma, met = space.sigma, space.metric_diagonal
-    for k in range(1, steps + 1):
-        try:
-            k1q, k1p = rhs(Q, P)
-            k2q, k2p = rhs(Q + half * k1q, P + half * k1p)
-            k3q, k3p = rhs(Q + half * k2q, P + half * k2p)
-            k4q, k4p = rhs(Q + dt * k3q, P + dt * k3p)
-            Q = Q + sixth * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            P = P + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            if not (np.isfinite(Q).all() and np.isfinite(P).all()):
-                raise OffShellError("non-finite state")
-            Q = _reproject(space, Q)
-            # project_tangent, bitwise: sigma = +-1 scales exactly
-            P = P - (sigma * (Q * P * met).sum(axis=-1))[..., None] * Q
-            visit(k, Q, P)
-        except SingularPairError as exc:
-            raise SingularEncounterError(
-                f"singular pair ({exc.i}, {exc.j}) near t = {(k - 1) * dt:.6g}"
-            ) from exc
-        except (OffShellError, DegenerateVectorError) as exc:
-            raise SingularEncounterError(
-                f"step left the resolvable region near t = {(k - 1) * dt:.6g}: {exc}"
-            ) from exc
+    # one errstate per run, not per step, keeps its cost out of the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            try:
+                k1q, k1p = rhs(Q, P)
+                k2q, k2p = rhs(Q + half * k1q, P + half * k1p)
+                k3q, k3p = rhs(Q + half * k2q, P + half * k2p)
+                k4q, k4p = rhs(Q + dt * k3q, P + dt * k3p)
+                Q = Q + sixth * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+                P = P + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+                if not (np.isfinite(Q).all() and np.isfinite(P).all()):
+                    raise OffShellError("non-finite state")
+                Q = _reproject(space, Q)
+                # project_tangent, bitwise: sigma = +-1 scales exactly
+                P = P - (sigma * (Q * P * met).sum(axis=-1))[..., None] * Q
+                visit(k, Q, P)
+            except SingularPairError as exc:
+                raise SingularEncounterError(
+                    f"singular pair ({exc.i}, {exc.j}) near t = {(k - 1) * dt:.6g}"
+                ) from exc
+            except (OffShellError, DegenerateVectorError) as exc:
+                raise SingularEncounterError(
+                    f"step left the resolvable region near t = {(k - 1) * dt:.6g}: {exc}"
+                ) from exc
 
 
 def step_count(horizon: float, dt: float) -> int:

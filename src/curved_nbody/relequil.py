@@ -26,6 +26,7 @@ from .dynamics import (
     _first_integrals,
     _rk4,
     Configuration,
+    Trajectory,
     generator_momenta,
     grad_U,
     step_count,
@@ -230,7 +231,8 @@ def certify_rigidity(instance: REInstance, horizon: float = 10.0, dt: float = 1e
     turns a rigid orbit into a fixed point, so the reported numbers measure
     failure of rigidity rather than integrator error accumulated along an
     unbounded group orbit.  Mutual distances are isometry-invariant and are
-    read off the co-moving state directly.
+    read off the co-moving state directly.  `simulate` writes its
+    trajectory from this same run, mapped back by exp(t xi).
 
     Returns (max_distance_drift, conserved_drift): the largest
     |d_ij(t) - d_ij(0)| over steps and pairs, and the largest drift among
@@ -239,6 +241,19 @@ def certify_rigidity(instance: REInstance, horizon: float = 10.0, dt: float = 1e
     raises SingularEncounterError, which here carries no partial trajectory.
     A horizon or dt that step_count refuses raises OutOfRangeError before
     any step is taken.
+    """
+    drift, cons, _ = _comoving_run(instance, horizon, dt, record=False)
+    return drift, cons
+
+
+def _comoving_run(instance: REInstance, horizon: float, dt: float, record: bool):
+    """certify_rigidity's run, returning (drift, conserved_drift, trajectory).
+
+    With record, the trajectory keeps the records integrate would keep at
+    record_every = max(1, steps // 1000): the start, every record_every-th
+    step and the last.  Each co-moving state (Y, Z) is mapped back to the
+    ambient (Y R^T, Z R^T) with R = exp(t xi), so the rows follow the orbit
+    the certificate measured.  Without record the trajectory is None.
     """
     steps = step_count(horizon, dt)
     cfg = instance.config
@@ -249,6 +264,8 @@ def certify_rigidity(instance: REInstance, horizon: float = 10.0, dt: float = 1e
     Y = cfg.points
     Z = generator_momenta(cfg, instance.generator)
     stride = max(1, steps // 100)
+    every = max(1, steps // 1000)
+    times, ys, zs = [0.0], [Y], [Z]
 
     iu = np.triu_indices(cfg.n, 1)
     ld = np.longdouble
@@ -286,6 +303,14 @@ def certify_rigidity(instance: REInstance, horizon: float = 10.0, dt: float = 1e
             drift = max(drift, float(np.max(np.abs(distances(Y) - d0))))
         if k % stride == 0 or k == steps:
             cons = max(cons, float(np.max(np.abs(integrals(k * dt, Y, Z) - c0))))
+        if record and (k % every == 0 or k == steps):
+            times.append(k * dt)
+            ys.append(Y)
+            zs.append(Z)
 
     _rk4(space, rhs, Y, Z, dt, steps, measure)
-    return drift, cons
+    if not record:
+        return drift, cons, None
+    RT = np.array([isometry_matrix(instance.generator, t).T for t in times])
+    traj = Trajectory(space, m, np.array(times), np.array(ys) @ RT, np.array(zs) @ RT)
+    return drift, cons, traj

@@ -7,8 +7,13 @@ import sys
 import numpy as np
 import pytest
 
+from curved_nbody import dynamics, relequil
+from curved_nbody.centralconfig import make_report
 from curved_nbody.cli import main
+from curved_nbody.dynamics import Configuration, Trajectory, generator_momenta
 from curved_nbody.fixtures import FIXTURE_BUILDERS
+from curved_nbody.manifold import isometry_matrix
+from curved_nbody.relequil import pick_member, re_family_from_cc
 
 
 def _payload(name, *args, lam=None):
@@ -202,11 +207,55 @@ def test_simulate_without_out_skips_the_trajectory(tmp_path, capsys, monkeypatch
     expected = capsys.readouterr().out
 
     def refuse(*args, **kwargs):
-        raise AssertionError("integrate ran without --out")
+        raise AssertionError("a trajectory was written without --out")
 
-    monkeypatch.setattr("curved_nbody.cli.integrate", refuse)
+    monkeypatch.setattr("curved_nbody.cli.trajectory_to_csv", refuse)
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ex1.json"]
+
+
+def test_simulate_runs_one_rk4_loop(tmp_path, monkeypatch):
+    path = _write(tmp_path, "ex2.json", _payload("example2_h3"))
+    calls, rk4 = [], dynamics._rk4
+
+    def counted(*args):
+        calls.append(args)
+        return rk4(*args)
+
+    # both names: integrate reaches the stepper through dynamics
+    monkeypatch.setattr(dynamics, "_rk4", counted)
+    monkeypatch.setattr(relequil, "_rk4", counted)
+    assert main(["simulate", path, "--beta", "1", "--horizon", "0.05",
+                 "--out", str(tmp_path / "orbit.csv")]) == 0
+    assert len(calls) == 1
+
+
+def test_simulate_csv_follows_the_certified_orbit(tmp_path):
+    # a boost at dt = 1e-2: the orbit is certified, and every CSV row must
+    # be the exact rigid motion exp(t xi) q0, however large the boost
+    # coordinates grow by T = 10
+    payload = _payload("example2_h3")
+    path = _write(tmp_path, "ex2.json", payload)
+    out = tmp_path / "orbit.csv"
+    assert main(["simulate", path, "--beta", "1", "--horizon", "10",
+                 "--dt", "1e-2", "--out", str(out)]) == 0
+
+    config = Configuration.from_dict(payload)
+    family = re_family_from_cc(make_report(config, lam=payload.get("lambda")),
+                               config)
+    g = pick_member(family, 1.0).generator
+    rows = np.loadtxt(out, delimiter=",", skiprows=1).reshape(-1, config.n, 10)
+    times = rows[:, 0, 0]
+    traj = Trajectory(config.space, config.masses, times, rows[:, :, 2:6],
+                      rows[:, :, 6:])
+    q0, p0 = config.points, generator_momenta(config, g)
+    for k, t in enumerate(times):
+        RT = isometry_matrix(g, t).T
+        for got, want in ((traj.positions[k], q0 @ RT), (traj.momenta[k], p0 @ RT)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        traj.state_at(k)
+    assert times[-1] == pytest.approx(10.0)
 
 
 def test_simulate_requires_a_rate(tmp_path, capsys):

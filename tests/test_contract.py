@@ -36,6 +36,7 @@ from curved_nbody.errors import (
     InadmissibleBetaError,
     OffShellError,
     OutOfRangeError,
+    SingularEncounterError,
 )
 from curved_nbody.fixtures import FIXTURE_BUILDERS
 
@@ -94,6 +95,38 @@ def test_integrate_refuses_a_nan_step():
     state = PhaseState(EX1, generator_momenta(EX1, MEMBER.generator))
     with pytest.raises(OutOfRangeError, match="dt must be finite and positive; got nan"):
         integrate(state, NAN, 3)
+
+
+# a dt of 1e300 overflows in the first stage; that is a singular encounter,
+# not a RuntimeWarning escaping the stepper
+_HUGE = {"S3": EX1, "H3": EX2}
+
+
+def _huge_member(space):
+    cfg = _HUGE[space]
+    return pick_member(re_family_from_cc(make_report(cfg), cfg), 1)
+
+
+@pytest.mark.parametrize("space", sorted(_HUGE))
+def test_integrate_reports_a_huge_step_as_an_encounter(space):
+    cfg = _HUGE[space]
+    state = PhaseState(cfg, generator_momenta(cfg, _huge_member(space).generator))
+    with pytest.raises(SingularEncounterError, match="near t = 0"):
+        integrate(state, 1e300, 1)
+
+
+@pytest.mark.parametrize("space", sorted(_HUGE))
+def test_certify_reports_a_huge_step_as_an_encounter(space):
+    with pytest.raises(SingularEncounterError, match="near t = 0"):
+        certify_rigidity(_huge_member(space), horizon=1e300, dt=1e300)
+
+
+@pytest.mark.parametrize("space", sorted(_HUGE))
+def test_simulate_exits_1_on_a_huge_step(payload_path, space):
+    code, out, err = _run(["simulate", payload_path(_HUGE[space]), "--beta", "1",
+                           "--dt", "1e300", "--horizon", "1e300"])
+    assert code == 1 and out == ""
+    assert "SingularEncounterError" in err
 
 
 def test_find_blames_a_nan_mass_not_the_level():

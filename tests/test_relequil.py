@@ -190,6 +190,24 @@ def test_certified_rigid_orbit():
     assert cons < 1e-10
 
 
+# float-hex (drift, cons) of certify_rigidity at T = 0.5, recorded while
+# simulate still wrote its CSV from a second, ambient integration: sharing
+# the co-moving run with the CSV must not move the certificate's bits
+_PINNED_CERTIFICATE = {
+    ("example2_h3", (), 1): ("0x1.8000000000000p-51", "0x1.0000000000000p-50"),
+    ("lagrangian_s2", (1.25, 0.75), 1): ("0x0.0p+0", "0x1.9f00000000000p-54"),
+}
+
+
+@pytest.mark.parametrize("name,args,beta", sorted(_PINNED_CERTIFICATE))
+def test_certificate_matches_the_recorded_bits(name, args, beta):
+    fixture = FIXTURE_BUILDERS[name](*args)
+    cfg = fixture.config
+    family = re_family_from_cc(make_report(cfg, lam=fixture.expected_lambda), cfg)
+    drift, cons = certify_rigidity(pick_member(family, beta), horizon=0.5)
+    assert (drift.hex(), cons.hex()) == _PINNED_CERTIFICATE[(name, args, beta)]
+
+
 def test_rigidity_certificate_fails_for_wrong_rates():
     fam = _family("example1_s3")
     bad = REInstance(
