@@ -267,8 +267,18 @@ def _potential_raw(space: Space, m: np.ndarray, Q: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.outer(m, m) * ctn))
 
 
+def _singular_bounds(space: Space) -> tuple[float, float]:
+    """(lo, hi): off the diagonal, s is nonsingular exactly when
+    lo <= s <= hi.  NaN fails both comparisons, and the H3 upper bound, the
+    largest finite float, refuses +inf as _gram_checked's isfinite test does.
+    """
+    if space is Space.S3:
+        return -1.0 + EPS_SINGULAR, 1.0 - EPS_SINGULAR
+    return 1.0 + EPS_SINGULAR, float(np.finfo(float).max)
+
+
 class _ForceKernel:
-    """The pairwise force law of one mass vector on one space.
+    """The pairwise force law of one mass vector on one space, on arrays.
 
     Built once per run from (space, m), so that the stage loop of an
     integration does not rebuild the metric diagonal, the mass column, the
@@ -276,7 +286,8 @@ class _ForceKernel:
     rhs take an (N, 4) array or a (B, N, 4) stack.  The Gram matrix is
     _gram_checked's expression, so results and errors match it bitwise.
     The mass outer product is rebuilt per call rather than kept, so that a
-    run holds no extra N x N array.
+    run holds no extra N x N array.  The stepper uses it above
+    _PAIR_LOOP_MAX_N bodies; _PairKernel serves the few-body runs.
     """
 
     def __init__(self, space: Space, m: np.ndarray):
@@ -286,13 +297,7 @@ class _ForceKernel:
         self.m = m
         self.mcol = m[:, None]
         self.off = ~np.eye(len(m), dtype=bool)
-        # off the diagonal, s is nonsingular exactly when lo <= s <= hi:
-        # NaN fails both comparisons, and the H3 upper bound, the largest
-        # finite float, refuses +inf as _gram_checked's isfinite test does
-        if space is Space.S3:
-            self.lo, self.hi = -1.0 + EPS_SINGULAR, 1.0 - EPS_SINGULAR
-        else:
-            self.lo, self.hi = 1.0 + EPS_SINGULAR, np.finfo(float).max
+        self.lo, self.hi = _singular_bounds(space)
 
     def grad(self, Q: np.ndarray) -> np.ndarray:
         """grad U of Q; a singular pair raises what _gram_checked raises."""
@@ -310,6 +315,80 @@ class _ForceKernel:
         # inner(V, V): numpy reduces the length-4 axis in order, so bitwise
         vsq = (V * V * self.met).sum(axis=-1)
         return V, self.grad(Q) - (self.sigma * (self.m * vsq))[..., None] * Q
+
+
+# Up to this many bodies the stepper sums forces pair by pair in Python
+# floats: a few dozen numpy calls on (N, 4) arrays cost more than the
+# O(N^2) work itself.  On a 2-vCPU Xeon one rhs takes 5 / 7 / 11 us at
+# N = 2 / 3 / 4 against 23-26 us for _ForceKernel; the two meet near N = 7.
+_PAIR_LOOP_MAX_N = 4
+
+
+class _PairKernel:
+    """_ForceKernel.rhs for one (N, 4) state of a few bodies, as a loop.
+
+    Each unordered pair's s, singular-pair test, sn^3 and weight
+    w = m_i m_j / sn^3 are computed once, in _ForceKernel's expressions,
+    and the force is added to both bodies.  V and the velocity term are
+    bitwise _ForceKernel's; the forces differ from its BLAS sums by
+    rounding only.  A singular pair raises SingularPairError(i, j, s) for
+    the first such pair i < j, judged by this loop's own s.
+    """
+
+    def __init__(self, space: Space, m: np.ndarray):
+        self.sigma = float(space.sigma)
+        self.mw = float(space.metric_diagonal[3])
+        self.m = [float(v) for v in m]
+        self.mcol = m[:, None]
+        self.pairs = [(i, j, self.m[i] * self.m[j])
+                      for i, j in combinations(range(len(m)), 2)]
+        self.lo, self.hi = _singular_bounds(space)
+
+    def rhs(self, Q: np.ndarray, P: np.ndarray):
+        """(dQ/dt, dP/dt) of the equations of motion at one state (Q, P)."""
+        sigma, mw, lo, hi = self.sigma, self.mw, self.lo, self.hi
+        q = Q.tolist()
+        f = [[0.0, 0.0, 0.0, 0.0] for _ in q]   # sum_j w_ij q_j
+        c = [0.0] * len(q)                       # sum_j w_ij s_ij
+        for i, j, mm in self.pairs:
+            a0, a1, a2, a3 = q[i]
+            b0, b1, b2, b3 = q[j]
+            s = sigma * (a0 * b0 + a1 * b1 + a2 * b2 + mw * a3 * b3)
+            if not lo <= s <= hi:
+                raise SingularPairError(i, j, s)
+            # inside the bounds sigma (1 - s^2) is at least about
+            # 2 EPS_SINGULAR, or +inf on H3: the root and division cannot fail
+            sn = math.sqrt(sigma * (1.0 - s * s))
+            w = mm / (sn * sn * sn)
+            fi, fj = f[i], f[j]
+            fi[0] += w * b0
+            fi[1] += w * b1
+            fi[2] += w * b2
+            fi[3] += w * b3
+            fj[0] += w * a0
+            fj[1] += w * a1
+            fj[2] += w * a2
+            fj[3] += w * a3
+            ws = w * s
+            c[i] += ws
+            c[j] += ws
+        V = P / self.mcol
+        dP = []
+        for (v0, v1, v2, v3), qi, fi, ci, mi in zip(V.tolist(), q, f, c, self.m):
+            # (grad U)_i - sigma m_i <v_i, v_i> q_i, grouped as _ForceKernel
+            u = sigma * (mi * (v0 * v0 + v1 * v1 + v2 * v2 + mw * v3 * v3))
+            x0, x1, x2, x3 = qi
+            dP.append([fi[0] - ci * x0 - u * x0, fi[1] - ci * x1 - u * x1,
+                       fi[2] - ci * x2 - u * x2, fi[3] - ci * x3 - u * x3])
+        return V, np.array(dP)
+
+
+def _stepper_rhs(space: Space, m: np.ndarray):
+    """The rhs(Q, P) that the RK4 stepper uses for one run of masses m: the
+    pair loop up to _PAIR_LOOP_MAX_N bodies, the array kernel above."""
+    if len(m) <= _PAIR_LOOP_MAX_N:
+        return _PairKernel(space, m).rhs
+    return _ForceKernel(space, m).rhs
 
 
 def _grad_U_raw(space: Space, m: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -481,7 +560,7 @@ def integrate(
             qs.append(Q)
             ps.append(P)
 
-    rhs = _ForceKernel(space, m).rhs
+    rhs = _stepper_rhs(space, m)
     try:
         _rk4(space, rhs, state.config.points, state.momenta, dt, steps, record)
     except SingularEncounterError as exc:

@@ -22,9 +22,9 @@ import numpy as np
 from .errors import InadmissibleBetaError, NotACentralConfigError, check_scalar
 from .manifold import GeneratorKind, IsometryGenerator, Space, isometry_matrix
 from .dynamics import (
-    _ForceKernel,
     _first_integrals,
     _rk4,
+    _stepper_rhs,
     Configuration,
     Trajectory,
     generator_momenta,
@@ -286,10 +286,10 @@ def _comoving_run(instance: REInstance, horizon: float, dt: float, record: bool)
         vals = _first_integrals(space, ml, Y.astype(ld) @ RT, Z.astype(ld) @ RT)
         return vals.astype(float)
 
-    kernel = _ForceKernel(space, m)
+    kernel = _stepper_rhs(space, m)
 
     def rhs(Y, Z):
-        dY, dZ = kernel.rhs(Y, Z)
+        dY, dZ = kernel(Y, Z)
         return dY - Y @ xiT, dZ - Z @ xiT
 
     d0 = distances(Y)

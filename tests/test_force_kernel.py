@@ -1,10 +1,12 @@
-"""The per-run force kernel against the formulas it replaced, and the RK4
-stepper that calls it against float-hex pins.
+"""The per-run force kernels against the formulas they replace, and the
+RK4 stepper that calls them against float-hex pins.
 
-The kernel hoists the metric, the mass column, the off-diagonal mask and
-the singular-pair bounds out of the stage loop, and tests singular pairs
-with one fused predicate.  None of that may change a bit of any result or
-any SingularPairError.
+The array kernel hoists the metric, the mass column, the off-diagonal mask
+and the singular-pair bounds out of the stage loop, and tests singular
+pairs with one fused predicate.  None of that may change a bit of any
+result or any SingularPairError.  The pair loop that the stepper uses for
+a few bodies sums in another order, so its forces are held to a rounding
+bound set from float64 eps, and its singular pairs to the same errors.
 """
 
 import math
@@ -15,14 +17,19 @@ from hypothesis import given, settings, strategies as st
 
 from curved_nbody.centralconfig import make_report
 from curved_nbody.dynamics import (
+    _PAIR_LOOP_MAX_N,
+    Configuration,
     PhaseState,
     _ForceKernel,
+    _PairKernel,
     _gram_checked,
+    _rk4,
     _sn_powers,
+    _stepper_rhs,
     generator_momenta,
     integrate,
 )
-from curved_nbody.errors import SingularPairError
+from curved_nbody.errors import SingularEncounterError, SingularPairError
 from curved_nbody.fixtures import FIXTURE_BUILDERS
 from curved_nbody.manifold import EPS_SINGULAR, Space, inner
 from curved_nbody.relequil import certify_rigidity, pick_member, re_family_from_cc
@@ -79,6 +86,51 @@ def test_kernel_is_bitwise_the_reference_formula(args):
     for q, p in zip(Q, P):
         assert _bits(kernel.grad(q)) == _bits(_reference_grad(space, m, q))
         assert _bits(kernel.rhs(q, p)) == _bits(_reference_rhs(space, m, q, p))
+
+
+# ─── the pair loop against the array kernel ─────────────────────────────
+
+
+def _pair_loop_bound(space, m, Q, P):
+    """Per-body bound on |pair loop - array kernel| in dP, from float64 eps
+    and the sizes of the summed terms, not of the result: the weights and
+    the terms w_ij q_j, w_ij s_ij q_i and the velocity term, with the error
+    in s amplified by 1 / sn^2 in w = m_i m_j / sn^3."""
+    n = len(m)
+    s = _gram_checked(space, Q)
+    _, sn3 = _sn_powers(space, s)
+    w = np.outer(m, m) / sn3
+    w[range(n), range(n)] = 0.0
+    sn2 = space.sigma * (1.0 - s * s)
+    off = ~np.eye(n, dtype=bool)
+    min_sn2 = float(np.min(sn2[off])) if n > 1 else 1.0
+    size = np.sum(np.abs(Q), axis=1)           # |q_i|, one per body
+    V = P / m[:, None]
+    u = np.abs(m * inner(V, V, space))         # |sigma m_i <v_i, v_i>|
+    terms = np.abs(w) @ size + (np.abs(w) * np.abs(s)).sum(axis=1) * size
+    return 64.0 * np.finfo(float).eps * (terms + u * size) / min_sn2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([Space.S3, Space.H3]),
+       st.integers(1, _PAIR_LOOP_MAX_N), st.sampled_from([0.1, 1.0, 10.0]))
+def test_pair_loop_matches_the_array_kernel(seed, space, n, scale):
+    rng = np.random.default_rng(seed)
+    cfg = random_config(space, n, rng, masses=rng.uniform(0.1, 5.0, n))
+    Q, m = cfg.points, cfg.masses
+    P = random_momenta(cfg, rng, scale=scale)
+    V, dP = _PairKernel(space, m).rhs(Q, P)
+    want_V, want_dP = _ForceKernel(space, m).rhs(Q, P)
+    assert _bits(V) == _bits(want_V)
+    bound = _pair_loop_bound(space, m, Q, P)
+    assert np.all(np.abs(dP - want_dP) <= bound[:, None])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_stepper_picks_the_kernel_by_body_count(n):
+    rhs = _stepper_rhs(Space.S3, np.ones(n))
+    kind = _PairKernel if n <= _PAIR_LOOP_MAX_N else _ForceKernel
+    assert type(rhs.__self__) is kind
 
 
 # ─── the fused singular-pair predicate ──────────────────────────────────
@@ -161,12 +213,85 @@ def test_fused_predicate_raises_what_gram_checked_raises(space, rows):
     _assert_raises_alike(space, np.ones(4), stack)
 
 
+def _assert_pair_loop_raises_alike(space, Q):
+    """The pair loop raises what _gram_checked raises, and nothing else:
+    never a ZeroDivisionError or ValueError from its own arithmetic."""
+    m = np.ones(len(Q))
+    with np.errstate(all="ignore"):
+        try:
+            _gram_checked(space, Q)
+        except SingularPairError as exc:
+            want = exc
+        else:
+            want = None
+        if want is None:
+            _PairKernel(space, m).rhs(Q, np.zeros_like(Q))
+            return
+        with pytest.raises(SingularPairError) as got:
+            _PairKernel(space, m).rhs(Q, np.zeros_like(Q))
+    assert (got.value.i, got.value.j) == (want.i, want.j)
+    v, u = got.value.value, want.value
+    assert v == u or (math.isnan(v) and math.isnan(u))
+
+
+@pytest.mark.parametrize("space,rows", _edges())
+def test_pair_loop_raises_what_gram_checked_raises(space, rows):
+    _assert_pair_loop_raises_alike(space, rows)
+    _assert_pair_loop_raises_alike(
+        space, _embed(rows, np.random.default_rng(11), space, 4, 1))
+
+
+def test_pair_loop_judges_a_pair_by_its_own_sum():
+    # exactly summed, s_01 is the bound 1 - EPS_SINGULAR itself, which is
+    # nonsingular; summed left to right it rounds one ulp above.  So the
+    # pair loop must refuse the pair whatever order BLAS sums the Gram
+    # entry in (s = a . b, since b is all ones)
+    hi = 1.0 - EPS_SINGULAR
+    ulp = np.spacing(hi)
+    a = [hi, 0.6 * ulp, -0.3 * ulp, -0.3 * ulp]
+    assert math.fsum(a) == hi and ((a[0] + a[1]) + a[2]) + a[3] > hi
+    Q = np.array([a, [1.0, 1.0, 1.0, 1.0]])
+    with pytest.raises(SingularPairError) as got:
+        _PairKernel(Space.S3, np.ones(2)).rhs(Q, np.zeros_like(Q))
+    assert (got.value.i, got.value.j) == (0, 1) and got.value.value > hi
+
+
+def test_a_collision_on_the_pair_loop_keeps_its_partial_trajectory():
+    # three bodies on S3, two of them falling together from rest along a
+    # great circle; the third stays clear of both
+    h = 0.3
+    pts = np.array([[math.cos(h), math.sin(h), 0.0, 0.0],
+                    [math.cos(h), -math.sin(h), 0.0, 0.0],
+                    [0.0, 0.0, 0.0, 1.0]])
+    cfg = Configuration(Space.S3, [1.0, 2.0, 0.5], pts)
+    state = PhaseState(cfg, np.zeros((3, 4)))
+    with pytest.raises(SingularEncounterError) as err:
+        integrate(state, 1e-3, 5000)
+    cause = err.value.__cause__
+    assert isinstance(cause, SingularPairError) and (cause.i, cause.j) == (0, 1)
+    partial = err.value.partial
+    assert not partial.completed and np.all(np.isfinite(partial.positions))
+    # the array kernel meets the collision at the same step, on the same
+    # path: close to the collision 1/sn^3 amplifies the kernels' rounding
+    # differences, but they stay far below RK4's own error there
+    seen = []
+    with pytest.raises(SingularEncounterError):
+        _rk4(Space.S3, _ForceKernel(Space.S3, cfg.masses).rhs, cfg.points,
+             state.momenta, 1e-3, 5000, lambda k, Q, P: seen.append(Q))
+    assert len(seen) + 1 == len(partial)
+    assert np.max(np.abs(np.array(seen) - partial.positions[1:])) < 1e-6
+
+
 # ─── float-hex pins of the stepper ──────────────────────────────────────
 #
-# The bits of the per-stage arithmetic that the kernel keeps, on one S3 and
-# one H3 criterion-4 member: the final state of a 200-step integrate at
-# dt = 1e-3, and certify_rigidity(horizon=0.2).  They were recorded with
-# the constants still rebuilt on every stage.
+# The bits of the per-stage arithmetic, on one S3 and one H3 criterion-4
+# member: the final state of 200 RK4 steps at dt = 1e-3, and
+# certify_rigidity(horizon=0.2).  _PINNED_FINAL is the array kernel's,
+# recorded with its constants still rebuilt on every stage; _rk4 is driven
+# with it directly, since integrate uses the pair loop for three bodies.
+# _PINNED_FINAL_PAIR_LOOP is integrate's on the pair loop, and the
+# certificates are the pair loop's too (at T = 0.2 they are the array
+# kernel's bits as well).
 
 
 def _members():
@@ -197,9 +322,38 @@ _PINNED_FINAL = {
     ),
 }
 
+_PINNED_FINAL_PAIR_LOOP = {
+    "S3": (
+        [["-0x1.71939246629e8p-2", "0x1.6257304a74ff0p-2", "0x1.b29101655f341p-1", "0x1.605d28cd4f4c3p-3"],
+         ["-0x1.e851a1ddeb755p-4", "-0x1.f13b9e5e95620p-2", "0x1.b29101655f341p-1", "0x1.605d28cd4f4c2p-3"],
+         ["0x1.eba7fabddd7aap-2", "0x1.1dc8dc2840c5ap-3", "0x1.b29101655f341p-1", "0x1.605d28cd4f4c1p-3"]],
+        [["-0x1.3dd5bbac9ee5bp-4", "-0x1.4b80481d914eap-4", "-0x1.befa9e11b1763p-6", "0x1.13a08739d02f1p-3"],
+         ["0x1.be017d8971ea0p-4", "-0x1.b6029aa36534bp-6", "-0x1.befa9e11b17c8p-6", "0x1.13a08739d02f3p-3"],
+         ["-0x1.005783b9a60b4p-5", "0x1.b900eec66a9bap-4", "-0x1.befa9e11b17d6p-6", "0x1.13a08739d02f1p-3"]],
+    ),
+    # the pair loop keeps body 0's x and y at exactly 0, where the array
+    # kernel's BLAS sums leave residues near 1e-20
+    "H3": (
+        [["0x0.0p+0", "0x0.0p+0", "0x1.648012db9d16ap-3", "0x1.03d98003dc76ap+0"],
+         ["0x1.fd712f9a815dbp-1", "0x1.98eaecb8bcaa0p-4", "0x1.f82ae40709b7ep-3", "0x1.6f7b9b89e2c4dp+0"],
+         ["-0x1.fd712f9a815dbp-1", "-0x1.98eaecb8bcaa0p-4", "0x1.f82ae40709b7ep-3", "0x1.6f7b9b89e2c4dp+0"]],
+        [["0x0.0p+0", "0x0.0p+0", "0x1.1ae36fbcd43d3p+0", "0x1.841bbd22ae01dp-3"],
+         ["-0x1.010556ae8da0cp-4", "0x1.403455b0c28f1p-1", "0x1.90108c9b26f4bp+0", "0x1.126f1ddd98d38p-2"],
+         ["0x1.010556ae8da0cp-4", "-0x1.403455b0c28f1p-1", "0x1.90108c9b26f4bp+0", "0x1.126f1ddd98d38p-2"]],
+    ),
+}
+
 _PINNED_CERTIFICATE = {
     "S3": ("0x1.8000000000000p-52", "0x1.0000000000000p-54"),
     "H3": ("0x1.8000000000000p-51", "0x1.0000000000000p-50"),
+}
+
+# certify_rigidity(horizon=0.5) of the beta = 1 member on the pair loop:
+# lagrangian_h2, whose bits differ from the array kernel's, and the
+# tetrahedron, at the largest N the pair loop serves
+_PINNED_PAIR_LOOP_CERTIFICATE = {
+    ("lagrangian_h2", (1.0, 0.5)): ("0x0.0p+0", "0x1.0dfc000000000p-50"),
+    ("tetrahedron_s2", (1.0,)): ("0x1.0000000000000p-52", "0x1.0000000000000p-50"),
 }
 
 
@@ -210,13 +364,34 @@ def _hex(a):
 @pytest.mark.parametrize("space", ["S3", "H3"])
 def test_integrate_final_state_matches_the_recorded_bits(space):
     inst = _members()[space]
+    cfg = inst.config
+    states = []
+    _rk4(cfg.space, _ForceKernel(cfg.space, cfg.masses).rhs, cfg.points,
+         generator_momenta(cfg, inst.generator), 1e-3, 200,
+         lambda k, Q, P: states.append((Q, P)))
+    assert _hex(states[-1][0]) == _PINNED_FINAL[space][0]
+    assert _hex(states[-1][1]) == _PINNED_FINAL[space][1]
+
+
+@pytest.mark.parametrize("space", ["S3", "H3"])
+def test_integrate_on_the_pair_loop_matches_the_recorded_bits(space):
+    inst = _members()[space]
     state = PhaseState(inst.config, generator_momenta(inst.config, inst.generator))
     traj = integrate(state, 1e-3, 200)
-    assert _hex(traj.positions[-1]) == _PINNED_FINAL[space][0]
-    assert _hex(traj.momenta[-1]) == _PINNED_FINAL[space][1]
+    assert _hex(traj.positions[-1]) == _PINNED_FINAL_PAIR_LOOP[space][0]
+    assert _hex(traj.momenta[-1]) == _PINNED_FINAL_PAIR_LOOP[space][1]
 
 
 @pytest.mark.parametrize("space", ["S3", "H3"])
 def test_certificate_matches_the_recorded_bits(space):
     drift, cons = certify_rigidity(_members()[space], horizon=0.2)
     assert (drift.hex(), cons.hex()) == _PINNED_CERTIFICATE[space]
+
+
+@pytest.mark.parametrize("name,args", sorted(_PINNED_PAIR_LOOP_CERTIFICATE))
+def test_certificate_on_the_pair_loop_matches_the_recorded_bits(name, args):
+    fixture = FIXTURE_BUILDERS[name](*args)
+    cfg = fixture.config
+    family = re_family_from_cc(make_report(cfg, lam=fixture.expected_lambda), cfg)
+    drift, cons = certify_rigidity(pick_member(family, 1), horizon=0.5)
+    assert (drift.hex(), cons.hex()) == _PINNED_PAIR_LOOP_CERTIFICATE[(name, args)]
