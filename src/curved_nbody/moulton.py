@@ -394,9 +394,12 @@ def solve_two_body_s(m1: float, m2: float, c: float) -> TwoBodySResult:
     is 2 for c in (0, min m) or (max m, M), 0 between, with an equal-mass
     degenerate continuum at c = m reported as ``family``.
     """
-    check_masses([m1, m2])
+    # Python floats: numpy scalars would warn where this arithmetic
+    # overflows to the inf that the range test below refuses
+    m1, m2 = check_masses([m1, m2]).tolist()
+    c = check_scalar("size c", c)
     total = m1 + m2
-    if check_scalar("size c", c) >= total:
+    if c >= total:
         raise OutOfRangeError(f"size c must lie below m1 + m2 = {total}; got {c}")
 
     if math.isclose(m1, m2, rel_tol=1e-12) and math.isclose(c, m1, rel_tol=1e-12):

@@ -129,6 +129,14 @@ def test_simulate_exits_1_on_a_huge_step(payload_path, space):
     assert "SingularEncounterError" in err
 
 
+def test_moulton_takes_a_huge_mass_without_an_overflow_warning():
+    # numpy scalar masses made m2 * (M - 2c) overflow with a RuntimeWarning;
+    # in Python floats it is the inf that leaves no circle solution
+    code, out, _ = _run(["moulton", "1,1e300", "--space", "S3", "--c", "0.5"])
+    assert code == 0
+    assert out.splitlines()[-1] == "count: 0"
+
+
 def test_find_blames_a_nan_mass_not_the_level():
     code, _, err = _run(["find", "1,nan,1", "--space", "S3", "--c", "0.4"])
     assert code == 1
