@@ -489,9 +489,11 @@ def generator_momenta(config: Configuration, generator) -> np.ndarray:
 def _rk4(space: Space, rhs, Q, P, dt: float, steps: int, visit) -> None:
     """Fixed-step RK4 plus projection, calling visit(k, Q, P) after step k.
 
-    rhs(Q, P) returns the rows (dQ/dt, dP/dt).  After each step the
-    positions are rescaled onto the manifold and the momenta re-projected
-    onto tangent spaces.  A singular pair, a non-finite state or a row that
+    rhs(Q, P) returns the rows (dQ/dt, dP/dt); both callers build it from
+    _stepper_rhs, so N alone decides between the pair loop and the array
+    kernel.  After each step the positions are rescaled onto the manifold
+    and the momenta re-projected onto tangent spaces.  A singular pair
+    (SingularPairError from either kernel), a non-finite state or a row that
     cannot be scaled back, met in a stage, the projection or visit, raises
     SingularEncounterError chained from its cause.  Overflow and invalid
     operations raise no RuntimeWarning here: a step of huge dt reaches that
@@ -543,7 +545,9 @@ def integrate(
 
     After each step, positions are rescaled onto the manifold and momenta
     re-projected onto tangent spaces, so recorded states satisfy the
-    constraints to round-off.  A singular pair encountered mid-run raises
+    constraints to round-off.  The forces are summed pair by pair in
+    Python floats for up to four bodies and by the array kernel for more;
+    the two agree to rounding.  A singular pair encountered mid-run raises
     SingularEncounterError carrying the trajectory up to the last good step.
     A dt that is not finite and positive raises OutOfRangeError, and steps
     or record_every below one ValueError.
