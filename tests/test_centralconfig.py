@@ -1,5 +1,6 @@
 """Central-configuration residuals, classification, and the level-set solver."""
 
+import hashlib
 import itertools
 import math
 
@@ -34,6 +35,7 @@ from curved_nbody.centralconfig import (
     default_seed,
 )
 from curved_nbody.errors import (
+    CurvedNBodyError,
     DegenerateDenominatorError,
     DegenerateVectorError,
     NoConvergenceError,
@@ -488,6 +490,49 @@ def test_find_cc_hyperbolic_points_are_pinned_bitwise_after_a_long_descent():
     )
     assert np.array_equal(cfg.points, expected)
     assert report.lam == float.fromhex("-0x1.83b9e677d248cp+2")
+
+
+def _draw_cc_problem(rng, space):
+    """The cc_search benchmark's problem recipe: masses U(0.5, 2); level
+    c = sum(m) U(0.2, 0.6) on S3, log-uniform on [0.5, 2.5] on H3, drawn
+    again while LevelSetSpec.validate refuses it."""
+    masses = rng.uniform(0.5, 2.0, size=3)
+    while True:
+        if space is Space.S3:
+            c = float(np.sum(masses)) * rng.uniform(0.2, 0.6)
+        else:
+            c = math.exp(rng.uniform(math.log(0.5), math.log(2.5)))
+        try:
+            LevelSetSpec(c).validate(space, masses)
+        except OutOfRangeError:
+            continue
+        return masses, float(c), space
+
+
+# the cc_search panel: draws 0-11 and 22 of panel seed 0, S3 at even draws
+_CC_PANEL = tuple(range(12)) + (22,)
+_CC_PANEL_DIGEST = (
+    "96d3dfec965b9a019f4f1240b97dbf90036ce741b2732677c7b8110ecafb9fe8"
+)
+
+
+def test_find_cc_is_pinned_bitwise_on_the_cc_search_panel():
+    # every attempt at rng 0-4, not only the first success: the failures'
+    # classes and messages are part of the record
+    rng = np.random.default_rng(0)
+    drawn = [_draw_cc_problem(rng, Space.S3 if k % 2 == 0 else Space.H3)
+             for k in range(max(_CC_PANEL) + 1)]
+    h = hashlib.sha256()
+    for masses, c, space in (drawn[k] for k in _CC_PANEL):
+        for k in range(5):
+            try:
+                cfg, report = find_cc(masses, space, LevelSetSpec(c),
+                                      rng=np.random.default_rng(k))
+                rec = [cfg.points.tobytes().hex(), float(report.lam).hex()]
+            except CurvedNBodyError as exc:
+                rec = [type(exc).__name__, str(exc)]
+            h.update(repr(rec).encode())
+    assert h.hexdigest() == _CC_PANEL_DIGEST
 
 
 # ─── the stacked finite-difference Jacobian ──────────────────────────────
