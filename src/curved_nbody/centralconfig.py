@@ -37,15 +37,14 @@ from .manifold import (
     _boost,
     _reproject,
     _rot,
-    inner,
     project_tangent,
 )
 from .dynamics import (
     Configuration,
+    _ForceKernel,
     _check_points,
-    _grad_U_raw,
     _gram_checked,
-    _potential_raw,
+    _potential_gram,
     _sn_powers,
     force_function,
     grad_U,
@@ -164,9 +163,21 @@ def _subset_sum_near(m: np.ndarray, c: float, tol: float):
 # ─── residuals and multiplier ────────────────────────────────────────────
 
 
+# below this no row of four entries can overflow when squared and summed
+_NORM_UNSCALED_MAX = 1e150
+
+
 def cc_residual(config: Configuration, lam: float):
-    """Rows grad_i U - lambda grad_i I and the max Euclidean row norm."""
+    """Rows grad_i U - lambda grad_i I and the max Euclidean row norm.
+
+    Rows whose largest entry is huge (a multiplier near 1e300, say) are
+    scaled by that entry before the norm, so the squares do not overflow;
+    ordinary rows take the plain norm.
+    """
     R = grad_U(config) - lam * grad_I(config)
+    big = float(np.max(np.abs(R)))
+    if big > _NORM_UNSCALED_MAX:
+        return R, big * float(np.max(np.linalg.norm(R / big, axis=1)))
     return R, float(np.max(np.linalg.norm(R, axis=1)))
 
 
@@ -208,9 +219,12 @@ def criterion_residual(config: Configuration, lam: float) -> np.ndarray:
     A body on the axes (where grad_i I = 0) instead reports three ambient
     components of grad_i U, dropping the one along q_i's largest coordinate.
     """
-    space = config.space
-    Q = config.points
-    G = grad_U(config) - lam * grad_I(config)
+    return _criterion_rows(config.space, config.points,
+                           grad_U(config) - lam * grad_I(config))
+
+
+def _criterion_rows(space, Q, G):
+    """criterion_residual's rows at points Q from G = grad U - lambda grad I."""
     r2, rho2 = _r2_rho2(space, Q)
     on_axes = (
         np.sqrt(r2 * np.abs(rho2)) < EPS_AXIS
@@ -380,13 +394,15 @@ def _restore_level(space, m, Q, c, max_iter=40):
     step divides by the sigma-metric norm; the Euclidean sum overshoots it
     by about 1 + 2 r^2 on H3 and makes the iteration merely linear.  Every
     iterate, the returned one too, passes Configuration's point checks.
+    Returns (Q, s): the point on the level and the Gram matrix that its
+    point check built, from which the descent takes U without recomputing.
     """
     for _ in range(max_iter):
-        _check_points(space, Q)
+        s = _check_points(space, Q)
         r2, _ = _r2_rho2(space, Q)
         err = float(np.sum(m * r2)) - c
         if abs(err) <= 1e-13 * max(1.0, abs(c)):
-            return Q
+            return Q, s
         G = _grad_I_raw(space, m, Q)
         gg = float(np.sum(G * G * space.metric_diagonal))
         if gg < 1e-30:
@@ -396,21 +412,43 @@ def _restore_level(space, m, Q, c, max_iter=40):
     raise NoConvergenceError("level-set restoration stalled")
 
 
+_UNIT_VECTORS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                 (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+
+
 def _tangent_bases(space, Q):
-    """Per-body orthonormal tangent triples (sigma-metric Gram-Schmidt)."""
+    """Per-body orthonormal tangent triples (sigma-metric Gram-Schmidt).
+
+    Body by body, each unit vector e is projected to the tangent space,
+    stripped of its components along the vectors already kept, and kept,
+    normalized, if its squared norm exceeds 1e-12, until three are kept.
+    The loop runs in Python floats, because at a few bodies numpy's cost
+    per call on 4-vectors is many times the arithmetic.  Each expression
+    is inner's or project_tangent's, term for term and in their order, so
+    the frames are bitwise those of the same loop on numpy 4-vectors.
+    """
+    sigma = space.sigma
+
+    def dot(a, b):  # inner(a, b, space)
+        t = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+        return t + a[3] * b[3] if sigma == 1 else t - a[3] * b[3]
+
     bases = []
-    for q in Q:
+    for q in Q.tolist():
         vecs = []
-        for e in np.eye(4):
-            v = project_tangent(q, e, space)
+        for e in _UNIT_VECTORS:
+            coeff = sigma * dot(q, e)  # project_tangent(q, e, space)
+            v = [e[k] - coeff * q[k] for k in range(4)]
             for b in vecs:
-                v = v - inner(b, v, space) * b
-            nrm = inner(v, v, space)
+                coeff = dot(b, v)
+                v = [v[k] - coeff * b[k] for k in range(4)]
+            nrm = dot(v, v)
             if nrm > 1e-12:
-                vecs.append(v / math.sqrt(nrm))
+                r = math.sqrt(nrm)
+                vecs.append([x / r for x in v])
             if len(vecs) == 3:
                 break
-        bases.append(np.array(vecs))
+        bases.append(vecs)
     return np.array(bases)  # (N, 3, 4)
 
 
@@ -418,16 +456,18 @@ def _tangent_bases(space, Q):
 _INFEASIBLE = (SingularPairError, OffShellError, DegenerateVectorError)
 
 
-def _chart_residuals(space, m, Q, bases, c, Y):
+def _chart_residuals(kernel, Q, bases, c, Y):
     """The stationarity system at a stack of chart points around Q.
 
-    Row b of Y (B, 3N+1) holds three tangent coordinates per body, in the
+    kernel is the _ForceKernel of the problem's space and masses.  Row b of
+    Y (B, 3N+1) holds three tangent coordinates per body, in the
     frames `bases` (N, 3, 4), and lambda.  Returns the residual rows
     (B, 3N+1), the tangent components of grad U - lambda grad I followed by
     I - c, and the points (B, N, 4).  Each row is bitwise what it is when
     evaluated alone.  When rows leave the feasible region, this raises
     what the first of them raises alone.
     """
+    space, m = kernel.space, kernel.m
     n = len(m)
     try:
         X = Y[:, :-1].reshape(len(Y), n, 3)
@@ -438,9 +478,9 @@ def _chart_residuals(space, m, Q, bases, c, Y):
             # each row alone, in order, the last one too: a stack's message
             # can differ from the one its faulty row raises alone
             for y in Y:
-                _chart_residuals(space, m, Q, bases, c, y[None])
+                _chart_residuals(kernel, Q, bases, c, y[None])
         raise
-    R = _grad_U_raw(space, m, Qx) - Y[:, -1, None, None] * _grad_I_raw(space, m, Qx)
+    R = kernel.grad(Qx) - Y[:, -1, None, None] * _grad_I_raw(space, m, Qx)
     comps = np.einsum("nkd,bnd,d->bnk", bases, R, space.metric_diagonal)
     r2, _ = _r2_rho2(space, Qx)
     lvl = np.sum(m * r2, axis=-1) - c
@@ -519,20 +559,25 @@ def _newton(chart, x, lam, done, max_iter, damped=False):
     return x, lam, G, "refinement did not reach tolerance"
 
 
-def _kkt_newton(space, m, Q, c, lam, tol, max_iter=60, damped=False):
+def _kkt_newton(kernel, Q, c, lam, tol, max_iter=60, damped=False):
     """Solve the stationarity system on I = c by finite-difference Newton.
 
+    kernel is the _ForceKernel of the problem's space and masses.
     Unknowns: 3 tangent chart coordinates per body plus lambda.  Equations:
     tangent components of grad U - lambda grad I plus the level constraint.
     _newton iterates; damped=True, its Levenberg-style least-squares step,
-    is used when starting far out.
+    is used when starting far out.  The stopping test takes the criterion
+    residual on the raw points: each one has passed the point checks,
+    the hand-off point in find_cc and every chart point in _chart_residuals.
     """
+    space, m = kernel.space, kernel.m
+
     def chart(Q, lam):
         bases = _tangent_bases(space, Q)
         y = np.append(np.zeros(3 * len(m)), lam)
 
         def residuals(Y):
-            return _chart_residuals(space, m, Q, bases, c, Y)
+            return _chart_residuals(kernel, Q, bases, c, Y)
 
         def jac():
             try:
@@ -549,7 +594,8 @@ def _kkt_newton(space, m, Q, c, lam, tol, max_iter=60, damped=False):
         return residuals(y[None])[0][0], jac, trial
 
     def done(Q, lam, G):
-        crit = criterion_residual(Configuration(space, m, Q), lam)
+        crit = _criterion_rows(
+            space, Q, kernel.grad(Q) - lam * _grad_I_raw(space, m, Q))
         return np.max(np.abs(crit)) < tol and abs(G[-1]) <= tol * max(1.0, abs(c))
 
     Q, lam, _, why = _newton(chart, Q, lam, done, max_iter, damped)
@@ -589,14 +635,15 @@ def find_cc(
         seed = default_seed(m, space, c, rng=rng)
     if seed.space is not space or len(seed.masses) != len(m):
         raise ValueError("seed does not match the requested problem")
-    Q = _restore_level(space, m, seed.points, c)
+    Q, s = _restore_level(space, m, seed.points, c)
+    kernel = _ForceKernel(space, m)
 
     # tangent vectors pair in the sigma metric; on S3 it is the Euclidean
     # sum term for term, so the sphere's arithmetic is unchanged
     md = space.metric_diagonal
 
     def residual_dir(Q):
-        Gu = project_tangent(Q, _grad_U_raw(space, m, Q), space)
+        Gu = project_tangent(Q, kernel.grad(Q), space)
         Gi = project_tangent(Q, _grad_I_raw(space, m, Q), space)
         gg = float(np.sum(Gi * Gi * md))
         lam_hat = float(np.sum(Gu * Gi * md)) / gg if gg > 1e-20 else 0.0
@@ -605,7 +652,7 @@ def find_cc(
     lam = 0.0
     if mode == "descent":
         gamma = 0.1
-        u0 = _potential_raw(space, m, Q)
+        u0 = _potential_gram(space, m, s)
         for _ in range(max_iter):
             R, lam = residual_dir(Q)
             rnorm2 = float(np.sum(R * R * md))
@@ -613,11 +660,12 @@ def find_cc(
                 break
             while gamma > 1e-16:
                 try:
-                    Qt = _restore_level(space, m, _reproject(space, Q - gamma * R), c)
+                    Qt, st = _restore_level(
+                        space, m, _reproject(space, Q - gamma * R), c)
                 except (NoConvergenceError, *_INFEASIBLE):
                     gamma *= 0.5
                     continue
-                ut = _potential_raw(space, m, Qt)
+                ut = _potential_gram(space, m, st)
                 if ut <= u0 - 1e-4 * gamma * rnorm2:
                     break
                 gamma *= 0.5
@@ -630,10 +678,10 @@ def find_cc(
         except DegenerateDenominatorError:
             pass
         try:
-            Q, lam = _kkt_newton(space, m, Q, c, lam, level.tol)
+            Q, lam = _kkt_newton(kernel, Q, c, lam, level.tol)
         except NoConvergenceError:
             try:
-                Q, lam = _kkt_newton(space, m, Q, c, lam, level.tol, damped=True)
+                Q, lam = _kkt_newton(kernel, Q, c, lam, level.tol, damped=True)
             except NoConvergenceError as exc:
                 # U = sum m m cot d falls without bound as d -> pi, so the
                 # descent can hand Newton a pair next to the antipodal set
@@ -652,7 +700,7 @@ def find_cc(
         try:
             _, lam = residual_dir(Q)
             Q, lam = _kkt_newton(
-                space, m, Q, c, lam, level.tol, damped=True, max_iter=200
+                kernel, Q, c, lam, level.tol, damped=True, max_iter=200
             )
         except SingularPairError as exc:
             raise SingularApproachError(str(exc)) from exc

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -229,16 +230,44 @@ def _gram_checked(space: Space, Q: np.ndarray) -> np.ndarray:
     s = space.sigma * ((Q * space.metric_diagonal) @ Q.swapaxes(-1, -2))
     n = Q.shape[-2]
     if n > 1:
-        off = ~np.eye(n, dtype=bool)
-        bad = off & ~np.isfinite(s)
-        if space is Space.S3:
-            bad |= off & ((s > 1.0 - EPS_SINGULAR) | (s < -1.0 + EPS_SINGULAR))
-        else:
-            bad |= off & (s < 1.0 + EPS_SINGULAR)
-        if np.any(bad):
-            at = tuple(np.argwhere(bad)[0])
-            raise SingularPairError(int(at[-2]), int(at[-1]), float(s[at]))
+        lo, hi = _singular_bounds(space)
+        if (_off_diagonal(n) & ~((s >= lo) & (s <= hi))).any():
+            _raise_singular_pair(space, s)
     return s
+
+
+def _raise_singular_pair(space: Space, s: np.ndarray) -> None:
+    """Raise SingularPairError for the first singular off-diagonal entry of
+    a Gram matrix or stack that the fused bounds test refused."""
+    off = ~np.eye(s.shape[-1], dtype=bool)
+    bad = off & ~np.isfinite(s)
+    if space is Space.S3:
+        bad |= off & ((s > 1.0 - EPS_SINGULAR) | (s < -1.0 + EPS_SINGULAR))
+    else:
+        bad |= off & (s < 1.0 + EPS_SINGULAR)
+    at = tuple(np.argwhere(bad)[0])
+    raise SingularPairError(int(at[-2]), int(at[-1]), float(s[at]))
+
+
+# ~eye(n) for the body counts that find_cc's searches check thousands of
+# times; a larger n builds its mask per call, so that no N x N array is kept
+_CACHED_MASK_MAX_N = 16
+
+
+def _off_diagonal_mask(n: int) -> np.ndarray:
+    mask = ~np.eye(n, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+_OFF_DIAGONAL = [_off_diagonal_mask(n) for n in range(_CACHED_MASK_MAX_N + 1)]
+
+
+def _off_diagonal(n: int) -> np.ndarray:
+    """The read-only (n, n) mask of off-diagonal entries."""
+    if n <= _CACHED_MASK_MAX_N:
+        return _OFF_DIAGONAL[n]
+    return ~np.eye(n, dtype=bool)
 
 
 def _fill_diagonal(a: np.ndarray, value: float) -> None:
@@ -260,7 +289,11 @@ def _sn_powers(space: Space, s: np.ndarray):
 
 
 def _potential_raw(space: Space, m: np.ndarray, Q: np.ndarray) -> float:
-    s = _gram_checked(space, Q)
+    return _potential_gram(space, m, _gram_checked(space, Q))
+
+
+def _potential_gram(space: Space, m: np.ndarray, s: np.ndarray) -> float:
+    """U from an already checked (N, N) Gram matrix s, which it leaves as is."""
     sn, _ = _sn_powers(space, s)
     ctn = s / sn
     np.fill_diagonal(ctn, 0.0)
@@ -274,7 +307,7 @@ def _singular_bounds(space: Space) -> tuple[float, float]:
     """
     if space is Space.S3:
         return -1.0 + EPS_SINGULAR, 1.0 - EPS_SINGULAR
-    return 1.0 + EPS_SINGULAR, float(np.finfo(float).max)
+    return 1.0 + EPS_SINGULAR, sys.float_info.max
 
 
 class _ForceKernel:

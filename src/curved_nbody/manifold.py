@@ -37,18 +37,22 @@ _CLAMP_TOL = 1e-12
 
 
 class Space(enum.Enum):
-    """Which of the two geometries is in play."""
+    """Which of the two geometries is in play.
+
+    Each member carries two constants: sigma (+1 on S3, -1 on H3) and
+    metric_diagonal, the shared read-only array (1, 1, 1, sigma).  They are
+    plain attributes, not properties, because the few-body solvers read
+    them thousands of times per search.
+    """
 
     S3 = "S3"
     H3 = "H3"
 
-    @property
-    def sigma(self) -> int:
-        return 1 if self is Space.S3 else -1
-
-    @property
-    def metric_diagonal(self) -> np.ndarray:
-        return np.array([1.0, 1.0, 1.0, float(self.sigma)])
+    def __init__(self, value: str):
+        self.sigma = 1 if value == "S3" else -1
+        met = np.array([1.0, 1.0, 1.0, float(self.sigma)])
+        met.setflags(write=False)
+        self.metric_diagonal = met
 
 
 # ─── sigma-trig helpers ──────────────────────────────────────────────────
@@ -84,12 +88,13 @@ def inner(p, q, space: Space):
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    out = (
-        p[..., 0] * q[..., 0]
-        + p[..., 1] * q[..., 1]
-        + p[..., 2] * q[..., 2]
-        + space.sigma * p[..., 3] * q[..., 3]
-    )
+    out = p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
+    # sigma = +-1 folded into an add or a subtract: a + (-1 * b) is a - b
+    # exactly, so this is the sigma-weighted sum bit for bit
+    if space is Space.S3:
+        out = out + p[..., 3] * q[..., 3]
+    else:
+        out = out - p[..., 3] * q[..., 3]
     return float(out) if np.ndim(out) == 0 else out
 
 

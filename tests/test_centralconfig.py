@@ -43,6 +43,7 @@ from curved_nbody.errors import (
     SingularApproachError,
     SingularPairError,
 )
+from curved_nbody.dynamics import _ForceKernel
 from curved_nbody.fixtures import FIXTURE_BUILDERS, default_fixtures
 from curved_nbody.manifold import (
     GeneratorKind,
@@ -425,7 +426,7 @@ def test_restore_level_is_quadratic_on_h3(r, off):
     Q = np.stack([rr * np.cos(phi), rr * np.sin(phi),
                   rho * np.sinh(t), rho * np.cosh(t)], axis=1)
     c = off * moment_of_inertia(Configuration(Space.H3, m, Q))
-    out = _restore_level(Space.H3, m, Q, c, max_iter=6)
+    out, _ = _restore_level(Space.H3, m, Q, c, max_iter=6)
     assert moment_of_inertia(Configuration(Space.H3, m, out)) == pytest.approx(
         c, rel=1e-12
     )
@@ -566,7 +567,8 @@ def _reference_jacobian(space, m, Q, bases, c, y, h=1e-7):
 def _stacked_jacobian(space, m, Q, c, lam):
     bases = _tangent_bases(space, Q)
     y = np.append(np.zeros(3 * len(m)), lam)
-    J = _fd_jacobian(lambda Y: _chart_residuals(space, m, Q, bases, c, Y), y)
+    kernel = _ForceKernel(space, m)
+    J = _fd_jacobian(lambda Y: _chart_residuals(kernel, Q, bases, c, Y), y)
     return J, _reference_jacobian(space, m, Q, bases, c, y)
 
 
@@ -575,9 +577,9 @@ def _newton_handoff(monkeypatch, masses, space, c, seed):
     seen = []
     newton = centralconfig._kkt_newton
 
-    def spy(space, m, Q, c, lam, tol, **kw):
-        seen.append((m, Q.copy(), lam))
-        return newton(space, m, Q, c, lam, tol, **kw)
+    def spy(kernel, Q, c, lam, tol, **kw):
+        seen.append((kernel.m, Q.copy(), lam))
+        return newton(kernel, Q, c, lam, tol, **kw)
 
     monkeypatch.setattr(centralconfig, "_kkt_newton", spy)
     find_cc(masses, space, LevelSetSpec(c), rng=np.random.default_rng(seed))
@@ -611,15 +613,16 @@ def _near_antipodal_s3():
 
 def test_a_faulty_probe_raises_what_the_first_one_raised_alone():
     space, m, Q = _near_antipodal_s3()
+    kernel = _ForceKernel(space, m)
     bases = _tangent_bases(space, Q)
     y = np.append(np.zeros(9), -0.3)
     with pytest.raises(SingularPairError) as ref:
         _reference_jacobian(space, m, Q, bases, 0.4, y)
     with pytest.raises(SingularPairError) as got:
-        _fd_jacobian(lambda Y: _chart_residuals(space, m, Q, bases, 0.4, Y), y)
+        _fd_jacobian(lambda Y: _chart_residuals(kernel, Q, bases, 0.4, Y), y)
     assert str(got.value) == str(ref.value)
     with pytest.raises(NoConvergenceError, match="jacobian probe left the feasible"):
-        centralconfig._kkt_newton(space, m, Q, 0.4, -0.3, 1e-10)
+        centralconfig._kkt_newton(kernel, Q, 0.4, -0.3, 1e-10)
 
 
 def _h3_pair_one_chart_step_apart():
@@ -648,7 +651,7 @@ def test_chart_residuals_raise_for_the_first_faulty_row(order, error):
         for y in Y:
             _reference_residual(Space.H3, m, Q, bases, 1.0, y)
     with pytest.raises(error) as got:
-        _chart_residuals(Space.H3, m, Q, bases, 1.0, Y)
+        _chart_residuals(_ForceKernel(Space.H3, m), Q, bases, 1.0, Y)
     assert str(got.value) == str(ref.value)
 
 

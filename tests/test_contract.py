@@ -23,6 +23,8 @@ from curved_nbody import (
     enumerate_geodesic_h,
     find_cc,
     generator_momenta,
+    grad_I,
+    grad_U,
     integrate,
     make_report,
     pick_member,
@@ -135,6 +137,18 @@ def test_moulton_takes_a_huge_mass_without_an_overflow_warning():
     code, out, _ = _run(["moulton", "1,1e300", "--space", "S3", "--c", "0.5"])
     assert code == 0
     assert out.splitlines()[-1] == "count: 0"
+
+
+@pytest.mark.parametrize("lam", [1e200, 1e300, -1e300])
+@pytest.mark.parametrize("config", [EX1, EX2], ids=["S3", "H3"])
+def test_make_report_takes_a_huge_multiplier_without_overflow(config, lam):
+    # the row norms squared entries near lam: a RuntimeWarning and
+    # residual_max = inf
+    report = make_report(config, lam=lam)
+    rows = grad_U(config) - lam * grad_I(config)
+    want = max(math.hypot(*row) for row in rows)
+    assert math.isfinite(want) and want > 1e150
+    assert report.residual_max == pytest.approx(want, rel=1e-14)
 
 
 def test_find_blames_a_nan_mass_not_the_level():

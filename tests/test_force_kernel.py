@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from curved_nbody.centralconfig import make_report
 from curved_nbody.dynamics import (
+    _CACHED_MASK_MAX_N,
     _PAIR_LOOP_MAX_N,
     Configuration,
     PhaseState,
@@ -211,6 +212,45 @@ def test_fused_predicate_raises_what_gram_checked_raises(space, rows):
     _assert_raises_alike(space, np.ones(4), Q)
     stack = np.array([random_config(space, 4, rng).points, Q, Q[::-1]])
     _assert_raises_alike(space, np.ones(4), stack)
+
+
+def _gram_checked_unfused(space, Q):
+    """_gram_checked as it tested the off-diagonal entries one condition at
+    a time before the fused bounds: the reference for its values and its
+    SingularPairError."""
+    s = space.sigma * ((Q * space.metric_diagonal) @ Q.swapaxes(-1, -2))
+    n = Q.shape[-2]
+    if n > 1:
+        off = ~np.eye(n, dtype=bool)
+        bad = off & ~np.isfinite(s)
+        if space is Space.S3:
+            bad |= off & ((s > 1.0 - EPS_SINGULAR) | (s < -1.0 + EPS_SINGULAR))
+        else:
+            bad |= off & (s < 1.0 + EPS_SINGULAR)
+        if np.any(bad):
+            at = tuple(np.argwhere(bad)[0])
+            raise SingularPairError(int(at[-2]), int(at[-1]), float(s[at]))
+    return s
+
+
+def _gram_outcome(gram, space, Q):
+    with np.errstate(all="ignore"):
+        try:
+            return "ok", _bits(gram(space, Q))
+        except SingularPairError as exc:
+            return "raised", exc.i, exc.j, _bits(exc.value), str(exc)
+
+
+@pytest.mark.parametrize("space,rows", _edges())
+def test_gram_checked_raises_what_the_unfused_test_raised(space, rows):
+    rng = np.random.default_rng(11)
+    small = _embed(rows, rng, space, 4, 1)
+    # above the body counts whose off-diagonal mask is cached
+    large = _embed(rows, rng, space, _CACHED_MASK_MAX_N + 2, 5)
+    stack = np.array([random_config(space, 4, rng).points, small, small[::-1]])
+    for Q in (rows, small, large, stack):
+        want = _gram_outcome(_gram_checked_unfused, space, Q)
+        assert _gram_outcome(_gram_checked, space, Q) == want
 
 
 def _assert_pair_loop_raises_alike(space, Q):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curved_nbody.errors import (
     DegenerateVectorError,
@@ -62,6 +63,30 @@ def test_inner_batched():
     assert vals.shape == (6,)
     for k in range(6):
         assert vals[k] == pytest.approx(inner(P[k], Q[k], Space.H3))
+
+
+finite = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(finite, min_size=8, max_size=8), st.sampled_from(list(Space)))
+def test_inner_folds_sigma_bit_for_bit(vals, space):
+    # the w term is added or subtracted; a + (-1 * b) * c is a - b * c exactly
+    p, q = np.array(vals[:4]), np.array(vals[4:])
+    want = p[0] * q[0] + p[1] * q[1] + p[2] * q[2] + space.sigma * p[3] * q[3]
+    assert inner(p, q, space).hex() == float(want).hex()
+
+
+@pytest.mark.parametrize("space", [Space.S3, Space.H3])
+def test_metric_diagonal_is_one_shared_read_only_array(space):
+    met = space.metric_diagonal
+    assert met is space.metric_diagonal
+    assert met.tolist() == [1.0, 1.0, 1.0, float(space.sigma)]
+    with pytest.raises(ValueError):
+        met[3] = 0.0
+    with pytest.raises(ValueError):
+        met *= 2.0
+    assert met.tolist() == [1.0, 1.0, 1.0, float(space.sigma)]
 
 
 # ---------------------------------------------------------------------------
