@@ -400,11 +400,11 @@ def _restore_level(space, m, Q, c, max_iter=40):
     for _ in range(max_iter):
         s = _check_points(space, Q)
         r2, _ = _r2_rho2(space, Q)
-        err = float(np.sum(m * r2)) - c
+        err = float((m * r2).sum()) - c
         if abs(err) <= 1e-13 * max(1.0, abs(c)):
             return Q, s
         G = _grad_I_raw(space, m, Q)
-        gg = float(np.sum(G * G * space.metric_diagonal))
+        gg = float((G * G * space.metric_diagonal).sum())
         if gg < 1e-30:
             raise NoConvergenceError("cannot restore I = c: grad I vanished")
         step = -err / gg
@@ -645,8 +645,8 @@ def find_cc(
     def residual_dir(Q):
         Gu = project_tangent(Q, kernel.grad(Q), space)
         Gi = project_tangent(Q, _grad_I_raw(space, m, Q), space)
-        gg = float(np.sum(Gi * Gi * md))
-        lam_hat = float(np.sum(Gu * Gi * md)) / gg if gg > 1e-20 else 0.0
+        gg = float((Gi * Gi * md).sum())
+        lam_hat = float((Gu * Gi * md).sum()) / gg if gg > 1e-20 else 0.0
         return Gu - lam_hat * Gi, lam_hat
 
     lam = 0.0
@@ -655,7 +655,7 @@ def find_cc(
         u0 = _potential_gram(space, m, s)
         for _ in range(max_iter):
             R, lam = residual_dir(Q)
-            rnorm2 = float(np.sum(R * R * md))
+            rnorm2 = float((R * R * md).sum())
             if math.sqrt(rnorm2) < 1e-6:
                 break
             while gamma > 1e-16:

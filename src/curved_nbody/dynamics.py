@@ -207,12 +207,14 @@ def _check_points(space: Space, q: np.ndarray) -> np.ndarray:
     """
     unit = inner(q, q, space)
     # the quadratic form carries rounding noise ~ |q|^2 eps, so the
-    # on-shell tolerance has to scale with the squared coordinate size
-    scale = np.maximum(1.0, np.sum(q * q, axis=-1))
+    # on-shell tolerance has to scale with the squared coordinate size;
+    # the reductions are ndarray methods, which skip np.sum's and np.max's
+    # Python wrappers, a cost that dominates at a few bodies
+    scale = np.maximum(1.0, (q * q).sum(axis=-1))
     dev = np.abs(unit - space.sigma)
-    if not np.max(dev / scale) <= EPS_MANIFOLD:
+    if not (dev / scale).max() <= EPS_MANIFOLD:
         raise OffShellError(f"point constraint violated by {np.max(dev):.3e}")
-    if space is Space.H3 and not np.min(q[..., 3]) >= 1.0 - EPS_MANIFOLD:
+    if space is Space.H3 and not q[..., 3].min() >= 1.0 - EPS_MANIFOLD:
         raise OffShellError("hyperbolic points must lie on the w >= 1 sheet")
     return _gram_checked(space, q)
 
@@ -297,7 +299,7 @@ def _potential_gram(space: Space, m: np.ndarray, s: np.ndarray) -> float:
     sn, _ = _sn_powers(space, s)
     ctn = s / sn
     np.fill_diagonal(ctn, 0.0)
-    return 0.5 * float(np.sum(np.outer(m, m) * ctn))
+    return 0.5 * float((np.outer(m, m) * ctn).sum())
 
 
 def _singular_bounds(space: Space) -> tuple[float, float]:
