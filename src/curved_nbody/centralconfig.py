@@ -170,13 +170,13 @@ _NORM_UNSCALED_MAX = 1e150
 def cc_residual(config: Configuration, lam: float):
     """Rows grad_i U - lambda grad_i I and the max Euclidean row norm.
 
-    Rows whose largest entry is huge (a multiplier near 1e300, say) are
-    scaled by that entry before the norm, so the squares do not overflow;
-    ordinary rows take the plain norm.
+    Rows whose largest entry is huge but finite (a multiplier near 1e300,
+    say) are scaled by that entry before the norm, so the squares do not
+    overflow; ordinary rows take the plain norm.
     """
     R = grad_U(config) - lam * grad_I(config)
     big = float(np.max(np.abs(R)))
-    if big > _NORM_UNSCALED_MAX:
+    if _NORM_UNSCALED_MAX < big < math.inf:
         return R, big * float(np.max(np.linalg.norm(R / big, axis=1)))
     return R, float(np.max(np.linalg.norm(R, axis=1)))
 
@@ -623,6 +623,10 @@ def find_cc(
     and the descent can dive at them (SingularApproachError).  mode="saddle"
     skips the descent bias and drives the stationarity residual itself to
     zero from the seed, finding non-minimal critical points too.
+
+    One _ForceKernel serves the whole search.  Each descent trial is put
+    back on the level by _restore_level, whose last point check builds the
+    trial's Gram matrix; U is evaluated from that matrix, not rebuilt.
 
     Returns (configuration, report).  Raises NoConvergence when iterations
     run out and SingularApproach when the iterate degenerates into the

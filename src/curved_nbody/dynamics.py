@@ -251,22 +251,17 @@ def _raise_singular_pair(space: Space, s: np.ndarray) -> None:
     raise SingularPairError(int(at[-2]), int(at[-1]), float(s[at]))
 
 
-# ~eye(n) for the body counts that find_cc's searches check thousands of
-# times; a larger n builds its mask per call, so that no N x N array is kept
+# ~eye(n), shared and read-only, for the body counts whose Gram matrices
+# find_cc checks thousands of times per search; a larger n builds its mask
+# per call, so that no N x N array is kept
 _CACHED_MASK_MAX_N = 16
-
-
-def _off_diagonal_mask(n: int) -> np.ndarray:
-    mask = ~np.eye(n, dtype=bool)
-    mask.setflags(write=False)
-    return mask
-
-
-_OFF_DIAGONAL = [_off_diagonal_mask(n) for n in range(_CACHED_MASK_MAX_N + 1)]
+_OFF_DIAGONAL = [~np.eye(n, dtype=bool) for n in range(_CACHED_MASK_MAX_N + 1)]
+for _mask in _OFF_DIAGONAL:
+    _mask.setflags(write=False)
 
 
 def _off_diagonal(n: int) -> np.ndarray:
-    """The read-only (n, n) mask of off-diagonal entries."""
+    """The (n, n) mask of off-diagonal entries."""
     if n <= _CACHED_MASK_MAX_N:
         return _OFF_DIAGONAL[n]
     return ~np.eye(n, dtype=bool)
