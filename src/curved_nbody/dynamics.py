@@ -241,7 +241,7 @@ def _gram_checked(space: Space, Q: np.ndarray) -> np.ndarray:
 def _raise_singular_pair(space: Space, s: np.ndarray) -> None:
     """Raise SingularPairError for the first singular off-diagonal entry of
     a Gram matrix or stack that the fused bounds test refused."""
-    off = ~np.eye(s.shape[-1], dtype=bool)
+    off = _off_diagonal(s.shape[-1])
     bad = off & ~np.isfinite(s)
     if space is Space.S3:
         bad |= off & ((s > 1.0 - EPS_SINGULAR) | (s < -1.0 + EPS_SINGULAR))

@@ -34,6 +34,7 @@ from curved_nbody.centralconfig import (
     _tangent_bases,
     default_seed,
 )
+from curved_nbody.dynamics import _ForceKernel
 from curved_nbody.errors import (
     CurvedNBodyError,
     DegenerateDenominatorError,
@@ -43,7 +44,6 @@ from curved_nbody.errors import (
     SingularApproachError,
     SingularPairError,
 )
-from curved_nbody.dynamics import _ForceKernel
 from curved_nbody.fixtures import FIXTURE_BUILDERS, default_fixtures
 from curved_nbody.manifold import (
     GeneratorKind,
