@@ -230,41 +230,18 @@ def _gram_checked(space: Space, Q: np.ndarray) -> np.ndarray:
     anything within EPS_SINGULAR of +-1, from either side.
     """
     s = space.sigma * ((Q * space.metric_diagonal) @ Q.swapaxes(-1, -2))
-    n = Q.shape[-2]
-    if n > 1:
-        lo, hi = _singular_bounds(space)
-        if (_off_diagonal(n) & ~((s >= lo) & (s <= hi))).any():
-            _raise_singular_pair(space, s)
+    _raise_singular_pair(s, *_singular_bounds(space))
     return s
 
 
-def _raise_singular_pair(space: Space, s: np.ndarray) -> None:
-    """Raise SingularPairError for the first singular off-diagonal entry of
-    a Gram matrix or stack that the fused bounds test refused."""
-    off = _off_diagonal(s.shape[-1])
-    bad = off & ~np.isfinite(s)
-    if space is Space.S3:
-        bad |= off & ((s > 1.0 - EPS_SINGULAR) | (s < -1.0 + EPS_SINGULAR))
-    else:
-        bad |= off & (s < 1.0 + EPS_SINGULAR)
-    at = tuple(np.argwhere(bad)[0])
-    raise SingularPairError(int(at[-2]), int(at[-1]), float(s[at]))
-
-
-# ~eye(n), shared and read-only, for the body counts whose Gram matrices
-# find_cc checks thousands of times per search; a larger n builds its mask
-# per call, so that no N x N array is kept
-_CACHED_MASK_MAX_N = 16
-_OFF_DIAGONAL = [~np.eye(n, dtype=bool) for n in range(_CACHED_MASK_MAX_N + 1)]
-for _mask in _OFF_DIAGONAL:
-    _mask.setflags(write=False)
-
-
-def _off_diagonal(n: int) -> np.ndarray:
-    """The (n, n) mask of off-diagonal entries."""
-    if n <= _CACHED_MASK_MAX_N:
-        return _OFF_DIAGONAL[n]
-    return ~np.eye(n, dtype=bool)
+def _raise_singular_pair(s: np.ndarray, lo: float, hi: float) -> None:
+    """Raise SingularPairError for the first off-diagonal entry of a Gram
+    matrix or C-contiguous stack s outside [lo, hi] (_singular_bounds)."""
+    bad = ~((s >= lo) & (s <= hi))
+    _fill_diagonal(bad, False)
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0])
+        raise SingularPairError(int(at[-2]), int(at[-1]), float(s[at]))
 
 
 def _fill_diagonal(a: np.ndarray, value: float) -> None:
@@ -300,7 +277,7 @@ def _potential_gram(space: Space, m: np.ndarray, s: np.ndarray) -> float:
 def _singular_bounds(space: Space) -> tuple[float, float]:
     """(lo, hi): off the diagonal, s is nonsingular exactly when
     lo <= s <= hi.  NaN fails both comparisons, and the H3 upper bound, the
-    largest finite float, refuses +inf as _gram_checked's isfinite test does.
+    largest finite float, refuses +inf, so that a non-finite pair is singular.
     """
     if space is Space.S3:
         return -1.0 + EPS_SINGULAR, 1.0 - EPS_SINGULAR
@@ -311,8 +288,8 @@ class _ForceKernel:
     """The pairwise force law of one mass vector on one space, on arrays.
 
     Built once per run from (space, m), so that the stage loop of an
-    integration does not rebuild the metric diagonal, the mass column, the
-    off-diagonal mask and the singular-pair bounds on every call.  grad and
+    integration does not rebuild the metric diagonal, the mass column and
+    the singular-pair bounds on every call.  grad and
     rhs take an (N, 4) array or a (B, N, 4) stack.  The Gram matrix is
     _gram_checked's expression, so results and errors match it bitwise.
     The mass outer product is rebuilt per call rather than kept, so that a
@@ -326,14 +303,12 @@ class _ForceKernel:
         self.met = space.metric_diagonal
         self.m = m
         self.mcol = m[:, None]
-        self.off = ~np.eye(len(m), dtype=bool)
         self.lo, self.hi = _singular_bounds(space)
 
     def grad(self, Q: np.ndarray) -> np.ndarray:
         """grad U of Q; a singular pair raises what _gram_checked raises."""
         s = self.sigma * ((Q * self.met) @ Q.swapaxes(-1, -2))
-        if (self.off & ~((s >= self.lo) & (s <= self.hi))).any():
-            _gram_checked(self.space, Q)
+        _raise_singular_pair(s, self.lo, self.hi)
         _, sn3 = _sn_powers(self.space, s)
         w = self.mcol * self.m / sn3
         _fill_diagonal(w, 0.0)

@@ -1,9 +1,9 @@
 """The per-run force kernels against the formulas they replace, and the
 RK4 stepper that calls them against float-hex pins.
 
-The array kernel hoists the metric, the mass column, the off-diagonal mask
-and the singular-pair bounds out of the stage loop, and tests singular
-pairs with one fused predicate.  None of that may change a bit of any
+The array kernel hoists the metric, the mass column and the singular-pair
+bounds out of the stage loop, and tests singular pairs with one fused
+predicate.  None of that may change a bit of any
 result or any SingularPairError.  The pair loop that the stepper uses for
 a few bodies sums in another order, so its forces are held to a rounding
 bound set from float64 eps, and its singular pairs to the same errors.
@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from curved_nbody.centralconfig import make_report
 from curved_nbody.dynamics import (
-    _CACHED_MASK_MAX_N,
     _PAIR_LOOP_MAX_N,
     Configuration,
     PhaseState,
@@ -245,8 +244,7 @@ def _gram_outcome(gram, space, Q):
 def test_gram_checked_raises_what_the_unfused_test_raised(space, rows):
     rng = np.random.default_rng(11)
     small = _embed(rows, rng, space, 4, 1)
-    # above the body counts whose off-diagonal mask is cached
-    large = _embed(rows, rng, space, _CACHED_MASK_MAX_N + 2, 5)
+    large = _embed(rows, rng, space, 18, 5)
     stack = np.array([random_config(space, 4, rng).points, small, small[::-1]])
     for Q in (rows, small, large, stack):
         want = _gram_outcome(_gram_checked_unfused, space, Q)
