@@ -399,11 +399,11 @@ def _restore_level(space, m, Q, c, max_iter=40):
     """
     for _ in range(max_iter):
         s = _check_points(space, Q)
-        r2, _ = _r2_rho2(space, Q)
-        err = float((m * r2).sum()) - c
+        split = _r2_rho2(space, Q)
+        err = float((m * split[0]).sum()) - c
         if abs(err) <= 1e-13 * max(1.0, abs(c)):
             return Q, s
-        G = _grad_I_raw(space, m, Q)
+        G = _grad_I_raw(space, m, Q, split)
         gg = float((G * G * space.metric_diagonal).sum())
         if gg < 1e-30:
             raise NoConvergenceError("cannot restore I = c: grad I vanished")

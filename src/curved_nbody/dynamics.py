@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +38,7 @@ from .manifold import (
     Space,
     _reproject,
     inner,
+    project_point,
 )
 
 __all__ = [
@@ -262,16 +263,18 @@ def _sn_powers(space: Space, s: np.ndarray):
     return sn, sn * sn * sn
 
 
-def _potential_raw(space: Space, m: np.ndarray, Q: np.ndarray) -> float:
+def _potential_raw(space: Space, m: np.ndarray, Q: np.ndarray):
     return _potential_gram(space, m, _gram_checked(space, Q))
 
 
-def _potential_gram(space: Space, m: np.ndarray, s: np.ndarray) -> float:
-    """U from an already checked (N, N) Gram matrix s, which it leaves as is."""
+def _potential_gram(space: Space, m: np.ndarray, s: np.ndarray):
+    """U from an already checked (N, N) Gram matrix s, which it leaves as
+    is; for a (..., N, N) stack, the float64 array of each matrix's U."""
     sn, _ = _sn_powers(space, s)
     ctn = s / sn
-    np.fill_diagonal(ctn, 0.0)
-    return 0.5 * float((np.outer(m, m) * ctn).sum())
+    _fill_diagonal(ctn, 0.0)
+    u = (np.outer(m, m) * ctn).sum(axis=(-2, -1))
+    return 0.5 * (u.astype(float) if u.ndim else float(u))
 
 
 def _singular_bounds(space: Space) -> tuple[float, float]:
@@ -322,37 +325,48 @@ class _ForceKernel:
         return V, self.grad(Q) - (self.sigma * (self.m * vsq))[..., None] * Q
 
 
-# Up to this many bodies the stepper sums forces pair by pair in Python
-# floats: a few dozen numpy calls on (N, 4) arrays cost more than the
-# O(N^2) work itself.  On a 2-vCPU Xeon one rhs takes 5 / 7 / 11 us at
-# N = 2 / 3 / 4 against 23-26 us for _ForceKernel; the two meet near N = 7.
+# Up to this many bodies the stepper runs whole RK4 steps in Python floats:
+# a few dozen numpy calls on (N, 4) arrays per step cost more than the
+# O(N^2) work itself.  On a 2-vCPU Xeon a float step takes about 45 / 70 /
+# 90 us at N = 2 / 3 / 4 against 210-235 us for an array step; the two
+# meet near N = 8.
 _PAIR_LOOP_MAX_N = 4
+
+# The float stepper hands visit its states this many steps at a time, so a
+# run holds O(_BLOCK_STEPS) states, not O(steps), and visit's numpy calls
+# are paid once per block.
+_BLOCK_STEPS = 64
 
 
 class _PairKernel:
-    """_ForceKernel.rhs for one (N, 4) state of a few bodies, as a loop.
+    """Whole RK4 steps of a few bodies in Python floats, in the frame
+    co-moving with exp(t xi) when a generator xi is given.
 
-    Each unordered pair's s, singular-pair test, sn^3 and weight
-    w = m_i m_j / sn^3 are computed once, in _ForceKernel's expressions,
-    and the force is added to both bodies.  V and the velocity term are
-    bitwise _ForceKernel's; the forces differ from its BLAS sums by
-    rounding only.  A singular pair raises SingularPairError(i, j, s) for
-    the first such pair i < j, judged by this loop's own s.
+    A state is a list of N rows of four floats.  Each unordered pair's s,
+    singular-pair test, sn^3 and weight w = m_i m_j / sn^3 are computed
+    once, in _ForceKernel's expressions, and the force is added to both
+    bodies; the forces differ from its BLAS sums by rounding only.  A
+    singular pair raises SingularPairError(i, j, s) for the first such pair
+    i < j, judged by this loop's own s.  The rest is the array stepper's
+    arithmetic operation for operation, so bit for bit: the stage sums,
+    the velocities and velocity term, the co-moving term (_frame_layers),
+    the reprojection and the tangent projection.
     """
 
-    def __init__(self, space: Space, m: np.ndarray):
+    def __init__(self, space: Space, m: np.ndarray, xi=None):
+        self.space = space
         self.sigma = float(space.sigma)
         self.mw = float(space.metric_diagonal[3])
         self.m = [float(v) for v in m]
-        self.mcol = m[:, None]
         self.pairs = [(i, j, self.m[i] * self.m[j])
                       for i, j in combinations(range(len(m)), 2)]
         self.lo, self.hi = _singular_bounds(space)
+        self.layers = _frame_layers(np.zeros((4, 4)) if xi is None else xi)
 
-    def rhs(self, Q: np.ndarray, P: np.ndarray):
-        """(dQ/dt, dP/dt) of the equations of motion at one state (Q, P)."""
+    def rates(self, q: list, p: list):
+        """(dq/dt, dp/dt) of the equations of motion at one state (q, p),
+        in the co-moving frame when the kernel has a generator."""
         sigma, mw, lo, hi = self.sigma, self.mw, self.lo, self.hi
-        q = Q.tolist()
         f = [[0.0, 0.0, 0.0, 0.0] for _ in q]   # sum_j w_ij q_j
         c = [0.0] * len(q)                       # sum_j w_ij s_ij
         for i, j, mm in self.pairs:
@@ -377,23 +391,108 @@ class _PairKernel:
             ws = w * s
             c[i] += ws
             c[j] += ws
-        V = P / self.mcol
-        dP = []
-        for (v0, v1, v2, v3), qi, fi, ci, mi in zip(V.tolist(), q, f, c, self.m):
-            # (grad U)_i - sigma m_i <v_i, v_i> q_i, grouped as _ForceKernel
+        (c0, k0), (c1, k1), (c2, k2), (c3, k3) = self.layers[0]
+        dq, dp = [], []
+        for y, z, fi, ci, mi in zip(q, p, f, c, self.m):
+            x0, x1, x2, x3 = y
+            v0, v1, v2, v3 = z[0] / mi, z[1] / mi, z[2] / mi, z[3] / mi
+            # (grad U)_i - sigma m_i <v_i, v_i> q_i, grouped as _ForceKernel,
+            # then the co-moving terms
             u = sigma * (mi * (v0 * v0 + v1 * v1 + v2 * v2 + mw * v3 * v3))
-            x0, x1, x2, x3 = qi
-            dP.append([fi[0] - ci * x0 - u * x0, fi[1] - ci * x1 - u * x1,
-                       fi[2] - ci * x2 - u * x2, fi[3] - ci * x3 - u * x3])
-        return V, np.array(dP)
+            dq.append((v0 - (y[c0] * k0 + 0.0), v1 - (y[c1] * k1 + 0.0),
+                       v2 - (y[c2] * k2 + 0.0), v3 - (y[c3] * k3 + 0.0)))
+            dp.append((fi[0] - ci * x0 - u * x0 - (z[c0] * k0 + 0.0),
+                       fi[1] - ci * x1 - u * x1 - (z[c1] * k1 + 0.0),
+                       fi[2] - ci * x2 - u * x2 - (z[c2] * k2 + 0.0),
+                       fi[3] - ci * x3 - u * x3 - (z[c3] * k3 + 0.0)))
+        for layer in self.layers[1:]:
+            dq, dp = _less_layer(layer, q, dq), _less_layer(layer, p, dp)
+        return dq, dp
+
+    def step(self, q: list, p: list, dt: float, half: float, sixth: float):
+        """One RK4 step plus projection from (q, p); half = 0.5 dt and
+        sixth = dt / 6, as _rk4 hoists them."""
+        rates = self.rates
+        k1q, k1p = rates(q, p)
+        k2q, k2p = rates(_axpy(q, half, k1q), _axpy(p, half, k1p))
+        k3q, k3p = rates(_axpy(q, half, k2q), _axpy(p, half, k2p))
+        k4q, k4p = rates(_axpy(q, dt, k3q), _axpy(p, dt, k3p))
+        q = _rk4_sum(q, sixth, k1q, k2q, k3q, k4q)
+        p = _rk4_sum(p, sixth, k1p, k2p, k3p, k4p)
+        if not all(map(math.isfinite, chain(*q, *p))):
+            raise OffShellError("non-finite state")
+        q = self._reproject(q)
+        # project_tangent as the array stepper writes it: sigma = +-1
+        # scales exactly, and numpy sums the four products in order
+        sigma, mw = self.sigma, self.mw
+        out = []
+        for (x0, x1, x2, x3), (p0, p1, p2, p3) in zip(q, p):
+            cf = sigma * (x0 * p0 + x1 * p1 + x2 * p2 + x3 * p3 * mw)
+            out.append((p0 - cf * x0, p1 - cf * x1, p2 - cf * x2, p3 - cf * x3))
+        return q, out
+
+    def _reproject(self, q: list) -> list:
+        """manifold._reproject of the rows q, bit for bit."""
+        if self.space is Space.S3:
+            # a float sum of squares rounds differently from the stacked
+            # matmul that _reproject reduces with, so the norms come from it
+            a = np.array(q)
+            sq = np.matmul(a[:, None, :], a[:, :, None]).ravel().tolist()
+            norms = [math.sqrt(v) for v in sq]
+            bad = [v < 1e-12 for v in norms]
+        else:
+            # -inner(q, q), in inner's order
+            sq = [-((x0 * x0 + x1 * x1 + x2 * x2) - x3 * x3)
+                  for x0, x1, x2, x3 in q]
+            bad = [row[3] <= 0.0 or v <= 1e-12 for row, v in zip(q, sq)]
+        if any(bad):
+            project_point(np.array(q[bad.index(True)]), self.space)
+        if self.space is Space.H3:
+            norms = [math.sqrt(v) for v in sq]
+        return [(x0 / n, x1 / n, x2 / n, x3 / n)
+                for (x0, x1, x2, x3), n in zip(q, norms)]
 
 
-def _stepper_rhs(space: Space, m: np.ndarray):
-    """The rhs(Q, P) that the RK4 stepper uses for one run of masses m: the
-    pair loop up to _PAIR_LOOP_MAX_N bodies, the array kernel above."""
-    if len(m) <= _PAIR_LOOP_MAX_N:
-        return _PairKernel(space, m).rhs
-    return _ForceKernel(space, m).rhs
+def _frame_layers(xi) -> list:
+    """The nonzero entries of a 4 x 4 generator xi, as layers of one
+    (column, coefficient) per row, so that (y xi^T)_r is the sum over the
+    layers of y[column] * coefficient; a row with fewer entries is padded
+    with (r, 0.0).
+
+    Each product is taken plus +0.0, as BLAS's zero-started sum takes it,
+    so a generator with at most one nonzero per row (none, a double
+    rotation, a rotation-boost) gives the BLAS product's bits, an exact
+    zero included.  The parabolic generator has two in some rows, summed
+    layer by layer, which may differ from BLAS in the last bit.
+    """
+    rows = [[(c, float(v)) for c, v in enumerate(row) if v != 0.0] for row in xi]
+    depth = max(1, *map(len, rows))
+    return [[row[k] if k < len(row) else (r, 0.0) for r, row in enumerate(rows)]
+            for k in range(depth)]
+
+
+def _less_layer(layer, y: list, d: list) -> list:
+    """The rows d less the co-moving term of one further layer on y."""
+    (c0, k0), (c1, k1), (c2, k2), (c3, k3) = layer
+    return [(a0 - (r[c0] * k0 + 0.0), a1 - (r[c1] * k1 + 0.0),
+             a2 - (r[c2] * k2 + 0.0), a3 - (r[c3] * k3 + 0.0))
+            for (a0, a1, a2, a3), r in zip(d, y)]
+
+
+def _axpy(x: list, h: float, k: list) -> list:
+    """The rows x + h k, as the array stage input x + h * k rounds them."""
+    return [(a0 + h * b0, a1 + h * b1, a2 + h * b2, a3 + h * b3)
+            for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(x, k)]
+
+
+def _rk4_sum(x: list, sixth: float, k1, k2, k3, k4) -> list:
+    """The rows x + sixth (k1 + 2 k2 + 2 k3 + k4), in the array order."""
+    return [(x0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+             x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+             x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+             x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3))
+            for (x0, x1, x2, x3), (a0, a1, a2, a3), (b0, b1, b2, b3),
+            (c0, c1, c2, c3), (d0, d1, d2, d3) in zip(x, k1, k2, k3, k4)]
 
 
 def _grad_U_raw(space: Space, m: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -448,15 +547,17 @@ def kinetic_energy(state: PhaseState, half: bool = False) -> float:
 
 
 def _first_integrals(space: Space, m, Q, P) -> np.ndarray:
-    """conserved()'s seven values as one array, in the dtype of Q and P.
+    """conserved()'s seven values, in the dtype of Q and P: shape (7,) for
+    one (N, 4) state, (..., 7) for a (..., N, 4) stack.
 
     The order is ConservedSet's.  Only the potential comes back rounded to
-    float64, as _potential_raw returns it.
+    float64, as _potential_raw returns it.  A stack gives each state's
+    values bit for bit.
     """
-    kin = 0.5 * np.sum(np.sum(P * P * space.metric_diagonal, axis=1) / m)
-    omegas = [np.sum(P[:, a] * Q[:, b] - Q[:, a] * P[:, b])
+    kin = 0.5 * ((P * P * space.metric_diagonal).sum(axis=-1) / m).sum(axis=-1)
+    omegas = [(P[..., a] * Q[..., b] - Q[..., a] * P[..., b]).sum(axis=-1)
               for a, b in combinations(range(4), 2)]
-    return np.array([kin - _potential_raw(space, m, Q), *omegas])
+    return np.stack([kin - _potential_raw(space, m, Q), *omegas], axis=-1)
 
 
 def conserved(state: PhaseState) -> ConservedSet:
@@ -491,24 +592,70 @@ def generator_momenta(config: Configuration, generator) -> np.ndarray:
     return config.masses[:, None] * (config.points @ xi.T)
 
 
-def _rk4(space: Space, rhs, Q, P, dt: float, steps: int, visit) -> None:
-    """Fixed-step RK4 plus projection, calling visit(k, Q, P) after step k.
+def _encounter(exc: Exception, t: float) -> SingularEncounterError:
+    """The SingularEncounterError for exc, met in the step that starts at
+    time t or in the state it starts from; raise it from exc."""
+    if isinstance(exc, SingularPairError):
+        return SingularEncounterError(
+            f"singular pair ({exc.i}, {exc.j}) near t = {t:.6g}")
+    return SingularEncounterError(
+        f"step left the resolvable region near t = {t:.6g}: {exc}")
 
-    rhs(Q, P) returns the rows (dQ/dt, dP/dt); both callers build it from
-    _stepper_rhs, so N alone decides between the pair loop and the array
-    kernel.  After each step the positions are rescaled onto the manifold
-    and the momenta re-projected onto tangent spaces.  A singular pair
-    (SingularPairError from either kernel), a non-finite state or a row that
-    cannot be scaled back, met in a stage, the projection or visit, raises
-    SingularEncounterError chained from its cause.  Overflow and invalid
-    operations raise no RuntimeWarning here: a step of huge dt reaches that
-    error through the non-finite values they leave.
+
+def _rk4(space: Space, m: np.ndarray, Q, P, dt: float, steps: int, visit,
+         xi=None) -> None:
+    """Fixed-step RK4 plus projection of masses m from the state (Q, P).
+
+    With a generator xi the equations of motion are integrated in the frame
+    co-moving with exp(t xi): each stage subtracts (Q xi^T, P xi^T).  After
+    each step the positions are rescaled onto the manifold and the momenta
+    re-projected onto tangent spaces.  visit(k, Qs, Ps) receives the states
+    after steps k + 1, ..., k + B as (B, N, 4) stacks, in step order.
+
+    N alone picks the arithmetic.  Up to _PAIR_LOOP_MAX_N bodies
+    _PairKernel runs whole steps in Python floats and visit gets blocks of
+    up to _BLOCK_STEPS steps; above, _ForceKernel's array stages run and
+    visit gets each step alone.  A singular pair, a non-finite state or a
+    row that cannot be scaled back, met in a stage or the projection,
+    raises SingularEncounterError chained from its cause, once visit has
+    seen every state before it; visit's own errors pass through.  Overflow
+    and invalid operations raise no RuntimeWarning here: a step of huge dt
+    reaches that error through the non-finite values they leave.
     """
     # 0.5 * dt * k already evaluates as (0.5 * dt) * k, so hoisting is bitwise
     half, sixth = 0.5 * dt, dt / 6.0
-    sigma, met = space.sigma, space.metric_diagonal
+    failures = (SingularPairError, OffShellError, DegenerateVectorError)
     # one errstate per run, not per step, keeps its cost out of the loop
     with np.errstate(over="ignore", invalid="ignore"):
+        if len(m) <= _PAIR_LOOP_MAX_N:
+            step = _PairKernel(space, m, xi).step
+            q, p = np.asarray(Q).tolist(), np.asarray(P).tolist()
+            done = 0
+            while done < steps:
+                qs, ps, failure = [], [], None
+                try:
+                    for _ in range(min(_BLOCK_STEPS, steps - done)):
+                        q, p = step(q, p, dt, half, sixth)
+                        qs.append(q)
+                        ps.append(p)
+                except failures as exc:
+                    failure = exc
+                if qs:
+                    visit(done, np.array(qs), np.array(ps))
+                done += len(qs)
+                if failure is not None:
+                    raise _encounter(failure, done * dt) from failure
+            return
+        rhs = _ForceKernel(space, m).rhs
+        if xi is not None:
+            xiT = np.ascontiguousarray(np.asarray(xi, dtype=float).T)
+            kernel_rhs = rhs
+
+            def rhs(Q, P):
+                dQ, dP = kernel_rhs(Q, P)
+                return dQ - Q @ xiT, dP - P @ xiT
+
+        sigma, met = space.sigma, space.metric_diagonal
         for k in range(1, steps + 1):
             try:
                 k1q, k1p = rhs(Q, P)
@@ -522,15 +669,9 @@ def _rk4(space: Space, rhs, Q, P, dt: float, steps: int, visit) -> None:
                 Q = _reproject(space, Q)
                 # project_tangent, bitwise: sigma = +-1 scales exactly
                 P = P - (sigma * (Q * P * met).sum(axis=-1))[..., None] * Q
-                visit(k, Q, P)
-            except SingularPairError as exc:
-                raise SingularEncounterError(
-                    f"singular pair ({exc.i}, {exc.j}) near t = {(k - 1) * dt:.6g}"
-                ) from exc
-            except (OffShellError, DegenerateVectorError) as exc:
-                raise SingularEncounterError(
-                    f"step left the resolvable region near t = {(k - 1) * dt:.6g}: {exc}"
-                ) from exc
+            except failures as exc:
+                raise _encounter(exc, (k - 1) * dt) from exc
+            visit(k - 1, Q[None], P[None])
 
 
 def step_count(horizon: float, dt: float) -> int:
@@ -563,15 +704,15 @@ def integrate(
     space, m = state.config.space, state.config.masses
     times, qs, ps = [0.0], [state.config.points], [state.momenta]
 
-    def record(k, Q, P):
-        if k % record_every == 0 or k == steps:
-            times.append(k * dt)
-            qs.append(Q)
-            ps.append(P)
+    def record(k0, Qs, Ps):
+        for k, Q, P in zip(range(k0 + 1, k0 + len(Qs) + 1), Qs, Ps):
+            if k % record_every == 0 or k == steps:
+                times.append(k * dt)
+                qs.append(Q)
+                ps.append(P)
 
-    rhs = _stepper_rhs(space, m)
     try:
-        _rk4(space, rhs, state.config.points, state.momenta, dt, steps, record)
+        _rk4(space, m, state.config.points, state.momenta, dt, steps, record)
     except SingularEncounterError as exc:
         exc.partial = Trajectory(
             space, m, np.array(times), np.array(qs), np.array(ps), completed=False
@@ -589,13 +730,11 @@ def trajectory_to_csv(
     """Write `t,i,x,y,z,w,px,py,pz,pw` rows plus an optional JSON sidecar
     of conserved-quantity samples (every sample_stride-th record)."""
     lines = ["t,i,x,y,z,w,px,py,pz,pw"]
-    for k, t in enumerate(traj.times):
-        for i in range(len(traj.masses)):
-            q = traj.positions[k, i]
-            p = traj.momenta[k, i]
-            fields = [repr(float(t)), str(i)]
-            fields += [repr(float(v)) for v in q] + [repr(float(v)) for v in p]
-            lines.append(",".join(fields))
+    # tolist() hands over Python floats, whose repr is the field's text
+    for t, qs, ps in zip(traj.times.tolist(), traj.positions.tolist(),
+                         traj.momenta.tolist()):
+        for i, (q, p) in enumerate(zip(qs, ps)):
+            lines.append(",".join([repr(t), str(i), *map(repr, q), *map(repr, p)]))
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     if sidecar_path is None:

@@ -53,10 +53,12 @@ def grad_I(config: Configuration) -> np.ndarray:
     return _grad_I_raw(config.space, config.masses, config.points)
 
 
-def _grad_I_raw(space: Space, m: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """grad I of an (N, 4) array or of each configuration of a stack."""
+def _grad_I_raw(space: Space, m: np.ndarray, Q: np.ndarray,
+                split=None) -> np.ndarray:
+    """grad I of an (N, 4) array or of each configuration of a stack;
+    split is _r2_rho2(space, Q) when the caller has already computed it."""
     sigma = space.sigma
-    r2, rho2 = _r2_rho2(space, Q)
+    r2, rho2 = _r2_rho2(space, Q) if split is None else split
     out = np.empty_like(Q)
     out[..., 0] = Q[..., 0] * rho2
     out[..., 1] = Q[..., 1] * rho2

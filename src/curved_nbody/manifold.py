@@ -244,7 +244,7 @@ def _boost(t: float) -> np.ndarray:
     return np.array([[c, s], [s, c]])
 
 
-def isometry_matrix(g: IsometryGenerator, t: float, dtype=float) -> np.ndarray:
+def isometry_matrix(g: IsometryGenerator, t, dtype=float) -> np.ndarray:
     """Closed-form exp(xi t) for the three generator kinds, built at dtype.
 
     The parabolic generator is nilpotent of order three, so its exponential
@@ -252,26 +252,31 @@ def isometry_matrix(g: IsometryGenerator, t: float, dtype=float) -> np.ndarray:
     are block rotations/boosts.  All three preserve their space's bilinear
     form to machine precision.  Boost entries grow like e^{|beta| t}, so a
     frame whose rounding must stay below that of the state it multiplies
-    is built at dtype=np.longdouble.
+    is built at dtype=np.longdouble.  An array of times gives a (..., 4, 4)
+    stack of frames; at np.longdouble each is the scalar call's bit for bit
+    (float64 array trig may use SIMD code that rounds differently).
     """
-    m = np.eye(4, dtype=dtype)
+    t = np.asarray(t, dtype=dtype)
+    m = np.zeros(t.shape + (4, 4), dtype=dtype)
+    for k in range(4):
+        m[..., k, k] = 1.0
     if g.kind is GeneratorKind.PARABOLIC:
-        u = dtype(g.eta) * dtype(t)
+        u = dtype(g.eta) * t
         h = u * u / 2.0
-        m[1, 2:] = -u, u
-        m[2, 1:] = u, 1.0 - h, h
-        m[3, 1:] = u, -h, 1.0 + h
+        m[..., 1, 2], m[..., 1, 3] = -u, u
+        m[..., 2, 1], m[..., 2, 2], m[..., 2, 3] = u, 1.0 - h, h
+        m[..., 3, 1], m[..., 3, 2], m[..., 3, 3] = u, -h, 1.0 + h
         return m
-    a = dtype(g.alpha) * dtype(t)
-    b = dtype(g.beta) * dtype(t)
+    a = dtype(g.alpha) * t
+    b = dtype(g.beta) * t
     c, s = np.cos(a), np.sin(a)
-    m[:2, :2] = [[c, -s], [s, c]]
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = c, -s, s, c
     if g.kind is GeneratorKind.ROTATION_BOOST:
         c, s = np.cosh(b), np.sinh(b)
-        m[2:, 2:] = [[c, s], [s, c]]
+        m[..., 2, 2], m[..., 2, 3], m[..., 3, 2], m[..., 3, 3] = c, s, s, c
     else:
         c, s = np.cos(b), np.sin(b)
-        m[2:, 2:] = [[c, -s], [s, c]]
+        m[..., 2, 2], m[..., 2, 3], m[..., 3, 2], m[..., 3, 3] = c, -s, s, c
     return m
 
 

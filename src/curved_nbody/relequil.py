@@ -19,12 +19,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InadmissibleBetaError, NotACentralConfigError, check_scalar
+from .errors import (
+    InadmissibleBetaError,
+    NotACentralConfigError,
+    SingularPairError,
+    check_scalar,
+)
 from .manifold import GeneratorKind, IsometryGenerator, Space, isometry_matrix
 from .dynamics import (
+    _encounter,
     _first_integrals,
     _rk4,
-    _stepper_rhs,
     Configuration,
     Trajectory,
     generator_momenta,
@@ -260,9 +265,9 @@ def _comoving_run(instance: REInstance, horizon: float, dt: float, record: bool)
     space = cfg.space
     m = cfg.masses
     met = space.metric_diagonal
-    xiT = np.ascontiguousarray(instance.generator.matrix_log().T)
+    g = instance.generator
     Y = cfg.points
-    Z = generator_momenta(cfg, instance.generator)
+    Z = generator_momenta(cfg, g)
     stride = max(1, steps // 100)
     every = max(1, steps // 1000)
     times, ys, zs = [0.0], [Y], [Z]
@@ -271,44 +276,58 @@ def _comoving_run(instance: REInstance, horizon: float, dt: float, record: bool)
     ld = np.longdouble
     ml = m.astype(ld)
 
-    def distances(Y):
-        s = space.sigma * ((Y * met) @ Y.T)[iu]
+    def distances(Ys):
+        s = space.sigma * ((Ys * met) @ Ys.swapaxes(-1, -2))[..., iu[0], iu[1]]
         if space is Space.S3:
             return np.arccos(np.clip(s, -1.0, 1.0))
         return np.arccosh(np.maximum(s, 1.0))
 
-    def integrals(t, Y, Z):
-        # the ambient state (Y R^T, Z R^T) in extended precision: boost
+    def integrals(ks, Ys, Zs):
+        # the ambient states (Y R^T, Z R^T) in extended precision: boost
         # entries of R grow like e^{|beta| t}, and at large rapidity the
         # omega products cancel huge coordinates down to O(1) values, which
         # float64 cannot do below the certification tolerances
-        RT = isometry_matrix(instance.generator, t, ld).T
-        vals = _first_integrals(space, ml, Y.astype(ld) @ RT, Z.astype(ld) @ RT)
+        RT = isometry_matrix(g, np.array(ks) * dt, ld).swapaxes(-1, -2)
+        vals = _first_integrals(space, ml, Ys.astype(ld) @ RT, Zs.astype(ld) @ RT)
         return vals.astype(float)
 
-    kernel = _stepper_rhs(space, m)
-
-    def rhs(Y, Z):
-        dY, dZ = kernel(Y, Z)
-        return dY - Y @ xiT, dZ - Z @ xiT
+    def worst(a):
+        # the largest entry of a, skipping each row that holds a NaN, as a
+        # running max() over the rows one by one skips it
+        return float(np.fmax.reduce(a.max(axis=-1)))
 
     d0 = distances(Y)
-    c0 = integrals(0.0, Y, Z)
+    c0 = integrals([0], Y[None], Z[None])[0]
     drift = 0.0
     cons = 0.0
 
-    def measure(k, Y, Z):
+    def measure(k0, Ys, Zs):
         nonlocal drift, cons
+        ks = range(k0 + 1, k0 + len(Ys) + 1)
         if len(d0):
-            drift = max(drift, float(np.max(np.abs(distances(Y) - d0))))
-        if k % stride == 0 or k == steps:
-            cons = max(cons, float(np.max(np.abs(integrals(k * dt, Y, Z) - c0))))
-        if record and (k % every == 0 or k == steps):
-            times.append(k * dt)
-            ys.append(Y)
-            zs.append(Z)
+            drift = max(drift, worst(np.abs(distances(Ys) - d0)))
+        at = [i for i, k in enumerate(ks) if k % stride == 0 or k == steps]
+        if at:
+            sampled = [ks[i] for i in at]
+            try:
+                vals = integrals(sampled, Ys[at], Zs[at])
+            except SingularPairError:
+                # the first sample in step order that raises alone
+                for k, i in zip(sampled, at):
+                    try:
+                        integrals([k], Ys[i:i + 1], Zs[i:i + 1])
+                    except SingularPairError as exc:
+                        raise _encounter(exc, (k - 1) * dt) from exc
+                raise
+            cons = max(cons, worst(np.abs(vals - c0)))
+        if record:
+            for i, k in enumerate(ks):
+                if k % every == 0 or k == steps:
+                    times.append(k * dt)
+                    ys.append(Ys[i])
+                    zs.append(Zs[i])
 
-    _rk4(space, rhs, Y, Z, dt, steps, measure)
+    _rk4(space, m, Y, Z, dt, steps, measure, g.matrix_log())
     if not record:
         return drift, cons, None
     RT = np.array([isometry_matrix(instance.generator, t).T for t in times])

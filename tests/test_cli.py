@@ -1,6 +1,8 @@
 """End-to-end command tests driven through main(argv)."""
 
+import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -256,6 +258,53 @@ def test_simulate_csv_follows_the_certified_orbit(tmp_path):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         traj.state_at(k)
     assert times[-1] == pytest.approx(10.0)
+
+
+def _simulate_panel():
+    """(payload, beta) of the simulate digest: the five criterion-4
+    members, one seeded member of each of bench's three seeded families
+    (mass U(0.5, 1.5), radius U(0.5, 0.9), beta U(0, cap) with bench's
+    cap) and the tetrahedron, at the largest N the pair loop serves."""
+    panel = [(_payload("example1_s3"), 0.0), (_payload("example1_s3"), 1.0),
+             (_payload("example2_h3"), 0.0), (_payload("example2_h3"), 1.0),
+             (_payload("example2_h3"), math.sqrt(3.0) / 2.0)]
+    rng = np.random.default_rng(5)
+    for name in ("lagrangian_s2", "lagrangian_h2", "geodesic_h1"):
+        fixture = FIXTURE_BUILDERS[name](rng.uniform(0.5, 1.5),
+                                         rng.uniform(0.5, 0.9))
+        cap = 1.0
+        if fixture.config.space.value == "H3":
+            cap = min(cap, math.sqrt(-2.0 * fixture.expected_lambda))
+        panel.append((fixture.config.to_dict(), float(rng.uniform(0.0, cap))))
+    panel.append((_payload("tetrahedron_s2"), 1.0))
+    return panel
+
+
+_SIMULATE_DIGEST = (
+    "f32dceff00b3cbf48df4c8180437e97823605e087d09240057e53bfa8ea83f8d"
+)
+
+
+def test_simulate_is_pinned_bitwise_on_the_reference_panel(
+        tmp_path, capsys, monkeypatch):
+    # stdout, and with --out (every other member) the CSV and both JSON
+    # sidecars, at T = 0.5; relative paths keep tmp_path out of the bytes
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for k, (payload, beta) in enumerate(_simulate_panel()):
+        _write(tmp_path, "cfg.json", payload)
+        argv = ["simulate", "cfg.json", "--beta", repr(beta),
+                "--horizon", "0.5"]
+        files = []
+        if k % 2:
+            argv += ["--out", "orbit.csv"]
+            files = ["orbit.csv", "orbit.csv.conserved.json",
+                     "orbit.csv.drift.json"]
+        assert main(argv) == 0
+        h.update(capsys.readouterr().out.encode())
+        for name in files:
+            h.update((tmp_path / name).read_bytes())
+    assert h.hexdigest() == _SIMULATE_DIGEST
 
 
 def test_simulate_requires_a_rate(tmp_path, capsys):

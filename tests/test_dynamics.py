@@ -7,6 +7,7 @@ import pytest
 from curved_nbody.dynamics import (
     Configuration,
     PhaseState,
+    _first_integrals,
     conserved,
     eom_rhs,
     generator_momenta,
@@ -247,6 +248,22 @@ def test_omega_components_match_definition():
     want_zw = float(np.sum(p[:, 2] * q[:, 3] - q[:, 2] * p[:, 3]))
     assert c.omega_zw == pytest.approx(want_zw)
     assert len(c.as_dict()) == 7  # energy + six components
+
+
+@pytest.mark.parametrize("space", [Space.S3, Space.H3])
+@pytest.mark.parametrize("dtype", [float, np.longdouble])
+def test_first_integrals_of_a_stack_are_each_states_values(space, dtype):
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 4, 6, 9):
+        m = rng.uniform(0.5, 2.0, n)
+        cfgs = [random_config(space, n, rng, masses=m) for _ in range(5)]
+        Q = np.array([c.points for c in cfgs]).astype(dtype)
+        P = np.array([random_momenta(c, rng, scale=0.7) for c in cfgs]).astype(dtype)
+        stack = _first_integrals(space, m.astype(dtype), Q, P)
+        assert stack.shape == (5, 7) and stack.dtype == dtype
+        for q, p, vals in zip(Q, P, stack):
+            # values, not bytes: long double carries padding bytes
+            assert np.array_equal(vals, _first_integrals(space, m.astype(dtype), q, p))
 
 
 def test_rk4_is_fourth_order():

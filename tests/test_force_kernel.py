@@ -4,17 +4,21 @@ RK4 stepper that calls them against float-hex pins.
 The array kernel hoists the metric, the mass column and the singular-pair
 bounds out of the stage loop, and tests singular pairs with one fused
 predicate.  None of that may change a bit of any
-result or any SingularPairError.  The pair loop that the stepper uses for
-a few bodies sums in another order, so its forces are held to a rounding
-bound set from float64 eps, and its singular pairs to the same errors.
+result or any SingularPairError.  The float stepper that runs whole steps
+for a few bodies sums the forces in another order, so its runs are held
+to the array stepper's within a relative 1e-12, and its singular pairs to
+the same errors.  The array stepper is driven at those few bodies by
+lowering _PAIR_LOOP_MAX_N, the only thing that picks between the two.
 """
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curved_nbody import dynamics
 from curved_nbody.centralconfig import make_report
 from curved_nbody.dynamics import (
     _PAIR_LOOP_MAX_N,
@@ -25,13 +29,18 @@ from curved_nbody.dynamics import (
     _gram_checked,
     _rk4,
     _sn_powers,
-    _stepper_rhs,
     generator_momenta,
     integrate,
 )
 from curved_nbody.errors import SingularEncounterError, SingularPairError
 from curved_nbody.fixtures import FIXTURE_BUILDERS
-from curved_nbody.manifold import EPS_SINGULAR, Space, inner
+from curved_nbody.manifold import (
+    EPS_SINGULAR,
+    GeneratorKind,
+    IsometryGenerator,
+    Space,
+    inner,
+)
 from curved_nbody.relequil import certify_rigidity, pick_member, re_family_from_cc
 
 from helpers import random_config, random_momenta
@@ -88,49 +97,109 @@ def test_kernel_is_bitwise_the_reference_formula(args):
         assert _bits(kernel.rhs(q, p)) == _bits(_reference_rhs(space, m, q, p))
 
 
-# ─── the pair loop against the array kernel ─────────────────────────────
+# ─── the float stepper against the array stepper ────────────────────────
 
 
-def _pair_loop_bound(space, m, Q, P):
-    """Per-body bound on |pair loop - array kernel| in dP, from float64 eps
-    and the sizes of the summed terms, not of the result: the weights and
-    the terms w_ij q_j, w_ij s_ij q_i and the velocity term, with the error
-    in s amplified by 1 / sn^2 in w = m_i m_j / sn^3."""
-    n = len(m)
-    s = _gram_checked(space, Q)
-    _, sn3 = _sn_powers(space, s)
-    w = np.outer(m, m) / sn3
-    w[range(n), range(n)] = 0.0
-    sn2 = space.sigma * (1.0 - s * s)
-    off = ~np.eye(n, dtype=bool)
-    min_sn2 = float(np.min(sn2[off])) if n > 1 else 1.0
-    size = np.sum(np.abs(Q), axis=1)           # |q_i|, one per body
-    V = P / m[:, None]
-    u = np.abs(m * inner(V, V, space))         # |sigma m_i <v_i, v_i>|
-    terms = np.abs(w) @ size + (np.abs(w) * np.abs(s)).sum(axis=1) * size
-    return 64.0 * np.finfo(float).eps * (terms + u * size) / min_sn2
+@contextlib.contextmanager
+def _array_stepper():
+    """A context in which _rk4 runs the array stages at every N."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_PAIR_LOOP_MAX_N", 0)
+        yield
 
 
-@settings(max_examples=80, deadline=None)
+def _final_state(space, m, Q, P, dt, steps, xi=None):
+    states = []
+    _rk4(space, m, Q, P, dt, steps,
+         lambda k, Qs, Ps: states.append((k + len(Qs), Qs[-1], Ps[-1])), xi)
+    return states[-1]
+
+
+def _generator(space, kind, rng):
+    if kind == "none":
+        return None
+    if kind == "parabolic":
+        return IsometryGenerator(GeneratorKind.PARABOLIC, eta=rng.uniform(-1.0, 1.0))
+    block = (GeneratorKind.DOUBLE_ROTATION if space is Space.S3
+             else GeneratorKind.ROTATION_BOOST)
+    return IsometryGenerator(block, *rng.uniform(-1.5, 1.5, 2))
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([Space.S3, Space.H3]),
-       st.integers(1, _PAIR_LOOP_MAX_N), st.sampled_from([0.1, 1.0, 10.0]))
-def test_pair_loop_matches_the_array_kernel(seed, space, n, scale):
+       st.integers(2, _PAIR_LOOP_MAX_N), st.sampled_from([0.1, 1.0, 3.0]),
+       st.sampled_from(["none", "block", "parabolic"]))
+def test_pair_loop_matches_the_array_kernel(seed, space, n, scale, kind):
+    # 20 steps in floats against 20 array steps from the same state: the
+    # forces differ by rounding only, and nothing amplifies that to more
+    # than a relative 1e-12 in so few steps
+    if kind == "parabolic" and space is Space.S3:
+        kind = "block"
     rng = np.random.default_rng(seed)
     cfg = random_config(space, n, rng, masses=rng.uniform(0.1, 5.0, n))
-    Q, m = cfg.points, cfg.masses
     P = random_momenta(cfg, rng, scale=scale)
-    V, dP = _PairKernel(space, m).rhs(Q, P)
-    want_V, want_dP = _ForceKernel(space, m).rhs(Q, P)
-    assert _bits(V) == _bits(want_V)
-    bound = _pair_loop_bound(space, m, Q, P)
-    assert np.all(np.abs(dP - want_dP) <= bound[:, None])
+    g = _generator(space, kind, rng)
+    xi = None if g is None else g.matrix_log()
+    got = _final_state(space, cfg.masses, cfg.points, P, 1e-3, 20, xi)
+    with _array_stepper():
+        want = _final_state(space, cfg.masses, cfg.points, P, 1e-3, 20, xi)
+    assert got[0] == want[0] == 20
+    for a, b in zip(got[1:], want[1:]):
+        assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_the_stepper_picks_the_kernel_by_body_count(n):
-    rhs = _stepper_rhs(Space.S3, np.ones(n))
+def test_the_stepper_picks_the_kernel_by_body_count(n, monkeypatch):
+    calls = []
+    for cls, name in ((_PairKernel, "step"), (_ForceKernel, "rhs")):
+        original = getattr(cls, name)
+
+        def counted(self, *args, _original=original, _cls=cls):
+            calls.append(_cls)
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    cfg = random_config(Space.S3, n, np.random.default_rng(n))
+    integrate(PhaseState(cfg, np.zeros((n, 4))), 1e-3, 2)
     kind = _PairKernel if n <= _PAIR_LOOP_MAX_N else _ForceKernel
-    assert type(rhs.__self__) is kind
+    assert calls and set(calls) == {kind}
+
+
+def _infall(space, n, h):
+    """n bodies at rest; bodies 0 and 1 a gap 2h apart fall together, the
+    others stay clear of them."""
+    if space is Space.S3:
+        pts = [[math.cos(h), math.sin(h), 0.0, 0.0],
+               [math.cos(h), -math.sin(h), 0.0, 0.0],
+               [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]]
+    else:
+        w, far = math.sqrt(1.0 + h * h), math.sqrt(5.0)
+        pts = [[h, 0.0, 0.0, w], [-h, 0.0, 0.0, w],
+               [0.0, 0.0, 2.0, far], [0.0, -2.0, 0.0, far]]
+    return Configuration(space, [1.0, 2.0, 0.5, 0.8][:n], np.array(pts[:n]))
+
+
+@pytest.mark.parametrize("space", [Space.S3, Space.H3])
+@pytest.mark.parametrize("n", range(2, _PAIR_LOOP_MAX_N + 1))
+def test_both_steppers_meet_a_collision_alike(space, n):
+    # both raise for the same pair at the same t, and integrate's partial
+    # trajectory holds the same records; near the collision 1/sn^3
+    # amplifies the steppers' rounding differences, but they stay far
+    # below RK4's own error there
+    state = PhaseState(_infall(space, n, 0.3), np.zeros((n, 4)))
+    runs = []
+    for arrays in (False, True):
+        with (_array_stepper() if arrays else contextlib.nullcontext()):
+            with pytest.raises(SingularEncounterError) as err:
+                integrate(state, 1e-3, 5000, record_every=3)
+        runs.append(err.value)
+    got, want = runs
+    assert str(got) == str(want)
+    assert "singular pair (0, 1)" in str(got)
+    assert (got.__cause__.i, got.__cause__.j) == (want.__cause__.i, want.__cause__.j)
+    assert np.array_equal(got.partial.times, want.partial.times)
+    assert not got.partial.completed and not want.partial.completed
+    assert np.max(np.abs(got.partial.positions - want.partial.positions)) < 1e-6
 
 
 # ─── the fused singular-pair predicate ──────────────────────────────────
@@ -263,10 +332,10 @@ def _assert_pair_loop_raises_alike(space, Q):
         else:
             want = None
         if want is None:
-            _PairKernel(space, m).rhs(Q, np.zeros_like(Q))
+            _PairKernel(space, m).rates(Q.tolist(), np.zeros_like(Q).tolist())
             return
         with pytest.raises(SingularPairError) as got:
-            _PairKernel(space, m).rhs(Q, np.zeros_like(Q))
+            _PairKernel(space, m).rates(Q.tolist(), np.zeros_like(Q).tolist())
     assert (got.value.i, got.value.j) == (want.i, want.j)
     v, u = got.value.value, want.value
     assert v == u or (math.isnan(v) and math.isnan(u))
@@ -290,7 +359,7 @@ def test_pair_loop_judges_a_pair_by_its_own_sum():
     assert math.fsum(a) == hi and ((a[0] + a[1]) + a[2]) + a[3] > hi
     Q = np.array([a, [1.0, 1.0, 1.0, 1.0]])
     with pytest.raises(SingularPairError) as got:
-        _PairKernel(Space.S3, np.ones(2)).rhs(Q, np.zeros_like(Q))
+        _PairKernel(Space.S3, np.ones(2)).rates(Q.tolist(), np.zeros_like(Q).tolist())
     assert (got.value.i, got.value.j) == (0, 1) and got.value.value > hi
 
 
@@ -313,9 +382,9 @@ def test_a_collision_on_the_pair_loop_keeps_its_partial_trajectory():
     # path: close to the collision 1/sn^3 amplifies the kernels' rounding
     # differences, but they stay far below RK4's own error there
     seen = []
-    with pytest.raises(SingularEncounterError):
-        _rk4(Space.S3, _ForceKernel(Space.S3, cfg.masses).rhs, cfg.points,
-             state.momenta, 1e-3, 5000, lambda k, Q, P: seen.append(Q))
+    with _array_stepper(), pytest.raises(SingularEncounterError):
+        _rk4(Space.S3, cfg.masses, cfg.points, state.momenta, 1e-3, 5000,
+             lambda k, Qs, Ps: seen.extend(Qs))
     assert len(seen) + 1 == len(partial)
     assert np.max(np.abs(np.array(seen) - partial.positions[1:])) < 1e-6
 
@@ -325,10 +394,10 @@ def test_a_collision_on_the_pair_loop_keeps_its_partial_trajectory():
 # The bits of the per-stage arithmetic, on one S3 and one H3 criterion-4
 # member: the final state of 200 RK4 steps at dt = 1e-3, and
 # certify_rigidity(horizon=0.2).  _PINNED_FINAL is the array kernel's,
-# recorded with its constants still rebuilt on every stage; _rk4 is driven
-# with it directly, since integrate uses the pair loop for three bodies.
-# _PINNED_FINAL_PAIR_LOOP is integrate's on the pair loop, and the
-# certificates are the pair loop's too (at T = 0.2 they are the array
+# recorded with its constants still rebuilt on every stage; _rk4 runs the
+# array stages at three bodies only with _PAIR_LOOP_MAX_N lowered.
+# _PINNED_FINAL_PAIR_LOOP is integrate's on the float stepper, and the
+# certificates are the float stepper's too (at T = 0.2 they are the array
 # kernel's bits as well).
 
 
@@ -403,12 +472,12 @@ def _hex(a):
 def test_integrate_final_state_matches_the_recorded_bits(space):
     inst = _members()[space]
     cfg = inst.config
-    states = []
-    _rk4(cfg.space, _ForceKernel(cfg.space, cfg.masses).rhs, cfg.points,
-         generator_momenta(cfg, inst.generator), 1e-3, 200,
-         lambda k, Q, P: states.append((Q, P)))
-    assert _hex(states[-1][0]) == _PINNED_FINAL[space][0]
-    assert _hex(states[-1][1]) == _PINNED_FINAL[space][1]
+    with _array_stepper():
+        k, Q, P = _final_state(cfg.space, cfg.masses, cfg.points,
+                               generator_momenta(cfg, inst.generator), 1e-3, 200)
+    assert k == 200
+    assert _hex(Q) == _PINNED_FINAL[space][0]
+    assert _hex(P) == _PINNED_FINAL[space][1]
 
 
 @pytest.mark.parametrize("space", ["S3", "H3"])

@@ -223,6 +223,21 @@ def test_isometry_derivative_is_generator(kind, alpha, beta, eta):
     assert np.max(np.abs(fd - gen.matrix_log())) < 1e-9
 
 
+@pytest.mark.parametrize("kind,alpha,beta,eta", [
+    (GeneratorKind.DOUBLE_ROTATION, 0.9, 0.4, 0.0),
+    (GeneratorKind.ROTATION_BOOST, 0.6, -0.8, 0.0),
+    (GeneratorKind.PARABOLIC, 0.0, 0.0, 1.1),
+])
+def test_isometry_stack_is_the_scalar_frames_in_long_double(kind, alpha, beta, eta):
+    gen = IsometryGenerator(kind, alpha=alpha, beta=beta, eta=eta)
+    ts = np.arange(0, 40) * 0.137
+    stack = isometry_matrix(gen, ts, np.longdouble)
+    assert stack.shape == (40, 4, 4) and stack.dtype == np.longdouble
+    for t, frame in zip(ts, stack):
+        # values, not bytes: long double carries padding bytes
+        assert np.array_equal(frame, isometry_matrix(gen, float(t), np.longdouble))
+
+
 def test_parabolic_is_exact_quadratic():
     gen = IsometryGenerator(GeneratorKind.PARABOLIC, eta=0.5)
     t = 1.8

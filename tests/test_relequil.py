@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from curved_nbody import relequil
 from curved_nbody import (
     Configuration,
+    PhaseState,
     GeneratorKind,
     IsometryGenerator,
     REConstraint,
     REInstance,
     Space,
     certify_rigidity,
+    integrate,
     make_report,
     pick_member,
     re_criterion_residual,
@@ -23,6 +26,7 @@ from curved_nbody.errors import (
     InadmissibleBetaError,
     NotACentralConfigError,
     SingularEncounterError,
+    SingularPairError,
 )
 from curved_nbody.fixtures import FIXTURE_BUILDERS
 
@@ -245,3 +249,42 @@ def test_certificate_reports_a_step_off_the_sheet_as_an_encounter():
     )
     with pytest.raises(SingularEncounterError, match="near t ="):
         certify_rigidity(inst, horizon=12.0, dt=0.3)
+
+
+def test_a_singular_integrals_sample_beats_the_step_that_fails_after_it(
+        monkeypatch):
+    # two bodies falling together from rest on S3, certified in the frame
+    # of the zero generator, whose co-moving states are integrate's bit for
+    # bit; below 200 steps every step is an integrals sample.  The step
+    # that meets the collision and the last good step lie in one block of
+    # float steps, whose samples are evaluated after the block
+    h = 0.15
+    pts = np.array([[math.cos(h), math.sin(h), 0.0, 0.0],
+                    [math.cos(h), -math.sin(h), 0.0, 0.0]])
+    cfg = Configuration(Space.S3, [1.0, 2.0], pts)
+    with pytest.raises(SingularEncounterError) as ambient:
+        integrate(PhaseState(cfg, np.zeros((2, 4))), 1e-3, 190)
+    good = len(ambient.value.partial) - 1   # steps before the failing one
+    last = ambient.value.partial.positions[-1]
+    inst = REInstance(cfg, IsometryGenerator(GeneratorKind.DOUBLE_ROTATION),
+                      None, 0.0, None)
+    with pytest.raises(SingularEncounterError) as plain:
+        certify_rigidity(inst, horizon=0.19, dt=1e-3)
+    assert str(plain.value) == str(ambient.value)
+    assert str(plain.value).endswith(f"near t = {good * 1e-3:.6g}")
+
+    # now the integrals of the last good state raise, as a pair judged
+    # singular in extended precision would
+    original = relequil._first_integrals
+
+    def flagging(space, m, Q, P):
+        if any(np.array_equal(q.astype(float), last) for q in Q):
+            raise SingularPairError(1, 0, 1.0)
+        return original(space, m, Q, P)
+
+    monkeypatch.setattr(relequil, "_first_integrals", flagging)
+    with pytest.raises(SingularEncounterError) as early:
+        certify_rigidity(inst, horizon=0.19, dt=1e-3)
+    assert str(early.value) == (
+        f"singular pair (1, 0) near t = {(good - 1) * 1e-3:.6g}")
+    assert isinstance(early.value.__cause__, SingularPairError)
