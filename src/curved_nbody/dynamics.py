@@ -648,7 +648,7 @@ def _rk4(space: Space, m: np.ndarray, Q, P, dt: float, steps: int, visit,
             return
         rhs = _ForceKernel(space, m).rhs
         if xi is not None:
-            xiT = np.ascontiguousarray(np.asarray(xi, dtype=float).T)
+            xiT = np.ascontiguousarray(xi.T)
             kernel_rhs = rhs
 
             def rhs(Q, P):
