@@ -691,8 +691,8 @@ def integrate(
 
     After each step, positions are rescaled onto the manifold and momenta
     re-projected onto tangent spaces, so recorded states satisfy the
-    constraints to round-off.  The forces are summed pair by pair in
-    Python floats for up to four bodies and by the array kernel for more;
+    constraints to round-off.  Up to four bodies whole steps run in Python
+    floats, forces summed pair by pair; more bodies run the array kernel;
     the two agree to rounding.  A singular pair encountered mid-run raises
     SingularEncounterError carrying the trajectory up to the last good step.
     A dt that is not finite and positive raises OutOfRangeError, and steps
