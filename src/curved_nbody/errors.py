@@ -15,7 +15,8 @@ ValueError               a malformed shape, count, ordering or mass vector
 OutOfRangeError          a scalar outside its domain: the level or size c,
                          a tolerance, the step dt, the horizon, the
                          curvature kappa, the seed count, a lambda given
-                         as input; the message names the argument
+                         as input, a geodesic-solver mass or c outside
+                         [1e-20, 1e20]; the message names the argument
 InadmissibleBetaError    a rate that is not finite or that the family's
                          constraint excludes
 ParamOutOfDomainError    fixture parameters outside the documented domain

@@ -180,8 +180,59 @@ def geodesic_lambda(config: GeodesicHConfig) -> float:
 # hyperbolic geodesic: solver
 # ---------------------------------------------------------------------------
 
+# The solver's working range for every mass and for c.  Inside it
+# c / sum(m) >= 1e-40 / N, which keeps lambda and the Hessian (about
+# M^2 (c/M)^-1.5) near 1e100 or below, so Newton's squared norms stay
+# finite, and c / min(m) <= 1e40, which keeps every |theta| below 47, so
+# cosh 2theta and the cube of sinh of a gap stay finite.
+_GEODESIC_RANGE = (1e-20, 1e20)
+
+
+def _check_geodesic_range(masses, c):
+    lo, hi = _GEODESIC_RANGE
+    if not (lo <= masses.min() and masses.max() <= hi):
+        raise OutOfRangeError(f"masses must lie in [{lo:g}, {hi:g}] on the "
+                              f"geodesic; got {masses.tolist()}")
+    if not lo <= c <= hi:
+        raise OutOfRangeError(f"size c must lie in [{lo:g}, {hi:g}] on the "
+                              f"geodesic; got {c!r}")
+
+
 def _project_ellipsoid(u, masses, c):
     return u * math.sqrt(c / float(np.sum(masses * u * u)))
+
+
+def _pair_potential(t, m) -> float:
+    """U = sum over i < j of m_i m_j coth(t_j - t_i), t increasing, in Python
+    floats; OverflowError or ZeroDivisionError where a gap leaves float range."""
+    val = 0.0
+    for i in range(len(t) - 1):
+        ti, mi = t[i], m[i]
+        for j in range(i + 1, len(t)):
+            d = t[j] - ti
+            val += mi * m[j] * math.cosh(d) / math.sinh(d)
+    return val
+
+
+def _pair_gradient(t, m) -> list:
+    """dU/dtheta for increasing t, in Python floats; raises as _pair_potential."""
+    g = [0.0] * len(t)
+    for i in range(len(t) - 1):
+        ti, mi = t[i], m[i]
+        for j in range(i + 1, len(t)):
+            sh = math.sinh(t[j] - ti)
+            w = mi * m[j] / (sh * sh)
+            g[i] += w
+            g[j] -= w
+    return g
+
+
+def _trial_potential(u, m) -> float:
+    """U at u = sinh(theta); +inf where a math call overflows or divides by zero."""
+    try:
+        return _pair_potential([math.asinh(x) for x in u], m)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def _descend_ordered(u, masses, c, max_iter=50, gtol=1e-8):
@@ -191,30 +242,47 @@ def _descend_ordered(u, masses, c, max_iter=50, gtol=1e-8):
     meet, so U rejects every Armijo step toward a collision, and a step that
     jumps past one fails the ordering test.  A few dozen steps put the
     iterate where Newton converges; _newton does the rest.
+
+    The loop runs on lists of Python floats with math's sinh, cosh and asinh,
+    since numpy's per-call overhead on length-N arrays outweighs the
+    arithmetic at every N an enumeration reaches.  A trial whose arithmetic
+    overflows or divides by zero has U = +inf and is rejected; a gradient
+    that cannot be formed ends the descent.  Takes and returns arrays.
     """
-    val = _potential_theta(np.arcsinh(u), masses)
+    u, m = u.tolist(), masses.tolist()
+    val = _trial_potential(u, m)
     step = 1.0
     for _ in range(max_iter):
-        t = np.arcsinh(u)
-        g = _grad_potential_theta(t, masses) / np.cosh(t)
-        gc = 2.0 * masses * u
-        g = g - (np.dot(g, gc) / np.dot(gc, gc)) * gc
-        gnorm = float(np.linalg.norm(g))
-        if gnorm < gtol:
+        try:
+            t = [math.asinh(x) for x in u]
+            g = [gk / math.cosh(tk) for gk, tk in zip(_pair_gradient(t, m), t)]
+            gc = [2.0 * mk * uk for mk, uk in zip(m, u)]
+            k = (sum(a * b for a, b in zip(g, gc))
+                 / sum(b * b for b in gc))
+        except (OverflowError, ZeroDivisionError):
+            break
+        g = [a - k * b for a, b in zip(g, gc)]
+        gnorm = math.sqrt(sum(a * a for a in g))
+        # a NaN or infinite gradient cannot move the iterate either
+        if not gtol <= gnorm < math.inf:
             break
         step = min(step * 1.5, 1.0 / max(gnorm, 1e-6))
-        moved = False
         for _ in range(60):
-            trial = _project_ellipsoid(u - step * g, masses, c)
-            if np.all(np.diff(trial) > 0.0):
-                tval = _potential_theta(np.arcsinh(trial), masses)
-                if np.isfinite(tval) and tval <= val - 1e-4 * step * gnorm**2:
-                    u, val, moved = trial, tval, True
+            trial = [a - step * b for a, b in zip(u, g)]
+            try:
+                scale = math.sqrt(c / sum(mk * x * x for mk, x in zip(m, trial)))
+            except ZeroDivisionError:
+                scale = math.nan  # an all-zero trial; the ordering test fails
+            trial = [x * scale for x in trial]
+            if all(a < b for a, b in zip(trial, trial[1:])):
+                tval = _trial_potential(trial, m)
+                if math.isfinite(tval) and tval <= val - 1e-4 * step * gnorm * gnorm:
+                    u, val = trial, tval
                     break
             step *= 0.5
-        if not moved:
+        else:
             break
-    return u
+    return np.array(u)
 
 
 def _theta_chart(masses, c):
@@ -254,7 +322,8 @@ def solve_geodesic_h(masses, c: float, ordering: Optional[Sequence[int]] = None,
     guess (the minimizer is unique per ordering, so all seeds agree).
     """
     masses = check_masses(masses, 2)
-    check_scalar("size c", c)
+    c = check_scalar("size c", c)
+    _check_geodesic_range(masses, c)
     n = masses.size
     if ordering is None:
         ordering = tuple(range(n))

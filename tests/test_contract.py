@@ -35,7 +35,9 @@ from curved_nbody import (
 )
 from curved_nbody.cli import main
 from curved_nbody.errors import (
+    CurvedNBodyError,
     InadmissibleBetaError,
+    NoConvergenceError,
     OffShellError,
     OutOfRangeError,
     SingularEncounterError,
@@ -139,6 +141,41 @@ def test_moulton_takes_a_huge_mass_without_an_overflow_warning():
     assert out.splitlines()[-1] == "count: 0"
 
 
+# each escaped the geodesic solver as a RuntimeWarning: overflow in the
+# pair weights, in sinh of a gap squared, in the gradient projection and
+# again in the pair weights
+@pytest.mark.parametrize("masses,c,name", [
+    ([1e300, 1e300, 1.0], 1.0, "masses"),
+    ([1.0, 2.0, 3.0], 1e300, "size c"),
+    ([1.0, 2.0, 3.0], 1e-300, "size c"),
+    ([1e200, 1e200], 1e200, "masses"),
+])
+def test_the_geodesic_solver_refuses_sizes_outside_its_range(masses, c, name):
+    with pytest.raises(OutOfRangeError, match=name):
+        enumerate_geodesic_h(masses, c)
+    code, out, err = _run(["moulton", ",".join(map(repr, masses)),
+                           "--space", "H3", "--c", repr(c)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: OutOfRangeError") and name in err
+
+
+# the corners of the working range, with masses a decade apart: a result or
+# a package error, never a warning or an error from math
+@pytest.mark.parametrize("scale", [1e-20, 1e19])
+@pytest.mark.parametrize("c", [1e-20, 1e20])
+def test_the_geodesic_solver_keeps_the_contract_at_its_range_corners(scale, c):
+    masses = [scale, 3.0 * scale, 10.0 * scale]
+    try:
+        enumerate_geodesic_h(masses, c)
+    except CurvedNBodyError:
+        pass
+    code, out, err = _run(["moulton", ",".join(map(repr, masses)),
+                           "--space", "H3", "--c", repr(c)])
+    assert code in (0, 1) and "Traceback" not in err
+    if code == 0:
+        _check_finite_output(["moulton"], out)
+
+
 @pytest.mark.parametrize("lam", [1e200, 1e300, -1e300])
 @pytest.mark.parametrize("config", [EX1, EX2], ids=["S3", "H3"])
 def test_make_report_takes_a_huge_multiplier_without_overflow(config, lam):
@@ -220,6 +257,12 @@ NON_FINITE = st.sampled_from([NAN, INF, -INF])
 # arithmetic on them can overflow
 HUGE = st.floats(min_value=1e6, max_value=1e300)
 MILD = st.floats(min_value=-10.0, max_value=10.0)
+# finite and positive, but outside the geodesic solver's [1e-20, 1e20]
+OUTSIDE_GEODESIC = st.one_of(
+    st.floats(min_value=1e20, exclude_min=True, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1e-20, exclude_min=True,
+              exclude_max=True))
+INSIDE_GEODESIC = st.floats(min_value=1e-20, max_value=1e20)
 
 _PAIR = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 _STATE = PhaseState(EX1, generator_momenta(EX1, MEMBER.generator))
@@ -281,6 +324,13 @@ ENTRIES = {
     "enumerate_geodesic_h mass": (
         lambda v: enumerate_geodesic_h([1.0, v, 2.0], 1.0),
         REFUSED, ValueError, None, ()),
+    "enumerate_geodesic_h mass range": (
+        lambda v: enumerate_geodesic_h([1.0, v, 2.0], 1.0),
+        OUTSIDE_GEODESIC, OutOfRangeError, None, ()),
+    "enumerate_geodesic_h c range": (
+        lambda v: enumerate_geodesic_h([1.0, 2.0, 3.0], v),
+        st.one_of(REFUSED, OUTSIDE_GEODESIC), OutOfRangeError, INSIDE_GEODESIC,
+        (NoConvergenceError,)),
     "solve_two_body_s mass": (
         lambda v: solve_two_body_s(1.0, v, 0.5),
         REFUSED, ValueError, HUGE, ()),
@@ -364,6 +414,12 @@ CLI = {
                                    "--c", "1"], REFUSED, 1),
     "moulton --c": (lambda v, p: ["moulton", "1,2", "--space", "H3",
                                   f"--c={_text(v)}"], REFUSED, 1),
+    "moulton H3 --c range": (lambda v, p: ["moulton", "1,2,3", "--space", "H3",
+                                           f"--c={_text(v)}"],
+                             OUTSIDE_GEODESIC, 1),
+    "moulton H3 --c inside": (lambda v, p: ["moulton", "1,2,3", "--space", "H3",
+                                            f"--c={_text(v)}"],
+                              INSIDE_GEODESIC, None),
     "moulton S3 --c": (lambda v, p: ["moulton", "1,2", "--space", "S3",
                                      f"--c={_text(v)}"],
                        st.one_of(REFUSED, HUGE), 1),
