@@ -137,14 +137,12 @@ def test_the_lopsided_heavy_level_solves(seed):
 
 # ─── the float descent against its array twins ───────────────────────────
 
-_MASSES = st.floats(min_value=0.1, max_value=10.0)
-
-
 @st.composite
 def _ordered_problem(draw):
     """Masses U(0.1, 10) and increasing thetas with gaps of at least 1e-3."""
     n = draw(st.integers(min_value=2, max_value=7))
-    masses = draw(st.lists(_MASSES, min_size=n, max_size=n))
+    masses = draw(st.lists(st.floats(min_value=0.1, max_value=10.0),
+                           min_size=n, max_size=n))
     start = draw(st.floats(min_value=-3.0, max_value=3.0))
     gaps = draw(st.lists(st.floats(min_value=1e-3, max_value=2.0),
                          min_size=n - 1, max_size=n - 1))
@@ -178,19 +176,16 @@ def test_descent_stays_ordered_on_the_level(problem, log_c):
     assert float(np.sum(m * u * u)) == pytest.approx(c, rel=1e-12)
 
 
-@pytest.mark.parametrize("u", [
+@pytest.mark.parametrize("u,m", [
     # distinct u, equal asinh: coth of a zero gap divides by zero
-    [1e10, math.nextafter(1e10, math.inf)],
-    [-1e300, 1e300],      # cosh of the gap overflows
-    [-1e200, 0.0, 1e200],
+    ([1e10, math.nextafter(1e10, math.inf)], [1.0, 1.0]),
+    ([-1e300, 1e300], [1.0, 1.0]),            # cosh of the gap overflows
+    ([-1e200, 0.0, 1e200], [1.0, 1.0, 1.0]),
+    # finite trig, but the pair weight overflows to inf without raising
+    ([-1.0, 1.0], [1e200, 1e200]),
 ])
-def test_a_trial_out_of_float_range_has_infinite_potential(u):
-    assert _trial_potential(u, [1.0] * len(u)) == math.inf
-
-
-def test_a_trial_whose_potential_overflows_is_infinite():
-    # finite trig, but the pair weights overflow to inf without raising
-    assert _trial_potential([-1.0, 1.0], [1e200, 1e200]) == math.inf
+def test_a_trial_out_of_float_range_has_infinite_potential(u, m):
+    assert _trial_potential(u, m) == math.inf
 
 
 # ─── the theta chart through the shared Newton core ──────────────────────
