@@ -34,17 +34,22 @@ from .errors import (
 from .manifold import (
     EPS_SINGULAR,
     Space,
+    _add_reduce,
     _boost,
     _reproject,
+    _reproject_rows,
     _rot,
     project_tangent,
 )
+from . import dynamics
 from .dynamics import (
     Configuration,
     _ForceKernel,
     _check_points,
+    _check_rows,
     _gram_checked,
     _potential_gram,
+    _potential_rows,
     _sn_powers,
     force_function,
     grad_U,
@@ -412,6 +417,181 @@ def _restore_level(space, m, Q, c, max_iter=40):
     raise NoConvergenceError("level-set restoration stalled")
 
 
+# what a chart point or a descent trial outside the feasible region raises
+_INFEASIBLE = (SingularPairError, OffShellError, DegenerateVectorError)
+
+
+def _residual_dir(kernel, Q):
+    """The descent direction at Q: the tangent part of grad U less lam times
+    that of grad I, lam their sigma-metric least-squares ratio.  Returns
+    (R, lam, <R, R>_sigma summed over the bodies)."""
+    # tangent vectors pair in the sigma metric; on S3 it is the Euclidean
+    # sum term for term, so the sphere's arithmetic is unchanged
+    space, m, md = kernel.space, kernel.m, kernel.met
+    Gu = project_tangent(Q, kernel.grad(Q), space)
+    Gi = project_tangent(Q, _grad_I_raw(space, m, Q), space)
+    gg = float((Gi * Gi * md).sum())
+    lam = float((Gu * Gi * md).sum()) / gg if gg > 1e-20 else 0.0
+    R = Gu - lam * Gi
+    return R, lam, float((R * R * md).sum())
+
+
+class _ArrayDescent:
+    """The descent's four operations on (N, 4) arrays: restoring the level,
+    U from the restoration's Gram matrix, the direction and the trial point."""
+
+    def __init__(self, kernel, c):
+        self.kernel, self.c = kernel, c
+
+    def restore(self, Q):
+        return _restore_level(self.kernel.space, self.kernel.m, Q, self.c)
+
+    def potential(self, s):
+        return _potential_gram(self.kernel.space, self.kernel.m, s)
+
+    def direction(self, Q, s):
+        return _residual_dir(self.kernel, Q)
+
+    def trial(self, Q, gamma, R):
+        return _reproject(self.kernel.space, Q - gamma * R)
+
+
+class _RowDescent:
+    """_ArrayDescent's operations on rows of four Python floats, bit for bit.
+
+    Each is the array code's arithmetic, expression for expression, with
+    every array sum in numpy's order (_add_reduce), so a descent gives the
+    same points, U and multipliers as on arrays, and every failed check
+    raises the array function's error and message.  Three products stay
+    numpy calls, since BLAS may round them with fused multiply-adds: the
+    Gram matrix of each point check, the S3 row norms of each reprojection
+    and the w @ Q of grad U.  U and grad U take the Gram matrix that the
+    point's last check built, which is the one they would rebuild.
+    """
+
+    def __init__(self, kernel, c):
+        space = kernel.space
+        self.space, self.c = space, c
+        self.sigma, self.mw = space.sigma, float(space.metric_diagonal[3])
+        self.m = kernel.m.tolist()
+        self.tm = [2.0 * v for v in self.m]   # 2.0 * m[:, None] in grad I
+
+    def restore(self, q, max_iter=40):
+        """_restore_level of the rows q; returns (q, s), s as rows."""
+        space, m, c, mw = self.space, self.m, self.c, self.mw
+        for _ in range(max_iter):
+            s = _check_rows(space, q)
+            r2 = [x0 * x0 + x1 * x1 for x0, x1, _, _ in q]
+            err = _add_reduce([mi * v for mi, v in zip(m, r2)]) - c
+            if abs(err) <= 1e-13 * max(1.0, abs(c)):
+                return q, s
+            G = self._grad_I(q, r2)
+            gg = _add_reduce(_metric_products(G, G, mw))
+            if gg < 1e-30:
+                raise NoConvergenceError("cannot restore I = c: grad I vanished")
+            step = -err / gg
+            q = _reproject_rows(space, [
+                (x0 + step * g0, x1 + step * g1, x2 + step * g2, x3 + step * g3)
+                for (x0, x1, x2, x3), (g0, g1, g2, g3) in zip(q, G)])
+        raise NoConvergenceError("level-set restoration stalled")
+
+    def potential(self, s):
+        return _potential_rows(self.space, self.m, s)
+
+    def direction(self, q, s):
+        """_residual_dir at the rows q, whose point check built s."""
+        sigma, m, mw = self.sigma, self.m, self.mw
+        # kernel.grad, from the Gram matrix it would rebuild bit for bit
+        w = []
+        for i, (mi, row) in enumerate(zip(m, s)):
+            wi = [0.0] * len(m)
+            for j, (mj, v) in enumerate(zip(m, row)):
+                if i != j:
+                    sn = math.sqrt(sigma * (1.0 - v * v))
+                    wi[j] = mi * mj / (sn * sn * sn)
+            w.append(wi)
+        wq = (np.array(w) @ np.array(q)).tolist()
+        gu = []
+        for wi, row, (x0, x1, x2, x3), (f0, f1, f2, f3) in zip(w, s, q, wq):
+            ws = _add_reduce([a * b for a, b in zip(wi, row)])
+            gu.append((f0 - ws * x0, f1 - ws * x1, f2 - ws * x2, f3 - ws * x3))
+        gu = self._tangent(q, gu)
+        r2 = [x0 * x0 + x1 * x1 for x0, x1, _, _ in q]
+        gi = self._tangent(q, self._grad_I(q, r2))
+        gg = _add_reduce(_metric_products(gi, gi, mw))
+        lam = _add_reduce(_metric_products(gu, gi, mw)) / gg if gg > 1e-20 else 0.0
+        R = [(u0 - lam * g0, u1 - lam * g1, u2 - lam * g2, u3 - lam * g3)
+             for (u0, u1, u2, u3), (g0, g1, g2, g3) in zip(gu, gi)]
+        return R, lam, _add_reduce(_metric_products(R, R, mw))
+
+    def trial(self, q, gamma, R):
+        return _reproject_rows(self.space, [
+            (x0 - gamma * r0, x1 - gamma * r1, x2 - gamma * r2, x3 - gamma * r3)
+            for (x0, x1, x2, x3), (r0, r1, r2, r3) in zip(q, R)])
+
+    def _grad_I(self, q, r2):
+        """_grad_I_raw of the rows q, given their r^2."""
+        sigma = self.sigma
+        out = []
+        for t, (x0, x1, x2, x3), r in zip(self.tm, q, r2):
+            rho2 = sigma * (x2 * x2) + x3 * x3
+            out.append((t * (x0 * rho2), t * (x1 * rho2),
+                        t * (-sigma * x2 * r), t * (-sigma * x3 * r)))
+        return out
+
+    def _tangent(self, q, V):
+        """project_tangent of the rows V at the rows q."""
+        sigma, h3 = self.sigma, self.space is Space.H3
+        out = []
+        for (x0, x1, x2, x3), (v0, v1, v2, v3) in zip(q, V):
+            t = x0 * v0 + x1 * v1 + x2 * v2
+            cf = sigma * (t - x3 * v3 if h3 else t + x3 * v3)
+            out.append((v0 - cf * x0, v1 - cf * x1, v2 - cf * x2, v3 - cf * x3))
+        return out
+
+
+def _metric_products(A, B, mw):
+    """The entries of A * B * metric_diagonal for rows A and B, in C order;
+    mw is the metric's w entry."""
+    return [v for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(A, B)
+            for v in (a0 * b0, a1 * b1, a2 * b2, a3 * b3 * mw)]
+
+
+def _descend(kernel, Q, s, c, max_iter):
+    """find_cc's projected descent of U on I = c from the restored points Q
+    with Gram matrix s: Armijo backtracking, the step grown by 1.3 after
+    each accepted trial.  Returns (Q, lam), lam from the last direction.
+
+    Up to dynamics._PAIR_LOOP_MAX_N bodies the loop runs on rows of Python
+    floats (_RowDescent), above on arrays; the two give the same bits.
+    """
+    if len(kernel.m) <= dynamics._PAIR_LOOP_MAX_N:
+        ops, Q, s = _RowDescent(kernel, c), Q.tolist(), s.tolist()
+    else:
+        ops = _ArrayDescent(kernel, c)
+    gamma, lam = 0.1, 0.0
+    u0 = ops.potential(s)
+    for _ in range(max_iter):
+        R, lam, rnorm2 = ops.direction(Q, s)
+        if math.sqrt(rnorm2) < 1e-6:
+            break
+        while gamma > 1e-16:
+            try:
+                Qt, st = ops.restore(ops.trial(Q, gamma, R))
+            except (NoConvergenceError, *_INFEASIBLE):
+                gamma *= 0.5
+                continue
+            ut = ops.potential(st)
+            if ut <= u0 - 1e-4 * gamma * rnorm2:
+                break
+            gamma *= 0.5
+        else:
+            break  # flat to line-search resolution; hand off to Newton
+        Q, s, u0 = Qt, st, ut
+        gamma = min(gamma * 1.3, 10.0)
+    return np.asarray(Q, dtype=float), lam
+
+
 _UNIT_VECTORS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
                  (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 
@@ -450,10 +630,6 @@ def _tangent_bases(space, Q):
                 break
         bases.append(vecs)
     return np.array(bases)  # (N, 3, 4)
-
-
-# what a chart point outside the feasible region raises
-_INFEASIBLE = (SingularPairError, OffShellError, DegenerateVectorError)
 
 
 def _chart_residuals(kernel, Q, bases, c, Y):
@@ -509,7 +685,8 @@ def _newton(chart, x, lam, done, max_iter, damped=False):
     chart(x, lam) returns (G, jac, trial): the residual rows at the point,
     a callable for their Jacobian in chart coordinates (lambda last), and
     trial(d) -> (G, x, lam) a chart step d away, which raises one of
-    _INFEASIBLE outside the feasible region.  Stops when done(x, lam, G)
+    _INFEASIBLE outside the feasible region; a trial whose arithmetic
+    overflows is infeasible too.  Stops when done(x, lam, G)
     holds; otherwise takes a Newton step (lstsq if J is singular, a
     Levenberg step if damped) backtracked on ||G||_2 by halving to 1e-6.
     Returns (x, lam, G, why): the last accepted point, the rows at that
@@ -537,22 +714,27 @@ def _newton(chart, x, lam, done, max_iter, damped=False):
             raise NoConvergenceError(f"refinement step solve failed: {exc}") from exc
         base = float(np.linalg.norm(G))
         t = 1.0
-        while t >= 1e-6:
-            try:
-                Gt, xt, lt = trial(t * delta)
-            except _INFEASIBLE:
+        # a trial whose rows or their norm overflow is as infeasible as one
+        # off the manifold: numpy raises FloatingPointError where it would
+        # have warned, and the step is halved
+        with np.errstate(over="raise"):
+            while t >= 1e-6:
+                try:
+                    Gt, xt, lt = trial(t * delta)
+                    accept = np.linalg.norm(Gt) < (1.0 - 1e-4 * t) * base
+                except (*_INFEASIBLE, FloatingPointError):
+                    t *= 0.5
+                    continue
+                if accept:
+                    break
                 t *= 0.5
+            else:  # no trial accepted
+                mu *= 10.0
+                if not damped:
+                    return x, lam, G, "refinement step rejected"
+                if mu > 1e8:
+                    return x, lam, G, "least-squares refinement stalled"
                 continue
-            if np.linalg.norm(Gt) < (1.0 - 1e-4 * t) * base:
-                break
-            t *= 0.5
-        else:  # no trial accepted
-            mu *= 10.0
-            if not damped:
-                return x, lam, G, "refinement step rejected"
-            if mu > 1e8:
-                return x, lam, G, "least-squares refinement stalled"
-            continue
         x, lam = xt, lt
         mu = max(mu / 3.0, 1e-12)
         G, jac, trial = chart(x, lam)
@@ -626,7 +808,15 @@ def find_cc(
 
     One _ForceKernel serves the whole search.  Each descent trial is put
     back on the level by _restore_level, whose last point check builds the
-    trial's Gram matrix; U is evaluated from that matrix, not rebuilt.
+    trial's Gram matrix; U is evaluated from that matrix, not rebuilt.  Up
+    to four bodies (dynamics._PAIR_LOOP_MAX_N) the descent runs on rows of
+    Python floats, since there numpy's cost per call on (N, 4) arrays is
+    many times the arithmetic.  It reproduces the array descent bit for
+    bit: every array sum is taken in numpy's order, and three products
+    stay numpy calls, because BLAS may round them with fused multiply-adds
+    and a float loop would not give their bits.  These are the Gram matrix
+    of each point check, the S3 row norms of each reprojection and grad
+    U's w @ Q.  Above four bodies the descent runs on arrays.
 
     Returns (configuration, report).  Raises NoConvergence when iterations
     run out and SingularApproach when the iterate degenerates into the
@@ -642,41 +832,9 @@ def find_cc(
     Q, s = _restore_level(space, m, seed.points, c)
     kernel = _ForceKernel(space, m)
 
-    # tangent vectors pair in the sigma metric; on S3 it is the Euclidean
-    # sum term for term, so the sphere's arithmetic is unchanged
-    md = space.metric_diagonal
-
-    def residual_dir(Q):
-        Gu = project_tangent(Q, kernel.grad(Q), space)
-        Gi = project_tangent(Q, _grad_I_raw(space, m, Q), space)
-        gg = float((Gi * Gi * md).sum())
-        lam_hat = float((Gu * Gi * md).sum()) / gg if gg > 1e-20 else 0.0
-        return Gu - lam_hat * Gi, lam_hat
-
     lam = 0.0
     if mode == "descent":
-        gamma = 0.1
-        u0 = _potential_gram(space, m, s)
-        for _ in range(max_iter):
-            R, lam = residual_dir(Q)
-            rnorm2 = float((R * R * md).sum())
-            if math.sqrt(rnorm2) < 1e-6:
-                break
-            while gamma > 1e-16:
-                try:
-                    Qt, st = _restore_level(
-                        space, m, _reproject(space, Q - gamma * R), c)
-                except (NoConvergenceError, *_INFEASIBLE):
-                    gamma *= 0.5
-                    continue
-                ut = _potential_gram(space, m, st)
-                if ut <= u0 - 1e-4 * gamma * rnorm2:
-                    break
-                gamma *= 0.5
-            else:
-                break  # flat to line-search resolution; hand off to Newton
-            Q, u0 = Qt, ut
-            gamma = min(gamma * 1.3, 10.0)
+        Q, lam = _descend(kernel, Q, s, c, max_iter)
         try:
             lam = lambda_estimate(Configuration(space, m, Q))
         except DegenerateDenominatorError:
@@ -702,7 +860,7 @@ def find_cc(
             raise SingularApproachError(str(exc)) from exc
     elif mode == "saddle":
         try:
-            _, lam = residual_dir(Q)
+            _, lam, _ = _residual_dir(kernel, Q)
             Q, lam = _kkt_newton(
                 kernel, Q, c, lam, level.tol, damped=True, max_iter=200
             )

@@ -36,9 +36,10 @@ from .manifold import (
     EPS_MANIFOLD,
     EPS_SINGULAR,
     Space,
+    _add_reduce,
     _reproject,
+    _reproject_rows,
     inner,
-    project_point,
 )
 
 __all__ = [
@@ -235,6 +236,34 @@ def _gram_checked(space: Space, Q: np.ndarray) -> np.ndarray:
     return s
 
 
+def _check_rows(space: Space, q: list) -> list:
+    """_check_points on one configuration held as rows of four Python
+    floats, bit for bit; returns the Gram matrix as rows.
+
+    The tests run in floats, in _check_points' expressions; only the Gram
+    product stays a numpy call, since BLAS may round it with fused
+    multiply-adds.  A failed test hands the rows to _check_points, so the
+    error and its message are that function's own.
+    """
+    sigma, h3 = space.sigma, space is Space.H3
+    for x0, x1, x2, x3 in q:
+        t = x0 * x0 + x1 * x1 + x2 * x2
+        sq = t + x3 * x3  # (q * q).sum(axis=-1): 0.0 + x0 * x0 adds nothing
+        unit = t - x3 * x3 if h3 else sq
+        # a NaN sq comes with a NaN unit, whose test fails as numpy's does
+        if not (abs(unit - sigma) / (sq if sq > 1.0 else 1.0) <= EPS_MANIFOLD
+                and (not h3 or x3 >= 1.0 - EPS_MANIFOLD)):
+            return _check_points(space, np.array(q)).tolist()  # raises
+    a = np.array(q)
+    s = (sigma * ((a * space.metric_diagonal) @ a.T)).tolist()
+    lo, hi = _singular_bounds(space)
+    for i, row in enumerate(s):
+        for j, v in enumerate(row):
+            if not lo <= v <= hi and i != j:
+                return _check_points(space, a).tolist()  # raises
+    return s
+
+
 def _raise_singular_pair(s: np.ndarray, lo: float, hi: float) -> None:
     """Raise SingularPairError for the first off-diagonal entry of a Gram
     matrix or C-contiguous stack s outside [lo, hi] (_singular_bounds)."""
@@ -275,6 +304,21 @@ def _potential_gram(space: Space, m: np.ndarray, s: np.ndarray):
     _fill_diagonal(ctn, 0.0)
     u = (np.outer(m, m) * ctn).sum(axis=(-2, -1))
     return 0.5 * (u.astype(float) if u.ndim else float(u))
+
+
+def _potential_rows(space: Space, m: list, s: list) -> float:
+    """_potential_gram of one checked Gram matrix held as rows, with the
+    masses as Python floats, bit for bit.
+
+    Off the diagonal a checked s puts sigma (1 - s^2) above zero, or at
+    +inf on H3, so the root and the division cannot fail; the diagonal's
+    zero terms stay in the sum, whose order they shape.
+    """
+    sigma = space.sigma
+    return 0.5 * _add_reduce([
+        0.0 if i == j else mi * mj * (v / math.sqrt(sigma * (1.0 - v * v)))
+        for i, (mi, row) in enumerate(zip(m, s))
+        for j, (mj, v) in enumerate(zip(m, row))])
 
 
 def _singular_bounds(space: Space) -> tuple[float, float]:
@@ -421,7 +465,7 @@ class _PairKernel:
         p = _rk4_sum(p, sixth, k1p, k2p, k3p, k4p)
         if not all(map(math.isfinite, chain(*q, *p))):
             raise OffShellError("non-finite state")
-        q = self._reproject(q)
+        q = _reproject_rows(self.space, q)
         # project_tangent as the array stepper writes it: sigma = +-1
         # scales exactly, and numpy sums the four products in order
         sigma, mw = self.sigma, self.mw
@@ -430,27 +474,6 @@ class _PairKernel:
             cf = sigma * (x0 * p0 + x1 * p1 + x2 * p2 + x3 * p3 * mw)
             out.append((p0 - cf * x0, p1 - cf * x1, p2 - cf * x2, p3 - cf * x3))
         return q, out
-
-    def _reproject(self, q: list) -> list:
-        """manifold._reproject of the rows q, bit for bit."""
-        if self.space is Space.S3:
-            # a float sum of squares rounds differently from the stacked
-            # matmul that _reproject reduces with, so the norms come from it
-            a = np.array(q)
-            sq = np.matmul(a[:, None, :], a[:, :, None]).ravel().tolist()
-            norms = [math.sqrt(v) for v in sq]
-            bad = [v < 1e-12 for v in norms]
-        else:
-            # -inner(q, q), in inner's order
-            sq = [-((x0 * x0 + x1 * x1 + x2 * x2) - x3 * x3)
-                  for x0, x1, x2, x3 in q]
-            bad = [row[3] <= 0.0 or v <= 1e-12 for row, v in zip(q, sq)]
-        if any(bad):
-            project_point(np.array(q[bad.index(True)]), self.space)
-        if self.space is Space.H3:
-            norms = [math.sqrt(v) for v in sq]
-        return [(x0 / n, x1 / n, x2 / n, x3 / n)
-                for (x0, x1, x2, x3), n in zip(q, norms)]
 
 
 def _frame_layers(xi) -> list:

@@ -165,6 +165,62 @@ def _reproject(space, Q):
     return Q / norm[..., None]
 
 
+def _reproject_rows(space, q: list) -> list:
+    """_reproject of rows of four Python floats, bit for bit; returns tuples.
+
+    On S3 the row norms still come from the stacked matmul, since a float
+    sum of squares rounds differently from the BLAS reduction _reproject
+    takes them from.  The first refused row raises project_point's error.
+    """
+    if space is Space.S3:
+        a = np.array(q)
+        sq = np.matmul(a[:, None, :], a[:, :, None]).ravel().tolist()
+        norms = [math.sqrt(v) for v in sq]
+        bad = [v < 1e-12 for v in norms]
+    else:
+        # -inner(q, q), in inner's order
+        sq = [-((x0 * x0 + x1 * x1 + x2 * x2) - x3 * x3) for x0, x1, x2, x3 in q]
+        bad = [row[3] <= 0.0 or v <= 1e-12 for row, v in zip(q, sq)]
+    if any(bad):
+        project_point(np.array(q[bad.index(True)]), space)
+    if space is Space.H3:
+        norms = [math.sqrt(v) for v in sq]
+    return [(x0 / n, x1 / n, x2 / n, x3 / n) for (x0, x1, x2, x3), n in zip(q, norms)]
+
+
+def _add_reduce(v: list) -> float:
+    """numpy's add.reduce of at most 128 floats, in its order, bit for bit.
+
+    Below 8 values numpy adds them one by one to 0.0; from 8 on it keeps
+    eight running sums over blocks of eight, combines them pairwise and
+    adds the rest one by one, and the reduction adds that total to 0.0.
+    A float loop over an (N, 4) or (N, N) array's entries in C order gets
+    the bits of the array's .sum() this way, which a plain sum() does not.
+    """
+    n = len(v)
+    if n < 8:
+        r = 0.0
+        for x in v:
+            r += x
+        return r
+    r0, r1, r2, r3, r4, r5, r6, r7 = v[:8]
+    i = 8
+    while i + 8 <= n:
+        r0 += v[i]
+        r1 += v[i + 1]
+        r2 += v[i + 2]
+        r3 += v[i + 3]
+        r4 += v[i + 4]
+        r5 += v[i + 5]
+        r6 += v[i + 6]
+        r7 += v[i + 7]
+        i += 8
+    r = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for x in v[i:]:
+        r += x
+    return 0.0 + r
+
+
 def project_tangent(q, v, space: Space) -> np.ndarray:
     """Remove the sigma-normal component of v at base point q.
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curved_nbody import (
     CCClass,
@@ -25,16 +26,18 @@ from curved_nbody import (
     orthogonality_relations,
     swap_xy_zw,
 )
-from curved_nbody import centralconfig, grad_I, grad_U
+from curved_nbody import centralconfig, dynamics, grad_I, grad_U
 from curved_nbody.centralconfig import (
     EPS_AXIS,
+    _ArrayDescent,
+    _RowDescent,
     _chart_residuals,
     _fd_jacobian,
     _restore_level,
     _tangent_bases,
     default_seed,
 )
-from curved_nbody.dynamics import _ForceKernel
+from curved_nbody.dynamics import _ForceKernel, _check_points
 from curved_nbody.errors import (
     CurvedNBodyError,
     DegenerateDenominatorError,
@@ -517,7 +520,7 @@ _CC_PANEL_DIGEST = (
 )
 
 
-def test_find_cc_is_pinned_bitwise_on_the_cc_search_panel():
+def _cc_panel_digest():
     # every attempt at rng 0-4, not only the first success: the failures'
     # classes and messages are part of the record
     rng = np.random.default_rng(0)
@@ -533,7 +536,135 @@ def test_find_cc_is_pinned_bitwise_on_the_cc_search_panel():
             except CurvedNBodyError as exc:
                 rec = [type(exc).__name__, str(exc)]
             h.update(repr(rec).encode())
-    assert h.hexdigest() == _CC_PANEL_DIGEST
+    return h.hexdigest()
+
+
+def test_find_cc_is_pinned_bitwise_on_the_cc_search_panel():
+    # at three bodies the descent runs on float rows
+    assert _cc_panel_digest() == _CC_PANEL_DIGEST
+
+
+def test_find_cc_array_descent_is_pinned_bitwise_on_the_cc_search_panel(monkeypatch):
+    monkeypatch.setattr(dynamics, "_PAIR_LOOP_MAX_N", 0)
+    assert _cc_panel_digest() == _CC_PANEL_DIGEST
+
+
+# ─── the descent on float rows against the array descent ─────────────────
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _outcome(fn):
+    """("ok", result) or the class and message of the package error fn raises."""
+    try:
+        return "ok", fn()
+    except CurvedNBodyError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _both_descents(space, m, c):
+    kernel = _ForceKernel(space, np.asarray(m, dtype=float))
+    return _ArrayDescent(kernel, c), _RowDescent(kernel, c)
+
+
+def _assert_same_restoration(arrays, rows, trial):
+    """trial(ops) is the point handed to ops.restore; both descents must
+    give the same points and Gram matrix, or the same error."""
+    want = _outcome(lambda: arrays.restore(trial(arrays)))
+    got = _outcome(lambda: rows.restore(trial(rows)))
+    if want[0] != "ok":
+        assert got == want
+        return want[0]
+    assert got[0] == "ok"
+    (Q, s), (q, sr) = want[1], got[1]
+    assert _bits(q) == _bits(Q) and _bits(sr) == _bits(s)
+    assert _bits(rows.potential(sr)) == _bits(arrays.potential(s))
+    return "ok"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([Space.S3, Space.H3]),
+       st.integers(2, dynamics._PAIR_LOOP_MAX_N),
+       st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+def test_the_row_descent_is_the_array_descent_bit_for_bit(seed, space, n, gamma):
+    # U, the projected residual, the trial's reprojection and the level
+    # restoration, from points off the level: each in floats is the array
+    # code's result, or its error and message, to the bit
+    rng = np.random.default_rng(seed)
+    cfg = random_config(space, n, rng)
+    Q = cfg.points
+    c = moment_of_inertia(cfg) * rng.uniform(0.7, 1.3)
+    arrays, rows = _both_descents(space, cfg.masses, c)
+    s = _check_points(space, Q)
+    assert _bits(rows.potential(s.tolist())) == _bits(arrays.potential(s))
+    R, lam, rnorm2 = arrays.direction(Q, s)
+    Rr, lam_r, rnorm2_r = rows.direction(Q.tolist(), s.tolist())
+    assert _bits(Rr) == _bits(R) and _bits([lam_r, rnorm2_r]) == _bits([lam, rnorm2])
+    _assert_same_restoration(arrays, rows, lambda ops: Q if ops is arrays else Q.tolist())
+    _assert_same_restoration(
+        arrays, rows, lambda ops: (arrays.trial(Q, gamma, R) if ops is arrays
+                                   else rows.trial(Q.tolist(), gamma, Rr)))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_descent_runs_on_rows_up_to_the_pair_loop_size(n, monkeypatch):
+    calls = []
+    for cls in (_ArrayDescent, _RowDescent):
+        def counted(self, *args, _original=cls.direction, _cls=cls):
+            calls.append(_cls)
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, "direction", counted)
+    try:
+        find_cc(np.ones(n), Space.H3, LevelSetSpec(1.0),
+                rng=np.random.default_rng(0), max_iter=2)
+    except CurvedNBodyError:
+        pass
+    kind = _RowDescent if n <= dynamics._PAIR_LOOP_MAX_N else _ArrayDescent
+    assert calls and set(calls) == {kind}
+
+
+def _faulty_trial(space, case):
+    """A configuration, a level and the point one descent trial hands to
+    the restoration, as a function of the descent's operations."""
+    cfg = random_config(space, 3, np.random.default_rng(7))
+    Q = cfg.points
+    R = np.zeros_like(Q)
+    if case == "singular pair":      # body 0 onto body 1
+        R[0] = Q[0] - Q[1]
+    elif case == "degenerate":       # body 0 to the origin, or below w = 0
+        R[0] = Q[0] if space is Space.S3 else 2.0 * Q[0]
+    bad = Q.copy()
+    if case == "off shell":
+        bad[1] *= 1.5
+    elif case == "lower sheet":
+        bad[1] *= -1.0
+
+    def trial(ops):
+        if case in ("off shell", "lower sheet"):
+            return bad if isinstance(ops, _ArrayDescent) else bad.tolist()
+        if isinstance(ops, _ArrayDescent):
+            return ops.trial(Q, 1.0, R)
+        return ops.trial(Q.tolist(), 1.0, R.tolist())
+
+    return cfg.masses, moment_of_inertia(cfg), trial
+
+
+@pytest.mark.parametrize("space, case, error", [
+    (Space.S3, "singular pair", "SingularPairError"),
+    (Space.H3, "singular pair", "SingularPairError"),
+    (Space.S3, "off shell", "OffShellError"),
+    (Space.H3, "off shell", "OffShellError"),
+    (Space.H3, "lower sheet", "OffShellError"),
+    (Space.S3, "degenerate", "DegenerateVectorError"),
+    (Space.H3, "degenerate", "DegenerateVectorError"),
+])
+def test_the_row_descent_raises_what_the_array_descent_raises(space, case, error):
+    m, c, trial = _faulty_trial(space, case)
+    arrays, rows = _both_descents(space, m, c)
+    assert _assert_same_restoration(arrays, rows, trial) == error
 
 
 # ─── the stacked finite-difference Jacobian ──────────────────────────────

@@ -176,6 +176,23 @@ def test_the_geodesic_solver_keeps_the_contract_at_its_range_corners(scale, c):
         _check_finite_output(["moulton"], out)
 
 
+# wide mass ratios inside the range sent a theta-chart Newton trial out of
+# float range, with a RuntimeWarning from the dot in the norm of the
+# trial's rows and from the multiply in its grad I; such a trial is now
+# halved like an infeasible one
+@pytest.mark.parametrize("masses,c", [
+    ([7.327531200248029, 491922.49507583224, 74.29998260135517],
+     59140.654908637625),
+    ([739038.6068175043, 160.82284370965945, 32.358699987681774,
+      4.623007960649732], 126930.60722144345),
+])
+def test_an_overflowing_newton_trial_counts_as_infeasible(masses, c):
+    try:
+        enumerate_geodesic_h(masses, c)
+    except CurvedNBodyError:
+        pass
+
+
 @pytest.mark.parametrize("lam", [1e200, 1e300, -1e300])
 @pytest.mark.parametrize("config", [EX1, EX2], ids=["S3", "H3"])
 def test_make_report_takes_a_huge_multiplier_without_overflow(config, lam):

@@ -13,6 +13,7 @@ from curved_nbody.manifold import (
     GeneratorKind,
     IsometryGenerator,
     Space,
+    _add_reduce,
     csn,
     ctn,
     distance,
@@ -267,3 +268,17 @@ def test_rescale_curvature_rejects_wrong_radius():
     pts = random_points(Space.S3, 3, np.random.default_rng(1))
     with pytest.raises(OffShellError):
         rescale_curvature(pts, 4.0, masses=np.ones(3))  # radius 1, kappa says 1/2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 128), st.booleans())
+def test_add_reduce_is_numpys_sum_bit_for_bit(seed, n, zeros):
+    # below 8 terms numpy sums in order, from 8 on it keeps eight running
+    # sums; magnitudes twelve decades apart make either order show, and
+    # negative zeros test the 0.0 the reduction starts from
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
+    if zeros:
+        v[rng.random(n) < 0.5] = -0.0
+    want = np.add.reduce(v)
+    assert np.float64(_add_reduce(v.tolist())).tobytes() == want.tobytes()
