@@ -476,10 +476,11 @@ class _RowDescent:
         self.m = kernel.m.tolist()
         self.tm = [2.0 * v for v in self.m]   # 2.0 * m[:, None] in grad I
 
-    def restore(self, q, max_iter=40):
-        """_restore_level of the rows q; returns (q, s), s as rows."""
+    def restore(self, q):
+        """_restore_level of the rows q, at its default max_iter; returns
+        (q, s), s as rows."""
         space, m, c, mw = self.space, self.m, self.c, self.mw
-        for _ in range(max_iter):
+        for _ in range(40):
             s = _check_rows(space, q)
             r2 = [x0 * x0 + x1 * x1 for x0, x1, _, _ in q]
             err = _add_reduce([mi * v for mi, v in zip(m, r2)]) - c

@@ -240,7 +240,7 @@ def _check_rows(space: Space, q: list) -> list:
     """_check_points on one configuration held as rows of four Python
     floats, bit for bit; returns the Gram matrix as rows.
 
-    The tests run in floats, in _check_points' expressions; only the Gram
+    The checks run in floats, in _check_points' expressions; only the Gram
     product stays a numpy call, since BLAS may round it with fused
     multiply-adds.  A failed test hands the rows to _check_points, so the
     error and its message are that function's own.
