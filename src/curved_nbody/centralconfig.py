@@ -39,12 +39,14 @@ from .manifold import (
     _reproject,
     _reproject_rows,
     _rot,
+    _tangent_rows,
     project_tangent,
 )
 from . import dynamics
 from .dynamics import (
     Configuration,
     _ForceKernel,
+    _axpy,
     _check_points,
     _check_rows,
     _gram_checked,
@@ -59,6 +61,7 @@ from .inertia import _grad_I_raw, _r2_rho2, grad_I, moment_of_inertia
 EPS_FLAT = 1e-9    # rank tolerance in classify
 EPS_AXIS = 1e-9    # a body this close to the axes uses the special branch
 MAX_SUBSET_BODIES = 40  # LevelSetSpec.validate holds two 2^(N/2) sum tables
+_FD_STEP = 1e-7   # _fd_jacobian's step, in chart coordinates
 
 
 class CCClass(enum.Enum):
@@ -491,9 +494,7 @@ class _RowDescent:
             if gg < 1e-30:
                 raise NoConvergenceError("cannot restore I = c: grad I vanished")
             step = -err / gg
-            q = _reproject_rows(space, [
-                (x0 + step * g0, x1 + step * g1, x2 + step * g2, x3 + step * g3)
-                for (x0, x1, x2, x3), (g0, g1, g2, g3) in zip(q, G)])
+            q = _reproject_rows(space, _axpy(q, step, G))
         raise NoConvergenceError("level-set restoration stalled")
 
     def potential(self, s):
@@ -516,19 +517,16 @@ class _RowDescent:
         for wi, row, (x0, x1, x2, x3), (f0, f1, f2, f3) in zip(w, s, q, wq):
             ws = _add_reduce([a * b for a, b in zip(wi, row)])
             gu.append((f0 - ws * x0, f1 - ws * x1, f2 - ws * x2, f3 - ws * x3))
-        gu = self._tangent(q, gu)
+        gu = _tangent_rows(self.space, q, gu)
         r2 = [x0 * x0 + x1 * x1 for x0, x1, _, _ in q]
-        gi = self._tangent(q, self._grad_I(q, r2))
+        gi = _tangent_rows(self.space, q, self._grad_I(q, r2))
         gg = _add_reduce(_metric_products(gi, gi, mw))
         lam = _add_reduce(_metric_products(gu, gi, mw)) / gg if gg > 1e-20 else 0.0
-        R = [(u0 - lam * g0, u1 - lam * g1, u2 - lam * g2, u3 - lam * g3)
-             for (u0, u1, u2, u3), (g0, g1, g2, g3) in zip(gu, gi)]
+        R = _axpy(gu, -lam, gi)
         return R, lam, _add_reduce(_metric_products(R, R, mw))
 
     def trial(self, q, gamma, R):
-        return _reproject_rows(self.space, [
-            (x0 - gamma * r0, x1 - gamma * r1, x2 - gamma * r2, x3 - gamma * r3)
-            for (x0, x1, x2, x3), (r0, r1, r2, r3) in zip(q, R)])
+        return _reproject_rows(self.space, _axpy(q, -gamma, R))
 
     def _grad_I(self, q, r2):
         """_grad_I_raw of the rows q, given their r^2."""
@@ -538,16 +536,6 @@ class _RowDescent:
             rho2 = sigma * (x2 * x2) + x3 * x3
             out.append((t * (x0 * rho2), t * (x1 * rho2),
                         t * (-sigma * x2 * r), t * (-sigma * x3 * r)))
-        return out
-
-    def _tangent(self, q, V):
-        """project_tangent of the rows V at the rows q."""
-        sigma, h3 = self.sigma, self.space is Space.H3
-        out = []
-        for (x0, x1, x2, x3), (v0, v1, v2, v3) in zip(q, V):
-            t = x0 * v0 + x1 * v1 + x2 * v2
-            cf = sigma * (t - x3 * v3 if h3 else t + x3 * v3)
-            out.append((v0 - cf * x0, v1 - cf * x1, v2 - cf * x2, v3 - cf * x3))
         return out
 
 
@@ -664,8 +652,9 @@ def _chart_residuals(kernel, Q, bases, c, Y):
     return np.concatenate([comps.reshape(len(Y), -1), lvl[:, None]], axis=1), Qx
 
 
-def _fd_jacobian(residuals, y, h=1e-7):
-    """Central-difference Jacobian of residuals (a stack map) at y.
+def _fd_jacobian(residuals, y):
+    """Central-difference Jacobian of residuals (a stack map) at y, with
+    step h = _FD_STEP.
 
     All 2 len(y) probes go in one stack, +h then -h per coordinate, so a
     probe outside the feasible region raises what the first such probe in
@@ -674,10 +663,10 @@ def _fd_jacobian(residuals, y, h=1e-7):
     k = len(y)
     Y = np.tile(y, (2 * k, 1))
     idx = np.arange(k)
-    Y[2 * idx, idx] += h
-    Y[2 * idx + 1, idx] -= h
+    Y[2 * idx, idx] += _FD_STEP
+    Y[2 * idx + 1, idx] -= _FD_STEP
     G = residuals(Y)[0].reshape(k, 2, -1)
-    return ((G[:, 0] - G[:, 1]) / (2.0 * h)).T.copy()
+    return ((G[:, 0] - G[:, 1]) / (2.0 * _FD_STEP)).T.copy()
 
 
 def _newton(chart, x, lam, done, max_iter, damped=False):
@@ -717,13 +706,14 @@ def _newton(chart, x, lam, done, max_iter, damped=False):
         t = 1.0
         # a trial whose rows or their norm overflow is as infeasible as one
         # off the manifold: numpy raises FloatingPointError where it would
-        # have warned, and the step is halved
+        # have warned, math raises OverflowError or ZeroDivisionError, and
+        # the step is halved
         with np.errstate(over="raise"):
             while t >= 1e-6:
                 try:
                     Gt, xt, lt = trial(t * delta)
                     accept = np.linalg.norm(Gt) < (1.0 - 1e-4 * t) * base
-                except (*_INFEASIBLE, FloatingPointError):
+                except (*_INFEASIBLE, ArithmeticError):
                     t *= 0.5
                     continue
                 if accept:

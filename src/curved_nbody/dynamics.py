@@ -39,6 +39,7 @@ from .manifold import (
     _add_reduce,
     _reproject,
     _reproject_rows,
+    _tangent_rows,
     inner,
 )
 
@@ -373,7 +374,12 @@ class _ForceKernel:
 # a few dozen numpy calls on (N, 4) arrays per step cost more than the
 # O(N^2) work itself.  On a 2-vCPU Xeon a float step takes about 45 / 70 /
 # 90 us at N = 2 / 3 / 4 against 210-235 us for an array step; the two
-# meet near N = 8.
+# meet near N = 8.  find_cc's row descent takes the same bound.  It is the
+# array descent bit for bit only while _potential_rows sums at most 128
+# terms (_add_reduce), N <= 11: at N = 12 its U differs from the array U on
+# 75 of 200 random H3 Gram matrices.  From N = 12 it is also no faster: an
+# H3 descent capped at 60 steps takes 0.9-1.0x the array time at N = 12,
+# 1.7-2.0x at 20 and 3.7-4.7x at 40.
 _PAIR_LOOP_MAX_N = 4
 
 # The float stepper hands visit its states this many steps at a time, so a
@@ -466,14 +472,7 @@ class _PairKernel:
         if not all(map(math.isfinite, chain(*q, *p))):
             raise OffShellError("non-finite state")
         q = _reproject_rows(self.space, q)
-        # project_tangent as the array stepper writes it: sigma = +-1
-        # scales exactly, and numpy sums the four products in order
-        sigma, mw = self.sigma, self.mw
-        out = []
-        for (x0, x1, x2, x3), (p0, p1, p2, p3) in zip(q, p):
-            cf = sigma * (x0 * p0 + x1 * p1 + x2 * p2 + x3 * p3 * mw)
-            out.append((p0 - cf * x0, p1 - cf * x1, p2 - cf * x2, p3 - cf * x3))
-        return q, out
+        return q, _tangent_rows(self.space, q, p)
 
 
 def _frame_layers(xi) -> list:
@@ -503,7 +502,8 @@ def _less_layer(layer, y: list, d: list) -> list:
 
 
 def _axpy(x: list, h: float, k: list) -> list:
-    """The rows x + h k, as the array stage input x + h * k rounds them."""
+    """The rows x + h k, as the array x + h * k rounds them; with h = -g,
+    as x - g * k rounds them, since -(g k) and x + -y are exact."""
     return [(a0 + h * b0, a1 + h * b1, a2 + h * b2, a3 + h * b3)
             for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(x, k)]
 

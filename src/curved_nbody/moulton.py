@@ -94,10 +94,10 @@ class GeodesicHConfig:
         return Configuration(Space.H3, self.masses, points)
 
     def potential(self) -> float:
-        return _potential_theta(self.thetas, self.masses)
+        return _on_sorted_bodies("potential", _pair_potential, self)
 
     def inertia(self) -> float:
-        return float(np.sum(self.masses * np.sinh(self.thetas) ** 2))
+        return _on_sorted_bodies("inertia", _inertia, self)
 
 
 @dataclass(frozen=True)
@@ -113,41 +113,73 @@ class GeodesicHSolution:
 
 
 # ---------------------------------------------------------------------------
-# hyperbolic geodesic: scalar reductions of U and I
+# hyperbolic geodesic: U, I and their theta gradients
 # ---------------------------------------------------------------------------
+# One implementation each, in Python floats over math's sinh and cosh; out of
+# float range they raise OverflowError or ZeroDivisionError.
 
-def _gap_trig(thetas, masses):
-    """sinh and cosh of the gaps |theta_i - theta_j| (diagonal patched to a
-    gap of 1), and the pair weights m_i m_j with a zero diagonal."""
-    d = np.abs(thetas[:, None] - thetas[None, :])
-    np.fill_diagonal(d, 1.0)
-    mm = np.outer(masses, masses)
-    np.fill_diagonal(mm, 0.0)
-    return np.sinh(d), np.cosh(d), mm
-
-
-def _potential_theta(thetas, masses) -> float:
-    sh, ch, mm = _gap_trig(thetas, masses)
-    return float(0.5 * np.sum(mm * ch / sh))
+def _pair_potential(t, m) -> float:
+    """U = sum over i < j of m_i m_j coth(t_j - t_i), t increasing."""
+    val = 0.0
+    for i in range(len(t) - 1):
+        ti, mi = t[i], m[i]
+        for j in range(i + 1, len(t)):
+            d = t[j] - ti
+            val += mi * m[j] * math.cosh(d) / math.sinh(d)
+    return val
 
 
-def _grad_potential_theta(thetas, masses):
-    sh, _, mm = _gap_trig(thetas, masses)
-    sgn = np.sign(thetas[:, None] - thetas[None, :])
-    return -np.sum(mm * sgn / sh**2, axis=1)
+def _pair_gradient(t, m) -> list:
+    """dU/dtheta for increasing t."""
+    g = [0.0] * len(t)
+    for i in range(len(t) - 1):
+        ti, mi = t[i], m[i]
+        for j in range(i + 1, len(t)):
+            sh = math.sinh(t[j] - ti)
+            w = mi * m[j] / (sh * sh)
+            g[i] += w
+            g[j] -= w
+    return g
 
 
-def _grad_inertia_theta(thetas, masses):
-    return masses * np.sinh(2.0 * thetas)
+def _inertia(t, m) -> float:
+    """I = sum of m sinh^2 theta, for t in any order."""
+    return sum(mk * math.sinh(tk) ** 2 for tk, mk in zip(t, m))
 
 
-def _rounding_floor(thetas, lam, masses) -> float:
+def _grad_inertia(t, m) -> list:
+    """dI/dtheta = m sinh 2theta, per body, for t in any order."""
+    return [mk * math.sinh(2.0 * tk) for tk, mk in zip(t, m)]
+
+
+def _rounding_floor(t, lam, m) -> float:
     """The residual dU - lam dI cannot be resolved below this: each row sums
-    n terms, so it carries about n ulps of the largest of them."""
-    sh, _, mm = _gap_trig(thetas, masses)
-    lam_terms = np.abs(lam * _grad_inertia_theta(thetas, masses))
-    largest = max(float(np.max(mm / sh**2)), float(np.max(lam_terms)))
-    return thetas.size * np.finfo(float).eps * largest
+    n terms, so it carries about n ulps of the largest of them.  t increasing."""
+    terms = [abs(lam * g) for g in _grad_inertia(t, m)]
+    for i, j in itertools.combinations(range(len(t)), 2):
+        sh = math.sinh(t[j] - t[i])
+        terms.append(m[i] * m[j] / (sh * sh))
+    return len(t) * np.finfo(float).eps * max(terms)
+
+
+def _multiplier(t, m) -> float:
+    """Least-squares lam in dU/dtheta = lam dI/dtheta, t increasing."""
+    g_u, g_i = _pair_gradient(t, m), _grad_inertia(t, m)
+    return sum(a * b for a, b in zip(g_u, g_i)) / sum(b * b for b in g_i)
+
+
+def _on_sorted_bodies(what, evaluate, config) -> float:
+    """evaluate(t, m) on the bodies in increasing theta, as Python floats;
+    OutOfRangeError naming theta where that is not a finite float."""
+    order = np.argsort(config.thetas)
+    try:
+        value = evaluate(config.thetas[order].tolist(), config.masses[order].tolist())
+    except ArithmeticError:
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    raise OutOfRangeError(f"{what} at theta {config.thetas.tolist()} is out of "
+                          f"float range")
 
 
 def hessian_geodesic_h(config: GeodesicHConfig, lam: float) -> np.ndarray:
@@ -159,8 +191,10 @@ def hessian_geodesic_h(config: GeodesicHConfig, lam: float) -> np.ndarray:
     positive definite, which certifies the configuration.
     """
     t, m = config.thetas, config.masses
-    sh, ch, mm = _gap_trig(t, m)
-    off = -2.0 * mm * ch / sh**3
+    d = np.abs(t[:, None] - t[None, :])
+    np.fill_diagonal(d, 1.0)  # any nonzero gap; the diagonal is cleared below
+    off = -2.0 * np.outer(m, m) * np.cosh(d) / np.sinh(d) ** 3
+    np.fill_diagonal(off, 0.0)
     hess = off - np.diag(np.sum(off, axis=1))
     hess -= lam * np.diag(2.0 * m * np.cosh(2.0 * t))
     return hess
@@ -168,12 +202,7 @@ def hessian_geodesic_h(config: GeodesicHConfig, lam: float) -> np.ndarray:
 
 def geodesic_lambda(config: GeodesicHConfig) -> float:
     """Least-squares multiplier matching dU/dtheta = lam * dI/dtheta."""
-    g_u = _grad_potential_theta(config.thetas, config.masses)
-    g_i = _grad_inertia_theta(config.thetas, config.masses)
-    den = float(np.dot(g_i, g_i))
-    if den <= 0.0:
-        raise ZeroDivisionError("degenerate inertia gradient on the geodesic")
-    return float(np.dot(g_u, g_i) / den)
+    return _on_sorted_bodies("lambda", _multiplier, config)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +215,8 @@ def geodesic_lambda(config: GeodesicHConfig) -> float:
 # finite, and c / min(m) <= 1e40, which keeps every |theta| below 47, so
 # cosh 2theta and the cube of sinh of a gap stay finite.
 _GEODESIC_RANGE = (1e-20, 1e20)
+_DESCENT_MAX_ITER = 50  # steps before the hand-off to Newton
+_DESCENT_GTOL = 1e-8     # the projected-gradient norm that ends the descent
 
 
 def _check_geodesic_range(masses, c):
@@ -202,31 +233,6 @@ def _project_ellipsoid(u, masses, c):
     return u * math.sqrt(c / float(np.sum(masses * u * u)))
 
 
-def _pair_potential(t, m) -> float:
-    """U = sum over i < j of m_i m_j coth(t_j - t_i), t increasing, in Python
-    floats; OverflowError or ZeroDivisionError where a gap leaves float range."""
-    val = 0.0
-    for i in range(len(t) - 1):
-        ti, mi = t[i], m[i]
-        for j in range(i + 1, len(t)):
-            d = t[j] - ti
-            val += mi * m[j] * math.cosh(d) / math.sinh(d)
-    return val
-
-
-def _pair_gradient(t, m) -> list:
-    """dU/dtheta for increasing t, in Python floats; raises as _pair_potential."""
-    g = [0.0] * len(t)
-    for i in range(len(t) - 1):
-        ti, mi = t[i], m[i]
-        for j in range(i + 1, len(t)):
-            sh = math.sinh(t[j] - ti)
-            w = mi * m[j] / (sh * sh)
-            g[i] += w
-            g[j] -= w
-    return g
-
-
 def _trial_potential(u, m) -> float:
     """U at u = sinh(theta); +inf where a math call overflows or divides by zero."""
     try:
@@ -235,24 +241,24 @@ def _trial_potential(u, m) -> float:
         return math.inf
 
 
-def _descend_ordered(u, masses, c, max_iter=50, gtol=1e-8):
+def _descend_ordered(u, masses, c):
     """Projected gradient descent on {sum m u^2 = c} in u = sinh(theta).
 
     U itself keeps the ordering: coth d grows without bound as two bodies
     meet, so U rejects every Armijo step toward a collision, and a step that
-    jumps past one fails the ordering test.  A few dozen steps put the
-    iterate where Newton converges; _newton does the rest.
+    jumps past one fails the ordering test.  At most _DESCENT_MAX_ITER steps
+    put the iterate where Newton converges; _newton does the rest.
 
-    The loop runs on lists of Python floats with math's sinh, cosh and asinh,
-    since numpy's per-call overhead on length-N arrays outweighs the
-    arithmetic at every N an enumeration reaches.  A trial whose arithmetic
-    overflows or divides by zero has U = +inf and is rejected; a gradient
-    that cannot be formed ends the descent.  Takes and returns arrays.
+    The loop runs on lists of Python floats, over the pair loops that the
+    theta chart also takes its rows from, with math's asinh for theta.  A
+    trial whose arithmetic overflows or divides by zero has U = +inf and is
+    rejected; a gradient that cannot be formed ends the descent.  Takes and
+    returns arrays.
     """
     u, m = u.tolist(), masses.tolist()
     val = _trial_potential(u, m)
     step = 1.0
-    for _ in range(max_iter):
+    for _ in range(_DESCENT_MAX_ITER):
         try:
             t = [math.asinh(x) for x in u]
             g = [gk / math.cosh(tk) for gk, tk in zip(_pair_gradient(t, m), t)]
@@ -264,7 +270,7 @@ def _descend_ordered(u, masses, c, max_iter=50, gtol=1e-8):
         g = [a - k * b for a, b in zip(g, gc)]
         gnorm = math.sqrt(sum(a * a for a in g))
         # a NaN or infinite gradient cannot move the iterate either
-        if not gtol <= gnorm < math.inf:
+        if not _DESCENT_GTOL <= gnorm < math.inf:
             break
         step = min(step * 1.5, 1.0 / max(gnorm, 1e-6))
         for _ in range(60):
@@ -287,26 +293,28 @@ def _descend_ordered(u, masses, c, max_iter=50, gtol=1e-8):
 
 def _theta_chart(masses, c):
     """[dU - lam dI; I - c] in theta as a chart for _newton, with the exact
-    Jacobian.  A trial that reorders two bodies raises SingularPairError:
-    the crossing passes through their collision, where cosh d = 1."""
-    n = masses.size
+    Jacobian.  The rows are the float loops', so a trial out of float range
+    raises an ArithmeticError, which _newton halves.  A trial that reorders
+    two bodies raises SingularPairError: the crossing passes through their
+    collision, where cosh d = 1."""
+    m = masses.tolist()
+    n = len(m)
 
     def chart(t, lam):
         def jac():
-            g_i = _grad_inertia_theta(t, masses)[None]
+            g_i = np.array([_grad_inertia(t.tolist(), m)])
             hess = hessian_geodesic_h(GeodesicHConfig(t, masses), lam)
             return np.block([[hess, -g_i.T], [g_i, np.zeros((1, 1))]])
 
         def trial(d):
-            t_new, lam_new = t + d[:n], lam + d[n]
+            t_new, lam_new = t + d[:n], float(lam + d[n])
             if not np.all(np.diff(t_new) > 0.0):
                 k = int(np.argmin(np.diff(t_new)))
                 raise SingularPairError(k, k + 1, 1.0)
-            f = np.empty(n + 1)
-            f[:n] = (_grad_potential_theta(t_new, masses)
-                     - lam_new * _grad_inertia_theta(t_new, masses))
-            f[n] = float(np.sum(masses * np.sinh(t_new) ** 2)) - c
-            return f, t_new, lam_new
+            tl = t_new.tolist()
+            f = [a - lam_new * b
+                 for a, b in zip(_pair_gradient(tl, m), _grad_inertia(tl, m))]
+            return np.array(f + [_inertia(tl, m) - c]), t_new, lam_new
 
         return trial(np.zeros(n + 1))[0], jac, trial
 
@@ -347,7 +355,7 @@ def solve_geodesic_h(masses, c: float, ordering: Optional[Sequence[int]] = None,
                            lambda t, lam, f: np.max(np.abs(f)) < 1e-12, 80)
     res = float(np.max(np.abs(f)))
     # tight, heavy configurations have a rounding floor above 1e-10
-    if res >= 1e-10 and res >= _rounding_floor(t, lam, m_sorted):
+    if res >= 1e-10 and res >= _rounding_floor(t.tolist(), lam, m_sorted.tolist()):
         raise NoConvergenceError(
             f"geodesic solve stalled at residual {res:.3e} for ordering {ordering}")
 

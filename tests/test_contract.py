@@ -23,6 +23,7 @@ from curved_nbody import (
     enumerate_geodesic_h,
     find_cc,
     generator_momenta,
+    geodesic_lambda,
     grad_I,
     grad_U,
     integrate,
@@ -191,6 +192,23 @@ def test_an_overflowing_newton_trial_counts_as_infeasible(masses, c):
         enumerate_geodesic_h(masses, c)
     except CurvedNBodyError:
         pass
+
+
+# thetas whose arithmetic leaves float range escaped the evaluators as a
+# RuntimeWarning from numpy: sinh^2 of a gap of 2e-200 is 0, the pair
+# weight over sinh^2 of a gap of 2e-170 is inf, and sinh or cosh of a gap
+# of 800 or of 1600 overflows
+@pytest.mark.parametrize("thetas,evaluate", [
+    ([-1e-200, 1e-200], geodesic_lambda),
+    ([-1e-170, 1e-170], geodesic_lambda),
+    ([-400.0, 400.0], geodesic_lambda),
+    ([-400.0, 400.0], GeodesicHConfig.potential),
+    ([-800.0, 800.0], GeodesicHConfig.inertia),
+], ids=["lambda-zero-weight", "lambda-inf-weight", "lambda-wide",
+        "potential-wide", "inertia-wide"])
+def test_the_geodesic_evaluators_refuse_theta_out_of_float_range(thetas, evaluate):
+    with pytest.raises(OutOfRangeError, match="theta"):
+        evaluate(GeodesicHConfig(thetas, [1.0, 1.0]))
 
 
 @pytest.mark.parametrize("lam", [1e200, 1e300, -1e300])

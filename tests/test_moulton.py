@@ -27,12 +27,8 @@ from curved_nbody.errors import (
 )
 from curved_nbody.moulton import (
     _descend_ordered,
-    _gap_trig,
-    _grad_inertia_theta,
-    _grad_potential_theta,
     _pair_gradient,
     _pair_potential,
-    _potential_theta,
     _project_ellipsoid,
     _theta_chart,
     _trial_potential,
@@ -144,7 +140,7 @@ def test_a_large_level_solves_every_ordering(c):
     assert len(enumerate_geodesic_h([1.0, 3.0, 10.0], c)) == 3
 
 
-# ─── the float descent against its array twins ───────────────────────────
+# ─── the float pair loops and the descent on them ────────────────────────
 
 @st.composite
 def _ordered_problem(draw):
@@ -158,18 +154,31 @@ def _ordered_problem(draw):
     return np.array(masses), start + np.concatenate([[0.0], np.cumsum(gaps)])
 
 
+def _long_double_reference(t, m):
+    """U, dU/dtheta and each gradient row's sum of term magnitudes, from the
+    closed forms U = 1/2 sum m_i m_j coth|t_j - t_i| and
+    dU/dt_i = sum_j sign(t_j - t_i) m_i m_j / sinh^2(t_j - t_i), in long
+    double."""
+    t, m = t.astype(np.longdouble), m.astype(np.longdouble)
+    gap = t[None, :] - t[:, None]   # row i holds t_j - t_i
+    np.fill_diagonal(gap, 1.0)
+    mm = np.outer(m, m)
+    np.fill_diagonal(mm, 0.0)
+    u = 0.5 * np.sum(mm / np.tanh(np.abs(gap)))
+    terms = mm / np.sinh(gap) ** 2
+    return u, np.sum(np.sign(gap) * terms, axis=1), np.sum(terms, axis=1)
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(problem=_ordered_problem())
-def test_float_potential_and_gradient_match_the_array_twins(problem):
+def test_float_potential_and_gradient_match_a_long_double_evaluation(problem):
     m, t = problem
     assert np.all(np.diff(t) > 0.0)
-    u_arr = _potential_theta(t, m)
-    assert _pair_potential(t.tolist(), m.tolist()) == pytest.approx(u_arr, rel=1e-13)
+    u_ref, g_ref, row_scale = _long_double_reference(t, m)
+    assert _pair_potential(t.tolist(), m.tolist()) == pytest.approx(
+        float(u_ref), rel=1e-13)
     # a row's terms may cancel, so each row is measured against its terms
-    sh, _, mm = _gap_trig(t, m)
-    row_scale = np.sum(mm / sh**2, axis=1)
-    diff = np.abs(np.array(_pair_gradient(t.tolist(), m.tolist()))
-                  - _grad_potential_theta(t, m))
+    diff = np.abs(np.array(_pair_gradient(t.tolist(), m.tolist())) - g_ref)
     assert np.all(diff <= 1e-13 * row_scale)
 
 
@@ -218,19 +227,16 @@ def _newton_handoff(monkeypatch, masses, c):
 
 
 def test_newton_returns_the_rows_at_the_point_it_returns(monkeypatch):
-    # the lopsided pair takes three accepted steps before its rows stop
+    # the lopsided pair takes two accepted steps before its rows stop
     # moving; rows left over from before the last step would differ here
     m = np.array([5.104101873155492, 0.29422821498375307])
     c = 26.063712995063234
     t0, lam0 = _newton_handoff(monkeypatch, m, c)
     previous = None
-    for max_iter in (1, 2, 3):
+    for max_iter in (1, 2):
         t, lam, f, why = _newton(_theta_chart(m, c), t0, lam0, _never, max_iter)
         assert why == "refinement did not reach tolerance"
-        expected = np.append(
-            _grad_potential_theta(t, m) - lam * _grad_inertia_theta(t, m),
-            float(np.sum(m * np.sinh(t) ** 2)) - c,
-        )
+        expected = _theta_chart(m, c)(t, lam)[0]
         assert f.tobytes() == expected.tobytes()
         assert previous is None or f.tobytes() != previous.tobytes()
         previous = f
@@ -260,6 +266,33 @@ def test_newton_halves_a_step_that_reorders_the_bodies():
     assert np.all(np.diff(t) > 0.0)
     assert t.tobytes() == (t0 + half[:3]).tobytes()
     assert half.tobytes() == (0.5 * full).tobytes()
+
+
+def test_newton_halves_a_trial_whose_sinh_overflows():
+    # a Jacobian whose Newton step moves both bodies by 400: math.sinh of
+    # 2 theta overflows in the trial's dI/dtheta and raises OverflowError
+    m, c = np.array([1.0, 2.0]), 1.0
+    chart = _theta_chart(m, c)
+    step = np.array([400.0, 400.0, 1.0])
+    tried = []
+
+    def spy(t, lam):
+        f, _, trial = chart(t, lam)
+
+        def recorded(d):
+            tried.append(d)
+            return trial(d)
+
+        return f, lambda: np.diag(-f / step), recorded
+
+    t0, lam0 = np.array([-0.5, 0.7]), -0.3
+    t, lam, f, why = _newton(spy, t0, lam0, _never, 1)
+    full, half = tried[:2]
+    assert full == pytest.approx(step, rel=1e-12)
+    with pytest.raises(OverflowError):
+        chart(t0, lam0)[2](full)
+    assert half.tobytes() == (0.5 * full).tobytes()
+    assert np.all(np.isfinite(f)) and np.all(np.diff(t) > 0.0)
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
