@@ -520,21 +520,29 @@ _CC_PANEL_DIGEST = (
 )
 
 
-def _cc_panel_digest():
-    # every attempt at rng 0-4, not only the first success: the failures'
-    # classes and messages are part of the record
+def _cc_panel():
     rng = np.random.default_rng(0)
     drawn = [_draw_cc_problem(rng, Space.S3 if k % 2 == 0 else Space.H3)
              for k in range(max(_CC_PANEL) + 1)]
+    return [drawn[k] for k in _CC_PANEL]
+
+
+def _find_cc_record(masses, space, c, **kw):
+    """find_cc's points and lambda as hex, or its error's class and message."""
+    try:
+        cfg, report = find_cc(masses, space, LevelSetSpec(c), **kw)
+        return [cfg.points.tobytes().hex(), float(report.lam).hex()]
+    except CurvedNBodyError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def _cc_panel_digest():
+    # every attempt at rng 0-4, not only the first success: the failures'
+    # classes and messages are part of the record
     h = hashlib.sha256()
-    for masses, c, space in (drawn[k] for k in _CC_PANEL):
+    for masses, c, space in _cc_panel():
         for k in range(5):
-            try:
-                cfg, report = find_cc(masses, space, LevelSetSpec(c),
-                                      rng=np.random.default_rng(k))
-                rec = [cfg.points.tobytes().hex(), float(report.lam).hex()]
-            except CurvedNBodyError as exc:
-                rec = [type(exc).__name__, str(exc)]
+            rec = _find_cc_record(masses, space, c, rng=np.random.default_rng(k))
             h.update(repr(rec).encode())
     return h.hexdigest()
 
@@ -547,6 +555,24 @@ def test_find_cc_is_pinned_bitwise_on_the_cc_search_panel():
 def test_find_cc_array_descent_is_pinned_bitwise_on_the_cc_search_panel(monkeypatch):
     monkeypatch.setattr(dynamics, "_PAIR_LOOP_MAX_N", 0)
     assert _cc_panel_digest() == _CC_PANEL_DIGEST
+
+
+# mode="saddle" at rng 0 on the panel's seven S3 draws: five solve in a few
+# damped steps, draws 4 and 8 run all 200 iterations to NoConvergenceError,
+# so every backtracking trial of the damped path shows in these bits
+_SADDLE_PANEL_DIGEST = (
+    "a3fbb914d7e0f248c2c76c996bdf8d290212199b41234ad52270421682d47106"
+)
+
+
+def test_find_cc_saddle_mode_is_pinned_bitwise_on_the_cc_search_panel():
+    h = hashlib.sha256()
+    for masses, c, space in _cc_panel():
+        if space is Space.S3:
+            rec = _find_cc_record(masses, space, c, mode="saddle",
+                                  rng=np.random.default_rng(0))
+            h.update(repr(rec).encode())
+    assert h.hexdigest() == _SADDLE_PANEL_DIGEST
 
 
 # ─── the descent on float rows against the array descent ─────────────────
