@@ -49,6 +49,7 @@ from .dynamics import (
     _axpy,
     _check_points,
     _check_rows,
+    _grad_U_rows,
     _gram_checked,
     _potential_gram,
     _potential_rows,
@@ -424,14 +425,15 @@ def _restore_level(space, m, Q, c, max_iter=40):
 _INFEASIBLE = (SingularPairError, OffShellError, DegenerateVectorError)
 
 
-def _residual_dir(kernel, Q):
+def _residual_dir(kernel, Q, s=None):
     """The descent direction at Q: the tangent part of grad U less lam times
-    that of grad I, lam their sigma-metric least-squares ratio.  Returns
-    (R, lam, <R, R>_sigma summed over the bodies)."""
+    that of grad I, lam their sigma-metric least-squares ratio; s is Q's
+    checked Gram matrix, if built.  Returns (R, lam, <R, R>_sigma summed
+    over the bodies)."""
     # tangent vectors pair in the sigma metric; on S3 it is the Euclidean
     # sum term for term, so the sphere's arithmetic is unchanged
     space, m, md = kernel.space, kernel.m, kernel.met
-    Gu = project_tangent(Q, kernel.grad(Q), space)
+    Gu = project_tangent(Q, kernel.grad(Q, s), space)
     Gi = project_tangent(Q, _grad_I_raw(space, m, Q), space)
     gg = float((Gi * Gi * md).sum())
     lam = float((Gu * Gi * md).sum()) / gg if gg > 1e-20 else 0.0
@@ -453,7 +455,7 @@ class _ArrayDescent:
         return _potential_gram(self.kernel.space, self.kernel.m, s)
 
     def direction(self, Q, s):
-        return _residual_dir(self.kernel, Q)
+        return _residual_dir(self.kernel, Q, s)
 
     def trial(self, Q, gamma, R):
         return _reproject(self.kernel.space, Q - gamma * R)
@@ -475,7 +477,7 @@ class _RowDescent:
     def __init__(self, kernel, c):
         space = kernel.space
         self.space, self.c = space, c
-        self.sigma, self.mw = space.sigma, float(space.metric_diagonal[3])
+        self.mw = float(space.metric_diagonal[3])
         self.m = kernel.m.tolist()
         self.tm = [2.0 * v for v in self.m]   # 2.0 * m[:, None] in grad I
 
@@ -485,11 +487,11 @@ class _RowDescent:
         space, m, c, mw = self.space, self.m, self.c, self.mw
         for _ in range(40):
             s = _check_rows(space, q)
-            r2 = [x0 * x0 + x1 * x1 for x0, x1, _, _ in q]
+            r2 = _r2_rows(q)
             err = _add_reduce([mi * v for mi, v in zip(m, r2)]) - c
             if abs(err) <= 1e-13 * max(1.0, abs(c)):
                 return q, s
-            G = self._grad_I(q, r2)
+            G = _grad_I_rows(space, self.tm, q, r2)
             gg = _add_reduce(_metric_products(G, G, mw))
             if gg < 1e-30:
                 raise NoConvergenceError("cannot restore I = c: grad I vanished")
@@ -502,24 +504,9 @@ class _RowDescent:
 
     def direction(self, q, s):
         """_residual_dir at the rows q, whose point check built s."""
-        sigma, m, mw = self.sigma, self.m, self.mw
-        # kernel.grad, from the Gram matrix it would rebuild bit for bit
-        w = []
-        for i, (mi, row) in enumerate(zip(m, s)):
-            wi = [0.0] * len(m)
-            for j, (mj, v) in enumerate(zip(m, row)):
-                if i != j:
-                    sn = math.sqrt(sigma * (1.0 - v * v))
-                    wi[j] = mi * mj / (sn * sn * sn)
-            w.append(wi)
-        wq = (np.array(w) @ np.array(q)).tolist()
-        gu = []
-        for wi, row, (x0, x1, x2, x3), (f0, f1, f2, f3) in zip(w, s, q, wq):
-            ws = _add_reduce([a * b for a, b in zip(wi, row)])
-            gu.append((f0 - ws * x0, f1 - ws * x1, f2 - ws * x2, f3 - ws * x3))
-        gu = _tangent_rows(self.space, q, gu)
-        r2 = [x0 * x0 + x1 * x1 for x0, x1, _, _ in q]
-        gi = _tangent_rows(self.space, q, self._grad_I(q, r2))
+        space, mw = self.space, self.mw
+        gu = _tangent_rows(space, q, _grad_U_rows(space, self.m, q, s))
+        gi = _tangent_rows(space, q, _grad_I_rows(space, self.tm, q, _r2_rows(q)))
         gg = _add_reduce(_metric_products(gi, gi, mw))
         lam = _add_reduce(_metric_products(gu, gi, mw)) / gg if gg > 1e-20 else 0.0
         R = _axpy(gu, -lam, gi)
@@ -528,15 +515,22 @@ class _RowDescent:
     def trial(self, q, gamma, R):
         return _reproject_rows(self.space, _axpy(q, -gamma, R))
 
-    def _grad_I(self, q, r2):
-        """_grad_I_raw of the rows q, given their r^2."""
-        sigma = self.sigma
-        out = []
-        for t, (x0, x1, x2, x3), r in zip(self.tm, q, r2):
-            rho2 = sigma * (x2 * x2) + x3 * x3
-            out.append((t * (x0 * rho2), t * (x1 * rho2),
-                        t * (-sigma * x2 * r), t * (-sigma * x3 * r)))
-        return out
+
+def _r2_rows(q):
+    """The r^2 of _r2_rho2 for each of the rows q."""
+    return [x0 * x0 + x1 * x1 for x0, x1, _, _ in q]
+
+
+def _grad_I_rows(space, tm, q, r2):
+    """_grad_I_raw of the rows q given their r^2, tm holding 2 m_i; returns
+    tuples."""
+    sigma = space.sigma
+    out = []
+    for t, (x0, x1, x2, x3), r in zip(tm, q, r2):
+        rho2 = sigma * (x2 * x2) + x3 * x3
+        out.append((t * (x0 * rho2), t * (x1 * rho2),
+                    t * (-sigma * x2 * r), t * (-sigma * x3 * r)))
+    return out
 
 
 def _metric_products(A, B, mw):
@@ -586,7 +580,13 @@ _UNIT_VECTORS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
 
 
 def _tangent_bases(space, Q):
-    """Per-body orthonormal tangent triples (sigma-metric Gram-Schmidt).
+    """Per-body orthonormal tangent triples (sigma-metric Gram-Schmidt) of
+    the (N, 4) array Q, as an (N, 3, 4) array: _tangent_frames' numbers."""
+    return np.array(_tangent_frames(space, Q.tolist()))
+
+
+def _tangent_frames(space, q):
+    """Per-body orthonormal tangent triples of the rows q, as lists.
 
     Body by body, each unit vector e is projected to the tangent space,
     stripped of its components along the vectors already kept, and kept,
@@ -602,12 +602,12 @@ def _tangent_bases(space, Q):
         t = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
         return t + a[3] * b[3] if sigma == 1 else t - a[3] * b[3]
 
-    bases = []
-    for q in Q.tolist():
+    frames = []
+    for p in q:
         vecs = []
         for e in _UNIT_VECTORS:
-            coeff = sigma * dot(q, e)  # project_tangent(q, e, space)
-            v = [e[k] - coeff * q[k] for k in range(4)]
+            coeff = sigma * dot(p, e)  # project_tangent(p, e, space)
+            v = [e[k] - coeff * p[k] for k in range(4)]
             for b in vecs:
                 coeff = dot(b, v)
                 v = [v[k] - coeff * b[k] for k in range(4)]
@@ -617,8 +617,8 @@ def _tangent_bases(space, Q):
                 vecs.append([x / r for x in v])
             if len(vecs) == 3:
                 break
-        bases.append(vecs)
-    return np.array(bases)  # (N, 3, 4)
+        frames.append(vecs)
+    return frames
 
 
 def _chart_residuals(kernel, Q, bases, c, Y):
@@ -630,14 +630,15 @@ def _chart_residuals(kernel, Q, bases, c, Y):
     (B, 3N+1), the tangent components of grad U - lambda grad I followed by
     I - c, and the points (B, N, 4).  Each row is bitwise what it is when
     evaluated alone.  When rows leave the feasible region, this raises
-    what the first of them raises alone.
+    what the first of them raises alone.  grad U takes the Gram matrices
+    of the point check, and grad I and the level one r^2 and rho^2.
     """
     space, m = kernel.space, kernel.m
     n = len(m)
     try:
         X = Y[:, :-1].reshape(len(Y), n, 3)
         Qx = _reproject(space, Q + np.einsum("bnk,nkd->bnd", X, bases))
-        _check_points(space, Qx)
+        s = _check_points(space, Qx)
     except _INFEASIBLE:
         if len(Y) > 1:
             # each row alone, in order, the last one too: a stack's message
@@ -645,10 +646,10 @@ def _chart_residuals(kernel, Q, bases, c, Y):
             for y in Y:
                 _chart_residuals(kernel, Q, bases, c, y[None])
         raise
-    R = kernel.grad(Qx) - Y[:, -1, None, None] * _grad_I_raw(space, m, Qx)
+    split = _r2_rho2(space, Qx)
+    R = kernel.grad(Qx, s) - Y[:, -1, None, None] * _grad_I_raw(space, m, Qx, split)
     comps = np.einsum("nkd,bnd,d->bnk", bases, R, space.metric_diagonal)
-    r2, _ = _r2_rho2(space, Qx)
-    lvl = np.sum(m * r2, axis=-1) - c
+    lvl = np.sum(m * split[0], axis=-1) - c
     return np.concatenate([comps.reshape(len(Y), -1), lvl[:, None]], axis=1), Qx
 
 
@@ -732,6 +733,110 @@ def _newton(chart, x, lam, done, max_iter, damped=False):
     return x, lam, G, "refinement did not reach tolerance"
 
 
+class _ArrayChart:
+    """_kkt_newton's single-point operations on (N, 4) arrays.  A point is
+    the array Q: the frames at Q, the residual rows at one chart point
+    around Q (_chart_residuals), and the stopping test's criterion rows."""
+
+    def __init__(self, kernel, c):
+        self.kernel, self.c = kernel, c
+
+    def start(self, Q):
+        return Q
+
+    def array(self, Q):
+        return Q
+
+    def frames(self, Q):
+        return _tangent_bases(self.kernel.space, Q)
+
+    def residuals(self, Q, bases, y):
+        """(the residual rows, the point) at the chart point y around Q."""
+        G, Qx = _chart_residuals(self.kernel, Q, bases, self.c, y[None])
+        return G[0], Qx[0]
+
+    def criterion(self, Q, lam):
+        space, m = self.kernel.space, self.kernel.m
+        return _criterion_rows(
+            space, Q, self.kernel.grad(Q) - lam * _grad_I_raw(space, m, Q))
+
+
+class _RowChart:
+    """_ArrayChart's operations on rows of four Python floats, bit for bit.
+
+    A point is (q, s): its rows and the Gram matrix that its point check
+    built, from which grad U is taken (_grad_U_rows).  Each expression is
+    the array code's, each sum in its order: the einsum sums from 0.0 in
+    index order, the array sums in numpy's (_add_reduce).  The numpy calls
+    left are those of _RowDescent's operations, and a chart point that
+    leaves the feasible region raises the array chart's error and message.
+    Where a trial's arithmetic overflows, numpy raises FloatingPointError
+    under _newton's errstate while the floats carry inf on into a failed
+    point check; _newton halves the step either way.
+    """
+
+    def __init__(self, kernel, c):
+        space = kernel.space
+        self.space, self.c = space, c
+        self.sigma, self.mw = space.sigma, float(space.metric_diagonal[3])
+        self.m = kernel.m.tolist()
+        self.tm = [2.0 * v for v in self.m]   # 2.0 * m[:, None] in grad I
+
+    def start(self, Q):
+        q = Q.tolist()
+        return q, _check_rows(self.space, q)
+
+    def array(self, x):
+        return np.array(x[0])
+
+    def frames(self, x):
+        return _tangent_frames(self.space, x[0])
+
+    def residuals(self, x, frames, y):
+        """_ArrayChart.residuals at the chart point y (an array) around the
+        point x; returns (the rows as an array, the point)."""
+        space, mw = self.space, self.mw
+        y = y.tolist()
+        # Q + einsum("bnk,nkd->bnd", X, bases)
+        pts = []
+        for i, ((x0, x1, x2, x3), (a, b, e)) in enumerate(zip(x[0], frames)):
+            u, v, t = y[3 * i:3 * i + 3]
+            pts.append((x0 + (0.0 + u * a[0] + v * b[0] + t * e[0]),
+                        x1 + (0.0 + u * a[1] + v * b[1] + t * e[1]),
+                        x2 + (0.0 + u * a[2] + v * b[2] + t * e[2]),
+                        x3 + (0.0 + u * a[3] + v * b[3] + t * e[3])))
+        q = _reproject_rows(space, pts)
+        s = _check_rows(space, q)
+        r2 = _r2_rows(q)
+        R = _axpy(_grad_U_rows(space, self.m, q, s), -y[-1],
+                  _grad_I_rows(space, self.tm, q, r2))
+        # einsum("nkd,bnd,d->bnk", bases, R, metric_diagonal)
+        G = [0.0 + e0 * g0 + e1 * g1 + e2 * g2 + e3 * g3 * mw
+             for frame, (g0, g1, g2, g3) in zip(frames, R)
+             for e0, e1, e2, e3 in frame]
+        G.append(_add_reduce([mi * v for mi, v in zip(self.m, r2)]) - self.c)
+        return np.array(G), (q, s)
+
+    def criterion(self, x, lam):
+        """_criterion_rows of grad U - lam grad I at the point x."""
+        (q, s), sigma = x, self.sigma
+        r2 = _r2_rows(q)
+        G = _axpy(_grad_U_rows(self.space, self.m, q, s), -lam,
+                  _grad_I_rows(self.space, self.tm, q, r2))
+        out = []
+        for p, g, r in zip(q, G, r2):
+            x0, x1, x2, x3 = p
+            rho2 = sigma * (x2 * x2) + x3 * x3
+            if math.sqrt(r * abs(rho2) if sigma == 1 else r) < EPS_AXIS:
+                k = max(range(4), key=lambda i: abs(p[i]))
+                out.extend(g[:k] + g[k + 1:])
+            else:
+                g0, g1, g2, g3 = g
+                out.extend((g0 * x0 + g1 * x1, -g0 * x1 + g1 * x0,
+                            -g2 * x3 + g3 * x2))
+        return out
+
+
 def _kkt_newton(kernel, Q, c, lam, tol, max_iter=60, damped=False):
     """Solve the stationarity system on I = c by finite-difference Newton.
 
@@ -742,39 +847,45 @@ def _kkt_newton(kernel, Q, c, lam, tol, max_iter=60, damped=False):
     is used when starting far out.  The stopping test takes the criterion
     residual on the raw points: each one has passed the point checks,
     the hand-off point in find_cc and every chart point in _chart_residuals.
+
+    Up to dynamics._PAIR_LOOP_MAX_N bodies the single-point evaluations run
+    on rows of Python floats (_RowChart): the residual at each chart
+    origin, every backtracking trial and the stopping test.  Above, they
+    run on arrays (_ArrayChart).  The two give the same bits.  The stacked
+    finite-difference Jacobian runs on arrays at every N, since its 2 (3N +
+    1) probes cost less as one stack than one by one in floats.
     """
-    space, m = kernel.space, kernel.m
+    n = len(kernel.m)
+    ops = (_RowChart if n <= dynamics._PAIR_LOOP_MAX_N else _ArrayChart)(kernel, c)
 
-    def chart(Q, lam):
-        bases = _tangent_bases(space, Q)
-        y = np.append(np.zeros(3 * len(m)), lam)
-
-        def residuals(Y):
-            return _chart_residuals(kernel, Q, bases, c, Y)
+    def chart(x, lam):
+        frames = ops.frames(x)
+        y = np.append(np.zeros(3 * n), lam)
 
         def jac():
+            Q, bases = ops.array(x), np.asarray(frames)
             try:
-                return _fd_jacobian(residuals, y)
+                return _fd_jacobian(
+                    lambda Y: _chart_residuals(kernel, Q, bases, c, Y), y)
             except _INFEASIBLE as exc:
                 raise NoConvergenceError(
                     f"jacobian probe left the feasible region: {exc}"
                 ) from exc
 
         def trial(d):
-            G, Qt = residuals((y + d)[None])
-            return G[0], Qt[0], float(y[-1] + d[-1])
+            G, xt = ops.residuals(x, frames, y + d)
+            return G, xt, float(y[-1] + d[-1])
 
-        return residuals(y[None])[0][0], jac, trial
+        return ops.residuals(x, frames, y)[0], jac, trial
 
-    def done(Q, lam, G):
-        crit = _criterion_rows(
-            space, Q, kernel.grad(Q) - lam * _grad_I_raw(space, m, Q))
+    def done(x, lam, G):
+        crit = ops.criterion(x, lam)
         return np.max(np.abs(crit)) < tol and abs(G[-1]) <= tol * max(1.0, abs(c))
 
-    Q, lam, _, why = _newton(chart, Q, lam, done, max_iter, damped)
+    x, lam, _, why = _newton(chart, ops.start(Q), lam, done, max_iter, damped)
     if why is not None:
         raise NoConvergenceError(why)
-    return Q, lam
+    return ops.array(x), lam
 
 
 def find_cc(
@@ -807,7 +918,12 @@ def find_cc(
     stay numpy calls, because BLAS may round them with fused multiply-adds
     and a float loop would not give their bits.  These are the Gram matrix
     of each point check, the S3 row norms of each reprojection and grad
-    U's w @ Q.  Above four bodies the descent runs on arrays.
+    U's w @ Q.  Newton's single-point evaluations run on the same float
+    rows, bit for bit (_RowChart): the residual at each chart origin, every
+    backtracking trial and the stopping test's criterion rows, with grad U
+    taken from the Gram matrix of the point's check.  Its finite-difference
+    Jacobian stays one stacked array evaluation.  Above four bodies the
+    descent and Newton run on arrays.
 
     Returns (configuration, report).  Raises NoConvergence when iterations
     run out and SingularApproach when the iterate degenerates into the

@@ -322,6 +322,31 @@ def _potential_rows(space: Space, m: list, s: list) -> float:
         for j, (mj, v) in enumerate(zip(m, row))])
 
 
+def _grad_U_rows(space: Space, m: list, q: list, s: list) -> list:
+    """_ForceKernel.grad of the rows q from the Gram matrix s (rows) that
+    their point check built, bit for bit; returns tuples.
+
+    The weights m_i m_j / sn^3 are _ForceKernel's expressions, and each row
+    sum of w s is taken in numpy's order (_add_reduce).  The product w @ q
+    stays a numpy call, since BLAS may round it with fused multiply-adds.
+    """
+    sigma = space.sigma
+    w = []
+    for i, (mi, row) in enumerate(zip(m, s)):
+        wi = [0.0] * len(m)
+        for j, (mj, v) in enumerate(zip(m, row)):
+            if i != j:
+                sn = math.sqrt(sigma * (1.0 - v * v))
+                wi[j] = mi * mj / (sn * sn * sn)
+        w.append(wi)
+    wq = (np.array(w) @ np.array(q)).tolist()
+    out = []
+    for wi, row, (x0, x1, x2, x3), (f0, f1, f2, f3) in zip(w, s, q, wq):
+        ws = _add_reduce([a * b for a, b in zip(wi, row)])
+        out.append((f0 - ws * x0, f1 - ws * x1, f2 - ws * x2, f3 - ws * x3))
+    return out
+
+
 def _singular_bounds(space: Space) -> tuple[float, float]:
     """(lo, hi): off the diagonal, s is nonsingular exactly when
     lo <= s <= hi.  NaN fails both comparisons, and the H3 upper bound, the
@@ -353,10 +378,13 @@ class _ForceKernel:
         self.mcol = m[:, None]
         self.lo, self.hi = _singular_bounds(space)
 
-    def grad(self, Q: np.ndarray) -> np.ndarray:
-        """grad U of Q; a singular pair raises what _gram_checked raises."""
-        s = self.sigma * ((Q * self.met) @ Q.swapaxes(-1, -2))
-        _raise_singular_pair(s, self.lo, self.hi)
+    def grad(self, Q: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+        """grad U of Q; a singular pair raises what _gram_checked raises.
+        s is the Gram matrix that a point check of Q (_check_points)
+        returned, which grad then takes instead of rebuilding it."""
+        if s is None:
+            s = self.sigma * ((Q * self.met) @ Q.swapaxes(-1, -2))
+            _raise_singular_pair(s, self.lo, self.hi)
         _, sn3 = _sn_powers(self.space, s)
         w = self.mcol * self.m / sn3
         _fill_diagonal(w, 0.0)

@@ -29,7 +29,9 @@ from curved_nbody import (
 from curved_nbody import centralconfig, dynamics, grad_I, grad_U
 from curved_nbody.centralconfig import (
     EPS_AXIS,
+    _ArrayChart,
     _ArrayDescent,
+    _RowChart,
     _RowDescent,
     _chart_residuals,
     _fd_jacobian,
@@ -51,8 +53,10 @@ from curved_nbody.fixtures import FIXTURE_BUILDERS, default_fixtures
 from curved_nbody.manifold import (
     GeneratorKind,
     IsometryGenerator,
+    inner,
     isometry_matrix,
     project_point,
+    project_tangent,
 )
 
 from helpers import random_config
@@ -553,6 +557,8 @@ def test_find_cc_is_pinned_bitwise_on_the_cc_search_panel():
 
 
 def test_find_cc_array_descent_is_pinned_bitwise_on_the_cc_search_panel(monkeypatch):
+    # with no float loops, the descent and Newton's single-point chart
+    # evaluations and stopping test all run on arrays
     monkeypatch.setattr(dynamics, "_PAIR_LOOP_MAX_N", 0)
     assert _cc_panel_digest() == _CC_PANEL_DIGEST
 
@@ -691,6 +697,134 @@ def test_the_row_descent_raises_what_the_array_descent_raises(space, case, error
     m, c, trial = _faulty_trial(space, case)
     arrays, rows = _both_descents(space, m, c)
     assert _assert_same_restoration(arrays, rows, trial) == error
+
+
+# ─── Newton's chart on float rows against the array chart ────────────────
+
+
+def _both_charts(space, m, c):
+    kernel = _ForceKernel(space, np.asarray(m, dtype=float))
+    return _ArrayChart(kernel, c), _RowChart(kernel, c)
+
+
+def _assert_same_chart_point(arrays, rows, Q, y):
+    """Both charts at the chart point y around Q: the same frames, residual
+    rows, points and stopping-test rows, or the same error and message.
+    Returns the error's class name, or "ok"."""
+    xa, xr = arrays.start(Q), rows.start(Q)
+    fa, fr = arrays.frames(xa), rows.frames(xr)
+    assert _bits(fr) == _bits(fa)
+    assert _bits(rows.criterion(xr, y[-1])) == _bits(arrays.criterion(xa, y[-1]))
+    want = _outcome(lambda: arrays.residuals(xa, fa, y))
+    got = _outcome(lambda: rows.residuals(xr, fr, y))
+    if want[0] != "ok":
+        assert got == want
+        return want[0]
+    (G, Qx), (Gr, xt) = want[1], got[1]
+    assert _bits(Gr) == _bits(G) and _bits(rows.array(xt)) == _bits(Qx)
+    assert _bits(rows.criterion(xt, y[-1])) == _bits(arrays.criterion(Qx, y[-1]))
+    return "ok"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([Space.S3, Space.H3]),
+       st.integers(2, dynamics._PAIR_LOOP_MAX_N),
+       st.sampled_from([0.0, 1e-7, 1e-3, 0.1, 1.0]))
+def test_the_row_chart_is_the_array_chart_bit_for_bit(seed, space, n, step):
+    # the residual at the chart origin (step 0) and at a Newton trial, the
+    # trial's point and the stopping test's criterion rows; S3 points with
+    # w = 0, as find_cc's S3 results have, and signed zeros in the sums
+    rng = np.random.default_rng(seed)
+    Q = random_config(space, n, rng).points
+    if space is Space.S3 and seed % 2:
+        Q = Q.copy()
+        Q[:, 3] = -0.0 if seed % 4 == 1 else 0.0
+        Q /= np.linalg.norm(Q, axis=1)[:, None]
+    m = rng.uniform(0.5, 2.0, n)
+    c = float(m @ (Q[:, 0] ** 2 + Q[:, 1] ** 2)) * rng.uniform(0.8, 1.2)
+    y = np.append(step * rng.standard_normal(3 * n), rng.uniform(-3.0, 3.0))
+    arrays, rows = _both_charts(space, m, c)
+    assert _assert_same_chart_point(arrays, rows, Q, y) in ("ok", "DegenerateVectorError")
+
+
+def test_the_row_chart_sums_from_zero_as_einsum_does():
+    # einsum starts each sum from 0.0, so the step X . bases is +0.0 even
+    # when every product is -0.0, and a -0.0 coordinate plus it is +0.0
+    cfg = random_config(Space.S3, 3, np.random.default_rng(3))
+    Q = cfg.points.copy()
+    Q[:, 3] = -0.0
+    Q /= np.linalg.norm(Q, axis=1)[:, None]
+    bases = _tangent_bases(Space.S3, Q)
+    y = np.append(np.copysign(0.0, -bases[:, :, 3]).ravel(), 0.5)
+    arrays, rows = _both_charts(Space.S3, cfg.masses, 0.5)
+    assert _assert_same_chart_point(arrays, rows, Q, y) == "ok"
+    _, Qx = arrays.residuals(Q, bases, y)
+    assert not np.signbit(Qx[:, 3]).any()
+
+
+def _chart_step(space, Q, lam, body, raw):
+    """The chart point y around Q that moves one body to the raw point raw
+    before the reprojection; raw - Q[body] must be tangent at Q[body]."""
+    bases = _tangent_bases(space, Q)
+    y = np.append(np.zeros(3 * len(Q)), lam)
+    y[3 * body:3 * body + 3] = [inner(b, raw - Q[body], space) for b in bases[body]]
+    return y
+
+
+def _faulty_chart_step(space, case):
+    cfg = random_config(space, 3, np.random.default_rng(7))
+    Q = cfg.points
+    if case == "off shell":                 # a NaN coordinate
+        y = np.append(np.zeros(9), 0.5)
+        y[4] = np.nan
+        return cfg.masses, Q, y
+    if case == "singular pair":             # body 0 onto body 1, or its antipode
+        raw = Q[1] / (space.sigma * inner(Q[1], Q[0], space))
+        return cfg.masses, Q, _chart_step(space, Q, 0.5, 0, raw)
+    j = int(np.argmax(Q[:, 3]))
+    q = Q[j]
+    if case == "lower sheet":               # past w = 0 along the boost
+        t = project_tangent(q, np.array([0.0, 0.0, 0.0, 1.0]), space)
+        raw = q + 2.0 * q[3] / (q[3] ** 2 - 1.0) * t
+        assert raw[3] < 0.0
+    else:                                   # spacelike: <raw, raw> = 3
+        t = project_tangent(q, np.array([1.0, 0.0, 0.0, 0.0]), space)
+        raw = q + math.copysign(2.0, q[0]) / math.sqrt(inner(t, t, space)) * t
+        assert raw[3] > 0.0 and inner(raw, raw, space) > 0.0
+    return cfg.masses, Q, _chart_step(space, Q, 0.5, j, raw)
+
+
+@pytest.mark.parametrize("space, case, error", [
+    (Space.S3, "singular pair", "SingularPairError"),
+    (Space.H3, "singular pair", "SingularPairError"),
+    (Space.S3, "off shell", "OffShellError"),
+    (Space.H3, "off shell", "OffShellError"),
+    # the reprojection refuses a row below w = 0 before any sheet test
+    (Space.H3, "lower sheet", "DegenerateVectorError"),
+    (Space.H3, "degenerate", "DegenerateVectorError"),
+])
+def test_the_row_chart_raises_what_the_array_chart_raises(space, case, error):
+    m, Q, y = _faulty_chart_step(space, case)
+    arrays, rows = _both_charts(space, m, moment_of_inertia(Configuration(space, m, Q)))
+    assert _assert_same_chart_point(arrays, rows, Q, y) == error
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_newton_charts_on_rows_up_to_the_pair_loop_size(n, monkeypatch):
+    calls = []
+    for cls in (_ArrayChart, _RowChart):
+        def counted(self, *args, _original=cls.residuals, _cls=cls):
+            calls.append(_cls)
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, "residuals", counted)
+    try:
+        find_cc(np.ones(n), Space.H3, LevelSetSpec(1.0),
+                rng=np.random.default_rng(0), max_iter=2)
+    except CurvedNBodyError:
+        pass
+    kind = _RowChart if n <= dynamics._PAIR_LOOP_MAX_N else _ArrayChart
+    assert calls and set(calls) == {kind}
 
 
 # ─── the stacked finite-difference Jacobian ──────────────────────────────
