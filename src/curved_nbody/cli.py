@@ -11,6 +11,7 @@ Exit codes: 0 success/confirmed, 2 checked-and-false, 1 operational error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -306,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="configuration JSON (or a catalog with 'items')")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("find", help="search for CCs on a fixed inertia level")
     p.add_argument("masses", help="comma-separated masses")
@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_find)
 
     p = sub.add_parser("simulate",
                        help="integrate the rigid orbit attached to a CC")
@@ -326,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--horizon", type=float, default=10.0)
     p.add_argument("--out", default=None, help="trajectory CSV path")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("moulton",
                        help="count geodesic CCs: ordering classes or the "
@@ -336,28 +334,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", default=None, help="catalog CSV path")
-    p.set_defaults(func=cmd_moulton)
 
     p = sub.add_parser("sweep", help="evaluate a fixture family over a grid")
     p.add_argument("family", help="fixture family name")
     p.add_argument("--grid", required=True,
                    help="semicolon-separated name=start:stop:count or name=value")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fixtures", help="fixture utilities")
     p.add_argument("action", choices=["export"])
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_fixtures)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: parse_args keeps no
+    state between calls, and building it costs about a millisecond."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so that a rebound cmd_* function is the one run
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -371,3 +371,23 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 12
+
+
+# ─── the parser ──────────────────────────────────────────────────────────
+
+
+def test_main_dispatches_each_call_to_its_own_command(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; each call still runs its own
+    # command, looked up when it runs, so a rebound cmd_* is honoured
+    from curved_nbody import cli
+
+    path = _write(tmp_path, "ex1.json", _payload("example1_s3"))
+    assert main(["verify", path]) == 0
+    assert json.loads(capsys.readouterr().out)["confirmed"] is True
+    assert main(["moulton", "1,2", "--space", "S3", "--c", "0.5"]) == 0
+    assert '"count": 2' in capsys.readouterr().out
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.input) or 7)
+    assert main(["verify", path]) == 7
+    assert seen == [path]
+    assert main(["sweep", "no_such_family", "--grid", "m=1"]) == 1
