@@ -188,15 +188,23 @@ def hessian_geodesic_h(config: GeodesicHConfig, lam: float) -> np.ndarray:
     Off-diagonal entries are -2 m_i m_j cosh d_ij / sinh^3 d_ij; the D2U part
     has zero row sums, and the multiplier contributes -2 lam m_i cosh 2theta_i
     on the diagonal.  At a minimizer with its own lambda (< 0) the matrix is
-    positive definite, which certifies the configuration.
+    positive definite, which certifies the configuration.  Where a step
+    of the arithmetic leaves float range (cosh or sinh^3 of a wide gap,
+    cosh 2theta of a far body, a gap whose sinh^3 is 0) it raises
+    OutOfRangeError naming theta; elsewhere numpy's errstate changes no bit.
     """
     t, m = config.thetas, config.masses
     d = np.abs(t[:, None] - t[None, :])
     np.fill_diagonal(d, 1.0)  # any nonzero gap; the diagonal is cleared below
-    off = -2.0 * np.outer(m, m) * np.cosh(d) / np.sinh(d) ** 3
-    np.fill_diagonal(off, 0.0)
-    hess = off - np.diag(np.sum(off, axis=1))
-    hess -= lam * np.diag(2.0 * m * np.cosh(2.0 * t))
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            off = -2.0 * np.outer(m, m) * np.cosh(d) / np.sinh(d) ** 3
+            np.fill_diagonal(off, 0.0)
+            hess = off - np.diag(np.sum(off, axis=1))
+            hess -= lam * np.diag(2.0 * m * np.cosh(2.0 * t))
+    except FloatingPointError:
+        raise OutOfRangeError(f"Hessian at theta {t.tolist()} is out of float "
+                              f"range") from None
     return hess
 
 

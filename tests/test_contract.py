@@ -26,6 +26,7 @@ from curved_nbody import (
     geodesic_lambda,
     grad_I,
     grad_U,
+    hessian_geodesic_h,
     integrate,
     make_report,
     pick_member,
@@ -209,6 +210,16 @@ def test_an_overflowing_newton_trial_counts_as_infeasible(masses, c):
 def test_the_geodesic_evaluators_refuse_theta_out_of_float_range(thetas, evaluate):
     with pytest.raises(OutOfRangeError, match="theta"):
         evaluate(GeodesicHConfig(thetas, [1.0, 1.0]))
+
+
+# numpy warned "overflow encountered in cosh" at a gap of 800 and "in power"
+# at 300, where sinh^3 overflows though cosh does not; sinh^3 of a gap of
+# 2e-200 is 0
+@pytest.mark.parametrize("thetas", [[-400.0, 400.0], [-150.0, 150.0],
+                                    [-1e-200, 1e-200]])
+def test_the_geodesic_hessian_refuses_theta_out_of_float_range(thetas):
+    with pytest.raises(OutOfRangeError, match=r"Hessian at theta \[.*out of float"):
+        hessian_geodesic_h(GeodesicHConfig(thetas, [1.0, 1.0]), 0.1)
 
 
 @pytest.mark.parametrize("lam", [1e200, 1e300, -1e300])
