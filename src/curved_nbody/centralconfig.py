@@ -808,8 +808,7 @@ class _RowChart:
         q = _reproject_rows(space, pts)
         s = _check_rows(space, q)
         r2 = _r2_rows(q)
-        R = _axpy(_grad_U_rows(space, self.m, q, s), -y[-1],
-                  _grad_I_rows(space, self.tm, q, r2))
+        R = self._stationarity(q, s, r2, y[-1])
         # einsum("nkd,bnd,d->bnk", bases, R, metric_diagonal)
         G = [0.0 + e0 * g0 + e1 * g1 + e2 * g2 + e3 * g3 * mw
              for frame, (g0, g1, g2, g3) in zip(frames, R)
@@ -821,8 +820,7 @@ class _RowChart:
         """_criterion_rows of grad U - lam grad I at the point x."""
         (q, s), sigma = x, self.sigma
         r2 = _r2_rows(q)
-        G = _axpy(_grad_U_rows(self.space, self.m, q, s), -lam,
-                  _grad_I_rows(self.space, self.tm, q, r2))
+        G = self._stationarity(q, s, r2, lam)
         out = []
         for p, g, r in zip(q, G, r2):
             x0, x1, x2, x3 = p
@@ -835,6 +833,12 @@ class _RowChart:
                 out.extend((g0 * x0 + g1 * x1, -g0 * x1 + g1 * x0,
                             -g2 * x3 + g3 * x2))
         return out
+
+    def _stationarity(self, q, s, r2, lam):
+        """grad U - lam grad I at the rows q, from their Gram matrix s and
+        r^2."""
+        return _axpy(_grad_U_rows(self.space, self.m, q, s), -lam,
+                     _grad_I_rows(self.space, self.tm, q, r2))
 
 
 def _kkt_newton(kernel, Q, c, lam, tol, max_iter=60, damped=False):

@@ -16,9 +16,9 @@ OutOfRangeError          a scalar outside its domain: the level or size c,
                          a tolerance, the step dt, the horizon, the
                          curvature kappa, the seed count, a lambda given
                          as input, a geodesic-solver mass or c outside
-                         [1e-20, 1e20], geodesic thetas whose U, I or
-                         lambda leave float range; the message names the
-                         argument
+                         [1e-20, 1e20], geodesic thetas whose U, I,
+                         lambda or Hessian leave float range; the message
+                         names the argument
 InadmissibleBetaError    a rate that is not finite or that the family's
                          constraint excludes
 ParamOutOfDomainError    fixture parameters outside the documented domain
