@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .dynamics import (
     _axpy,
     _check_points,
     _check_rows,
+    _check_rows_float,
     _grad_U_rows,
     _gram_checked,
     _potential_gram,
@@ -405,6 +407,8 @@ def _restore_level(space, m, Q, c, max_iter=40):
     iterate, the returned one too, passes Configuration's point checks.
     Returns (Q, s): the point on the level and the Gram matrix that its
     point check built, from which the descent takes U without recomputing.
+    The row descent (_RowDescent.restore) gives the same points, matrix and
+    errors, but builds the Gram matrix only for the iterate it returns.
     """
     for _ in range(max_iter):
         s = _check_points(space, Q)
@@ -469,9 +473,12 @@ class _RowDescent:
     same points, U and multipliers as on arrays, and every failed check
     raises the array function's error and message.  Three products stay
     numpy calls, since BLAS may round them with fused multiply-adds: the
-    Gram matrix of each point check, the S3 row norms of each reprojection
-    and the w @ Q of grad U.  U and grad U take the Gram matrix that the
-    point's last check built, which is the one they would rebuild.
+    Gram matrix of the point check of each restored point, the S3 row
+    norms of each reprojection and the w @ Q of grad U.  U and grad U take
+    the Gram matrix that the restored point's check built, which is the one
+    they would rebuild.  The restoration's other iterates are checked in
+    floats (_check_rows_float), which builds a Gram matrix only for a pair
+    within rounding distance of a singular bound.
     """
 
     def __init__(self, kernel, c):
@@ -483,14 +490,21 @@ class _RowDescent:
 
     def restore(self, q):
         """_restore_level of the rows q, at its default max_iter; returns
-        (q, s), s as rows."""
+        (q, s), s as rows.
+
+        Each iterate's level error comes first, since it needs no Gram
+        matrix: the iterate on the level takes the full check and returns
+        its matrix, every other one passes or raises _check_rows_float.
+        The level error cannot raise, so each iterate raises what its check
+        raises in _restore_level.
+        """
         space, m, c, mw = self.space, self.m, self.c, self.mw
         for _ in range(40):
-            s = _check_rows(space, q)
             r2 = _r2_rows(q)
             err = _add_reduce([mi * v for mi, v in zip(m, r2)]) - c
             if abs(err) <= 1e-13 * max(1.0, abs(c)):
-                return q, s
+                return q, _check_rows(space, q)
+            _check_rows_float(space, q)
             G = _grad_I_rows(space, self.tm, q, r2)
             gg = _add_reduce(_metric_products(G, G, mw))
             if gg < 1e-30:
@@ -595,6 +609,9 @@ def _tangent_frames(space, q):
     per call on 4-vectors is many times the arithmetic.  Each expression
     is inner's or project_tangent's, term for term and in their order, so
     the frames are bitwise those of the same loop on numpy 4-vectors.
+
+    Where rounding leaves fewer than three, as on H3 far out (|x| of 1e8
+    or more), this raises NoConvergenceError naming the body.
     """
     sigma = space.sigma
 
@@ -603,7 +620,7 @@ def _tangent_frames(space, q):
         return t + a[3] * b[3] if sigma == 1 else t - a[3] * b[3]
 
     frames = []
-    for p in q:
+    for i, p in enumerate(q):
         vecs = []
         for e in _UNIT_VECTORS:
             coeff = sigma * dot(p, e)  # project_tangent(p, e, space)
@@ -617,6 +634,10 @@ def _tangent_frames(space, q):
                 vecs.append([x / r for x in v])
             if len(vecs) == 3:
                 break
+        else:
+            raise NoConvergenceError(
+                f"the tangent frame of body {i} lost rank: rounding left "
+                f"{len(vecs)} of its 3 directions")
         frames.append(vecs)
     return frames
 
@@ -761,18 +782,35 @@ class _ArrayChart:
             space, Q, self.kernel.grad(Q) - lam * _grad_I_raw(space, m, Q))
 
 
+class _RowPoint(NamedTuple):
+    """A point of _RowChart: its rows q and the Gram matrix s that their
+    point check built; for a chart point also its r^2 and the rows
+    R = grad U - lam grad I at the lambda lam it was evaluated at."""
+
+    q: list
+    s: list
+    r2: list | None = None
+    lam: float | None = None
+    R: list | None = None
+
+
 class _RowChart:
     """_ArrayChart's operations on rows of four Python floats, bit for bit.
 
-    A point is (q, s): its rows and the Gram matrix that its point check
-    built, from which grad U is taken (_grad_U_rows).  Each expression is
-    the array code's, each sum in its order: the einsum sums from 0.0 in
-    index order, the array sums in numpy's (_add_reduce).  The numpy calls
-    left are those of _RowDescent's operations, and a chart point that
-    leaves the feasible region raises the array chart's error and message.
-    Where a trial's arithmetic overflows, numpy raises FloatingPointError
-    under _newton's errstate while the floats carry inf on into a failed
-    point check; _newton halves the step either way.
+    A point is a _RowPoint, whose Gram matrix grad U is taken from
+    (_grad_U_rows).  Each expression is the array code's, each sum in its
+    order: the einsum sums from 0.0 in index order, the array sums in
+    numpy's (_add_reduce).  The numpy calls left are those of _RowDescent's
+    operations, and a chart point that leaves the feasible region raises
+    the array chart's error and message.  Where a trial's arithmetic
+    overflows, numpy raises FloatingPointError under _newton's errstate
+    while the floats carry inf on into a failed point check; _newton halves
+    the step either way.
+
+    A chart point keeps the grad U - lam grad I rows it was evaluated with,
+    so the stopping test at that point and lambda reuses them; it builds
+    them only at the starting point.  A chart origin is still evaluated
+    afresh, since its reprojection can move the accepted point by an ulp.
     """
 
     def __init__(self, kernel, c):
@@ -784,13 +822,13 @@ class _RowChart:
 
     def start(self, Q):
         q = Q.tolist()
-        return q, _check_rows(self.space, q)
+        return _RowPoint(q, _check_rows(self.space, q))
 
     def array(self, x):
-        return np.array(x[0])
+        return np.array(x.q)
 
     def frames(self, x):
-        return _tangent_frames(self.space, x[0])
+        return _tangent_frames(self.space, x.q)
 
     def residuals(self, x, frames, y):
         """_ArrayChart.residuals at the chart point y (an array) around the
@@ -799,7 +837,7 @@ class _RowChart:
         y = y.tolist()
         # Q + einsum("bnk,nkd->bnd", X, bases)
         pts = []
-        for i, ((x0, x1, x2, x3), (a, b, e)) in enumerate(zip(x[0], frames)):
+        for i, ((x0, x1, x2, x3), (a, b, e)) in enumerate(zip(x.q, frames)):
             u, v, t = y[3 * i:3 * i + 3]
             pts.append((x0 + (0.0 + u * a[0] + v * b[0] + t * e[0]),
                         x1 + (0.0 + u * a[1] + v * b[1] + t * e[1]),
@@ -814,13 +852,17 @@ class _RowChart:
              for frame, (g0, g1, g2, g3) in zip(frames, R)
              for e0, e1, e2, e3 in frame]
         G.append(_add_reduce([mi * v for mi, v in zip(self.m, r2)]) - self.c)
-        return np.array(G), (q, s)
+        return np.array(G), _RowPoint(q, s, r2, y[-1], R)
 
     def criterion(self, x, lam):
         """_criterion_rows of grad U - lam grad I at the point x."""
-        (q, s), sigma = x, self.sigma
-        r2 = _r2_rows(q)
-        G = self._stationarity(q, s, r2, lam)
+        (q, s, r2, at, G), sigma = x, self.sigma
+        # the rows x was evaluated with, if at is lam to the bit: equal and,
+        # should both be zeros, of one sign
+        if (G is None or at != lam
+                or math.copysign(1.0, at) != math.copysign(1.0, lam)):
+            r2 = _r2_rows(q)
+            G = self._stationarity(q, s, r2, lam)
         out = []
         for p, g, r in zip(q, G, r2):
             x0, x1, x2, x3 = p
@@ -855,9 +897,13 @@ def _kkt_newton(kernel, Q, c, lam, tol, max_iter=60, damped=False):
     Up to dynamics._PAIR_LOOP_MAX_N bodies the single-point evaluations run
     on rows of Python floats (_RowChart): the residual at each chart
     origin, every backtracking trial and the stopping test.  Above, they
-    run on arrays (_ArrayChart).  The two give the same bits.  The stacked
-    finite-difference Jacobian runs on arrays at every N, since its 2 (3N +
-    1) probes cost less as one stack than one by one in floats.
+    run on arrays (_ArrayChart).  The two give the same bits.  On rows the
+    stopping test at an accepted trial reuses the grad U - lambda grad I
+    rows the trial built; each chart origin is evaluated afresh.  The
+    stacked finite-difference Jacobian runs on arrays at every N, since its
+    2 (3N + 1) probes cost less as one stack than one by one in floats.
+    A tangent frame that rounding leaves short of rank raises
+    NoConvergenceError (_tangent_frames).
     """
     n = len(kernel.m)
     ops = (_RowChart if n <= dynamics._PAIR_LOOP_MAX_N else _ArrayChart)(kernel, c)
@@ -921,17 +967,21 @@ def find_cc(
     bit: every array sum is taken in numpy's order, and three products
     stay numpy calls, because BLAS may round them with fused multiply-adds
     and a float loop would not give their bits.  These are the Gram matrix
-    of each point check, the S3 row norms of each reprojection and grad
-    U's w @ Q.  Newton's single-point evaluations run on the same float
-    rows, bit for bit (_RowChart): the residual at each chart origin, every
-    backtracking trial and the stopping test's criterion rows, with grad U
-    taken from the Gram matrix of the point's check.  Its finite-difference
+    of the point check of each restored point, the S3 row norms of each
+    reprojection and grad U's w @ Q.  The restoration's intermediate
+    iterates are checked in floats and build no Gram matrix unless a pair
+    lies within rounding distance of a singular bound.  Newton's
+    single-point evaluations run on the same float rows, bit for bit
+    (_RowChart): the residual at each chart origin, every backtracking
+    trial and the stopping test's criterion rows, with grad U taken from
+    the Gram matrix of the point's check and the stopping test reusing the
+    accepted trial's grad U - lambda grad I.  Its finite-difference
     Jacobian stays one stacked array evaluation.  Above four bodies the
     descent and Newton run on arrays.
 
     Returns (configuration, report).  Raises NoConvergence when iterations
-    run out and SingularApproach when the iterate degenerates into the
-    singular set.
+    run out or a tangent frame loses rank, and SingularApproach when the
+    iterate degenerates into the singular set.
     """
     m = np.asarray(masses, dtype=float)
     level.validate(space, m)

@@ -243,9 +243,26 @@ def _check_rows(space: Space, q: list) -> list:
 
     The checks run in floats, in _check_points' expressions; only the Gram
     product stays a numpy call, since BLAS may round it with fused
-    multiply-adds.  A failed test hands the rows to _check_points, so the
-    error and its message are that function's own.
+    multiply-adds.  A row off the shell goes to _check_points, so the
+    error and its message are that function's own.  A singular pair raises
+    SingularPairError for the first entry of the Gram matrix outside the
+    bounds in C order, the one _raise_singular_pair finds in the same
+    matrix, without rebuilding it.
     """
+    _check_shell_rows(space, q)
+    a = np.array(q)
+    s = (space.sigma * ((a * space.metric_diagonal) @ a.T)).tolist()
+    lo, hi = _singular_bounds(space)
+    for i, row in enumerate(s):
+        for j, v in enumerate(row):
+            if not lo <= v <= hi and i != j:
+                raise SingularPairError(i, j, v)
+    return s
+
+
+def _check_shell_rows(space: Space, q: list) -> None:
+    """_check_points' shell tests on the rows q, in its expressions; a row
+    that fails them goes to _check_points, which raises its error."""
     sigma, h3 = space.sigma, space is Space.H3
     for x0, x1, x2, x3 in q:
         t = x0 * x0 + x1 * x1 + x2 * x2
@@ -254,15 +271,44 @@ def _check_rows(space: Space, q: list) -> list:
         # a NaN sq comes with a NaN unit, whose test fails as numpy's does
         if not (abs(unit - sigma) / (sq if sq > 1.0 else 1.0) <= EPS_MANIFOLD
                 and (not h3 or x3 >= 1.0 - EPS_MANIFOLD)):
-            return _check_points(space, np.array(q)).tolist()  # raises
-    a = np.array(q)
-    s = (sigma * ((a * space.metric_diagonal) @ a.T)).tolist()
+            _check_points(space, np.array(q))  # raises
+
+
+# u = 2^-53 is the unit roundoff.  A sum of the four products a_k b_k, in
+# any order and with or without fused multiply-adds, lies within
+# gamma_4 sum |a_k b_k| of the exact sum, gamma_4 = 4u / (1 - 4u) (Higham,
+# Accuracy and Stability of Numerical Algorithms, section 3.1), so a Gram
+# entry summed in floats and the BLAS one lie within 2 gamma_4 sum |a_k b_k|
+# of each other.  _check_rows_float asks a pair to clear its bounds by twice
+# that, because the test rounds too: its float sum of |a_k b_k|, the margin
+# and the distance to the bound each lie within a few u of exact, far less
+# than the second half of the margin.
+_U_ROUND = sys.float_info.epsilon / 2.0
+_PAIR_MARGIN = 2.0 * (2.0 * (4.0 * _U_ROUND / (1.0 - 4.0 * _U_ROUND)))
+
+
+def _check_rows_float(space: Space, q: list) -> None:
+    """_check_rows without its Gram matrix: passes or raises exactly as it
+    does, but builds the BLAS product only for a pair it cannot clear in
+    floats.
+
+    After the shell tests, each pair's s is summed in floats.  When every
+    pair clears both singular bounds by _PAIR_MARGIN sum |a_k b_k|, the
+    BLAS entries, which differ from the float sums by less, clear them
+    too, and the rows pass.  A pair inside the margin, or a sum that is not
+    finite, hands the rows to _check_rows, which raises or passes.
+    """
+    _check_shell_rows(space, q)
     lo, hi = _singular_bounds(space)
-    for i, row in enumerate(s):
-        for j, v in enumerate(row):
-            if not lo <= v <= hi and i != j:
-                return _check_points(space, a).tolist()  # raises
-    return s
+    h3 = space is Space.H3
+    for i, (a0, a1, a2, a3) in enumerate(q):
+        for b0, b1, b2, b3 in q[i + 1:]:
+            p0, p1, p2, p3 = a0 * b0, a1 * b1, a2 * b2, a3 * b3
+            v = p3 - p0 - p1 - p2 if h3 else p0 + p1 + p2 + p3
+            margin = _PAIR_MARGIN * (abs(p0) + abs(p1) + abs(p2) + abs(p3))
+            if not (v - lo >= margin and hi - v >= margin):
+                _check_rows(space, q)
+                return
 
 
 def _raise_singular_pair(s: np.ndarray, lo: float, hi: float) -> None:

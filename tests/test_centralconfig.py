@@ -640,6 +640,104 @@ def test_the_row_descent_is_the_array_descent_bit_for_bit(seed, space, n, gamma)
                                    else rows.trial(Q.tolist(), gamma, Rr)))
 
 
+def _pair_near_a_bound(space, bound, ulps, rng, n):
+    """n random points with pair (0, 1) at sigma-inner product about ulps
+    ulps from a singular bound: S3's coinciding or antipodal one, H3's
+    coinciding one."""
+    Q = random_config(space, n, rng).points.copy()
+    lo, hi = dynamics._singular_bounds(space)
+    edge = hi if bound == "coinciding" and space is Space.S3 else lo
+    target = edge + ulps * math.ulp(edge)
+    t = project_tangent(Q[0], rng.standard_normal(4), space)
+    t /= math.sqrt(inner(t, t, space))
+    if space is Space.S3:
+        d = math.acos(target)
+        Q[1] = math.cos(d) * Q[0] + math.sin(d) * t
+    else:
+        d = math.acosh(target)
+        Q[1] = math.cosh(d) * Q[0] + math.sinh(d) * t
+    return Q
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from([(Space.S3, "coinciding"), (Space.S3, "antipodal"),
+                        (Space.H3, "coinciding")]),
+       st.integers(2, dynamics._PAIR_LOOP_MAX_N), st.integers(-6, 6),
+       st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6]))
+def test_a_restoration_next_to_a_singular_bound_is_the_array_one(
+        seed, where, n, ulps, off):
+    # the restoration checks the iterates it does not return in floats,
+    # clearing each pair by a rounding margin; an iterate with a pair a few
+    # ulps from a bound must pass or raise exactly as the BLAS check does
+    space, bound = where
+    rng = np.random.default_rng(seed)
+    Q = _pair_near_a_bound(space, bound, ulps, rng, n)
+    m = rng.uniform(0.5, 2.0, n)
+    c = float(m @ (Q[:, 0] ** 2 + Q[:, 1] ** 2)) * (1.0 + off)
+    arrays, rows = _both_descents(space, m, c)
+    _assert_same_restoration(arrays, rows,
+                             lambda ops: Q if ops is arrays else Q.tolist())
+
+
+def _counting(calls, fn):
+    def counted(*args, **kw):
+        calls.append(fn)
+        return fn(*args, **kw)
+    return counted
+
+
+@pytest.mark.parametrize("space", [Space.S3, Space.H3])
+def test_one_restoration_builds_one_gram_matrix(space, monkeypatch):
+    # the iterates the restoration discards are checked in floats; only the
+    # one it returns builds the BLAS Gram product
+    cfg = random_config(space, 3, np.random.default_rng(11))
+    _, rows = _both_descents(space, cfg.masses, moment_of_inertia(cfg) * 1.05)
+    grams, floats = [], []
+    for name, calls in (("_check_rows", grams), ("_check_points", grams),
+                        ("_check_rows_float", floats)):
+        counted = _counting(calls, getattr(dynamics, name))
+        for module in (dynamics, centralconfig):
+            monkeypatch.setattr(module, name, counted)
+    rows.restore(cfg.points.tolist())
+    assert len(floats) >= 3 and len(grams) == 1
+
+
+@pytest.mark.parametrize("masses, space, c, seed", [
+    (_DRAW4[0], Space.S3, _DRAW4[1], 1),
+    (_H3_LONG_DESCENT[0], Space.H3, _H3_LONG_DESCENT[1], 1),
+    ([1.0, 1.2, 0.8], Space.S3, 0.5, 42),
+])
+def test_newton_builds_the_stationarity_rows_once_per_chart_point(
+        masses, space, c, seed, monkeypatch):
+    # each chart point (the origins and every trial) builds grad U - lam
+    # grad I once; the stopping test builds them only at the starting point
+    # of each Newton run, and at every other point reuses the trial's rows
+    built, points, starts, fresh = [], [], [], []
+    stationarity, residuals = _RowChart._stationarity, _RowChart.residuals
+    start, criterion = _RowChart.start, _RowChart.criterion
+
+    def counted_residuals(self, *args):
+        out = residuals(self, *args)
+        points.append(1)
+        return out
+
+    def counted_criterion(self, x, lam):
+        before = len(built)
+        out = criterion(self, x, lam)
+        fresh.append(len(built) - before)
+        return out
+
+    monkeypatch.setattr(_RowChart, "_stationarity", _counting(built, stationarity))
+    monkeypatch.setattr(_RowChart, "residuals", counted_residuals)
+    monkeypatch.setattr(_RowChart, "start", _counting(starts, start))
+    monkeypatch.setattr(_RowChart, "criterion", counted_criterion)
+    find_cc(masses, space, LevelSetSpec(c), rng=np.random.default_rng(seed))
+    assert len(fresh) > len(starts) >= 1
+    assert sum(fresh) == len(starts) and fresh[0] == 1
+    assert len(built) == len(points) + len(starts)
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_the_descent_runs_on_rows_up_to_the_pair_loop_size(n, monkeypatch):
     calls = []

@@ -35,6 +35,7 @@ from curved_nbody import (
     solve_geodesic_h,
     solve_two_body_s,
 )
+from curved_nbody import dynamics
 from curved_nbody.cli import main
 from curved_nbody.errors import (
     CurvedNBodyError,
@@ -238,6 +239,28 @@ def test_find_blames_a_nan_mass_not_the_level():
     code, _, err = _run(["find", "1,nan,1", "--space", "S3", "--c", "0.4"])
     assert code == 1
     assert "masses must be positive and finite" in err
+
+
+# far out on H3 (|x| of 1e8 and more) rounding leaves a body's tangent frame
+# two directions; the row chart failed with "not enough values to unpack",
+# the array chart with numpy's "inhomogeneous shape"
+@pytest.mark.parametrize("pair_loop_max_n", [None, 0], ids=["rows", "arrays"])
+@pytest.mark.parametrize("n,c", [(2, 1e20), (3, 1e35), (4, 1e60)])
+def test_a_tangent_frame_that_loses_rank_is_no_convergence(
+        n, c, pair_loop_max_n, monkeypatch):
+    if pair_loop_max_n is not None:
+        monkeypatch.setattr(dynamics, "_PAIR_LOOP_MAX_N", pair_loop_max_n)
+    with pytest.raises(NoConvergenceError,
+                       match=r"tangent frame of body \d+ lost rank"):
+        find_cc(np.ones(n), Space.H3, LevelSetSpec(c))
+
+
+def test_find_skips_a_seed_whose_tangent_frame_loses_rank():
+    # the first such seed aborted the whole search ("error: not enough
+    # values to unpack"); each seed now fails alone and none is found
+    code, out, err = _run(["find", "1,1", "--space", "H3", "--c", "1e20"])
+    assert (code, err) == (2, "")
+    assert json.loads(out)["count"] == 0
 
 
 def test_find_refuses_zero_seeds():

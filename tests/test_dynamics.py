@@ -7,6 +7,8 @@ import pytest
 from curved_nbody.dynamics import (
     Configuration,
     PhaseState,
+    _check_points,
+    _check_rows,
     _first_integrals,
     conserved,
     eom_rhs,
@@ -28,6 +30,7 @@ from curved_nbody.manifold import (
     IsometryGenerator,
     Space,
     inner,
+    project_point,
     sn,
 )
 
@@ -75,6 +78,31 @@ def test_configuration_rejects_singular_pairs():
     v = [0.0, 0.0, 0.0, 1.0]
     with pytest.raises(SingularPairError):
         Configuration(Space.H3, [1.0, 1.0], np.array([v, v]))
+
+
+@pytest.mark.parametrize("space", [Space.S3, Space.H3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_row_check_raises_the_singular_pair_the_array_check_raises(space, n):
+    # _check_rows raises from its own Gram matrix, for the first entry out
+    # of bounds in C order, as _check_points does from the same product;
+    # one or two pairs are made singular, exactly or to within 1e-6
+    rng = np.random.default_rng(10 * n + space.sigma)
+    for _ in range(40):
+        Q = random_points(space, n, rng)
+        for _ in range(rng.integers(1, 3)):
+            i, j = rng.choice(n, 2, replace=False)
+            if space is Space.S3 and rng.random() < 0.5:
+                Q[j] = -Q[i]                          # antipodal
+            else:
+                Q[j] = Q[i]                           # coinciding
+            if rng.random() < 0.5:
+                Q[j] = project_point(Q[j] + 1e-6 * rng.standard_normal(4), space)
+        with pytest.raises(SingularPairError) as want:
+            _check_points(space, Q)
+        with pytest.raises(SingularPairError) as got:
+            _check_rows(space, Q.tolist())
+        assert str(got.value) == str(want.value)
+        assert (got.value.i, got.value.j) == (want.value.i, want.value.j)
 
 
 def test_from_raw_projects_and_round_trips():
