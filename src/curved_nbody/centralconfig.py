@@ -703,55 +703,64 @@ def _newton(chart, x, lam, done, max_iter, damped=False):
     Levenberg step if damped) backtracked on ||G||_2 by halving to 1e-6.
     Returns (x, lam, G, why): the last accepted point, the rows at that
     point, and None if done accepted it, else why the iteration stopped.
+    A NoConvergenceError raised before the first step solve depends on the
+    starting point alone, so damping cannot change it; it carries
+    at_start = True, one raised later at_start = False.
     """
     mu = 1e-3
-    G, jac, trial = chart(x, lam)
-    for _ in range(max_iter):
-        if not np.all(np.isfinite(G)):
-            raise NoConvergenceError("refinement residual is not finite")
-        if done(x, lam, G):
-            return x, lam, G, None
-        J = jac()
-        if not np.all(np.isfinite(J)):
-            raise NoConvergenceError("refinement jacobian is not finite")
-        try:
-            if damped:
-                delta = np.linalg.solve(J.T @ J + mu * np.eye(len(G)), -J.T @ G)
-            else:
-                try:
-                    delta = np.linalg.solve(J, -G)
-                except np.linalg.LinAlgError:
-                    delta = np.linalg.lstsq(J, -G, rcond=None)[0]
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"refinement step solve failed: {exc}") from exc
-        base = float(np.linalg.norm(G))
-        t = 1.0
-        # a trial whose rows or their norm overflow is as infeasible as one
-        # off the manifold: numpy raises FloatingPointError where it would
-        # have warned, math raises OverflowError or ZeroDivisionError, and
-        # the step is halved
-        with np.errstate(over="raise"):
-            while t >= 1e-6:
-                try:
-                    Gt, xt, lt = trial(t * delta)
-                    accept = np.linalg.norm(Gt) < (1.0 - 1e-4 * t) * base
-                except (*_INFEASIBLE, ArithmeticError):
-                    t *= 0.5
-                    continue
-                if accept:
-                    break
-                t *= 0.5
-            else:  # no trial accepted
-                mu *= 10.0
-                if not damped:
-                    return x, lam, G, "refinement step rejected"
-                if mu > 1e8:
-                    return x, lam, G, "least-squares refinement stalled"
-                continue
-        x, lam = xt, lt
-        mu = max(mu / 3.0, 1e-12)
+    at_start = True
+    try:
         G, jac, trial = chart(x, lam)
-    return x, lam, G, "refinement did not reach tolerance"
+        for _ in range(max_iter):
+            if not np.all(np.isfinite(G)):
+                raise NoConvergenceError("refinement residual is not finite")
+            if done(x, lam, G):
+                return x, lam, G, None
+            J = jac()
+            if not np.all(np.isfinite(J)):
+                raise NoConvergenceError("refinement jacobian is not finite")
+            at_start = False
+            try:
+                if damped:
+                    delta = np.linalg.solve(J.T @ J + mu * np.eye(len(G)), -J.T @ G)
+                else:
+                    try:
+                        delta = np.linalg.solve(J, -G)
+                    except np.linalg.LinAlgError:
+                        delta = np.linalg.lstsq(J, -G, rcond=None)[0]
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergenceError(f"refinement step solve failed: {exc}") from exc
+            base = float(np.linalg.norm(G))
+            t = 1.0
+            # a trial whose rows or their norm overflow is as infeasible as
+            # one off the manifold: numpy raises FloatingPointError where it
+            # would have warned, math raises OverflowError or
+            # ZeroDivisionError, and the step is halved
+            with np.errstate(over="raise"):
+                while t >= 1e-6:
+                    try:
+                        Gt, xt, lt = trial(t * delta)
+                        accept = np.linalg.norm(Gt) < (1.0 - 1e-4 * t) * base
+                    except (*_INFEASIBLE, ArithmeticError):
+                        t *= 0.5
+                        continue
+                    if accept:
+                        break
+                    t *= 0.5
+                else:  # no trial accepted
+                    mu *= 10.0
+                    if not damped:
+                        return x, lam, G, "refinement step rejected"
+                    if mu > 1e8:
+                        return x, lam, G, "least-squares refinement stalled"
+                    continue
+            x, lam = xt, lt
+            mu = max(mu / 3.0, 1e-12)
+            G, jac, trial = chart(x, lam)
+        return x, lam, G, "refinement did not reach tolerance"
+    except NoConvergenceError as exc:
+        exc.at_start = at_start
+        raise
 
 
 class _ArrayChart:
@@ -980,14 +989,23 @@ def find_cc(
     descent and Newton run on arrays.
 
     Returns (configuration, report).  Raises NoConvergence when iterations
-    run out or a tangent frame loses rank, and SingularApproach when the
-    iterate degenerates into the singular set.
+    run out, a tangent frame loses rank, or the default seed holds a
+    singular pair (far out on H3, where rounding leaves the seed's Gram
+    entries meaningless, or with masses so large that its bodies coincide),
+    and SingularApproach when the iterate degenerates into the singular
+    set.  A descent's Newton run that fails is retried damped unless it
+    failed at its starting point, where damping changes nothing.
     """
     m = np.asarray(masses, dtype=float)
     level.validate(space, m)
     c = float(level.c)
     if seed is None:
-        seed = default_seed(m, space, c, rng=rng)
+        try:
+            seed = default_seed(m, space, c, rng=rng)
+        except SingularPairError as exc:
+            raise NoConvergenceError(
+                f"the default seed holds the singular pair ({exc.i}, {exc.j}): "
+                f"sigma-inner product {exc.value!r}") from exc
     if seed.space is not space or len(seed.masses) != len(m):
         raise ValueError("seed does not match the requested problem")
     Q, s = _restore_level(space, m, seed.points, c)
@@ -1002,8 +1020,12 @@ def find_cc(
             pass
         try:
             Q, lam = _kkt_newton(kernel, Q, c, lam, level.tol)
-        except NoConvergenceError:
+        except NoConvergenceError as first:
             try:
+                # a failure at the starting point (a frame that lost rank, a
+                # Jacobian probe off the feasible region) would repeat as is
+                if getattr(first, "at_start", False):
+                    raise
                 Q, lam = _kkt_newton(kernel, Q, c, lam, level.tol, damped=True)
             except NoConvergenceError as exc:
                 # U = sum m m cot d falls without bound as d -> pi, so the

@@ -15,11 +15,12 @@ round-off level.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -446,9 +447,10 @@ class _ForceKernel:
 
 # Up to this many bodies the stepper runs whole RK4 steps in Python floats:
 # a few dozen numpy calls on (N, 4) arrays per step cost more than the
-# O(N^2) work itself.  On a 2-vCPU Xeon a float step takes about 45 / 70 /
-# 90 us at N = 2 / 3 / 4 against 210-235 us for an array step; the two
-# meet near N = 8.  find_cc's row descent takes the same bound.  It is the
+# O(N^2) work itself.  On a 2-vCPU Xeon a generated float step takes about
+# 30 / 45 / 55 us at N = 2 / 3 / 4 against 190-230 us for an array step
+# (the best of 15 runs of 300 steps each); the two meet near N = 10.  The
+# bound stays at four because find_cc's row descent takes it too.  It is the
 # array descent bit for bit only while _potential_rows sums at most 128
 # terms (_add_reduce), N <= 11: at N = 12 its U differs from the array U on
 # 75 of 200 random H3 Gram matrices.  From N = 12 it is also no faster: an
@@ -466,87 +468,41 @@ class _PairKernel:
     """Whole RK4 steps of a few bodies in Python floats, in the frame
     co-moving with exp(t xi) when a generator xi is given.
 
-    A state is a list of N rows of four floats.  Each unordered pair's s,
-    singular-pair test, sn^3 and weight w = m_i m_j / sn^3 are computed
-    once, in _ForceKernel's expressions, and the force is added to both
-    bodies; the forces differ from its BLAS sums by rounding only.  A
-    singular pair raises SingularPairError(i, j, s) for the first such pair
-    i < j, judged by this loop's own s.  The rest is the array stepper's
+    A state is a list of N rows of four floats.  step and rates run a
+    straight-line function built for this kernel's space, body count and
+    co-moving column layout (_pair_step_factory), which takes the masses,
+    the pair products m_i m_j, sigma, the w-metric sign, the singular
+    bounds and the layer coefficients as closure values.  Each unordered
+    pair's s, singular-pair test, sn^3 and weight w = m_i m_j / sn^3 are
+    computed once, in _ForceKernel's expressions, and each body's force
+    and weight sums start from 0.0 and take its pairs in the order of j;
+    the forces differ from _ForceKernel's BLAS sums by rounding only.  A
+    singular pair raises SingularPairError(i, j, s) for the first such
+    pair i < j, judged by its own s.  The rest is the array stepper's
     arithmetic operation for operation, so bit for bit: the stage sums,
     the velocities and velocity term, the co-moving term (_frame_layers),
     the reprojection and the tangent projection.
     """
 
     def __init__(self, space: Space, m: np.ndarray, xi=None):
-        self.space = space
-        self.sigma = float(space.sigma)
-        self.mw = float(space.metric_diagonal[3])
-        self.m = [float(v) for v in m]
-        self.pairs = [(i, j, self.m[i] * self.m[j])
-                      for i, j in combinations(range(len(m)), 2)]
-        self.lo, self.hi = _singular_bounds(space)
-        self.layers = _frame_layers(np.zeros((4, 4)) if xi is None else xi)
+        layers = _frame_layers(np.zeros((4, 4)) if xi is None else xi)
+        ms = [float(v) for v in m]
+        make = _pair_step_factory(
+            space, len(ms), tuple(tuple(c for c, _ in layer) for layer in layers))
+        self._rates, self._step = make(
+            *ms, *(ms[i] * ms[j] for i, j in combinations(range(len(ms)), 2)),
+            float(space.sigma), float(space.metric_diagonal[3]),
+            *_singular_bounds(space), *(k for layer in layers for _, k in layer))
 
     def rates(self, q: list, p: list):
         """(dq/dt, dp/dt) of the equations of motion at one state (q, p),
         in the co-moving frame when the kernel has a generator."""
-        sigma, mw, lo, hi = self.sigma, self.mw, self.lo, self.hi
-        f = [[0.0, 0.0, 0.0, 0.0] for _ in q]   # sum_j w_ij q_j
-        c = [0.0] * len(q)                       # sum_j w_ij s_ij
-        for i, j, mm in self.pairs:
-            a0, a1, a2, a3 = q[i]
-            b0, b1, b2, b3 = q[j]
-            s = sigma * (a0 * b0 + a1 * b1 + a2 * b2 + mw * a3 * b3)
-            if not lo <= s <= hi:
-                raise SingularPairError(i, j, s)
-            # inside the bounds sigma (1 - s^2) is at least about
-            # 2 EPS_SINGULAR, or +inf on H3: the root and division cannot fail
-            sn = math.sqrt(sigma * (1.0 - s * s))
-            w = mm / (sn * sn * sn)
-            fi, fj = f[i], f[j]
-            fi[0] += w * b0
-            fi[1] += w * b1
-            fi[2] += w * b2
-            fi[3] += w * b3
-            fj[0] += w * a0
-            fj[1] += w * a1
-            fj[2] += w * a2
-            fj[3] += w * a3
-            ws = w * s
-            c[i] += ws
-            c[j] += ws
-        (c0, k0), (c1, k1), (c2, k2), (c3, k3) = self.layers[0]
-        dq, dp = [], []
-        for y, z, fi, ci, mi in zip(q, p, f, c, self.m):
-            x0, x1, x2, x3 = y
-            v0, v1, v2, v3 = z[0] / mi, z[1] / mi, z[2] / mi, z[3] / mi
-            # (grad U)_i - sigma m_i <v_i, v_i> q_i, grouped as _ForceKernel,
-            # then the co-moving terms
-            u = sigma * (mi * (v0 * v0 + v1 * v1 + v2 * v2 + mw * v3 * v3))
-            dq.append((v0 - (y[c0] * k0 + 0.0), v1 - (y[c1] * k1 + 0.0),
-                       v2 - (y[c2] * k2 + 0.0), v3 - (y[c3] * k3 + 0.0)))
-            dp.append((fi[0] - ci * x0 - u * x0 - (z[c0] * k0 + 0.0),
-                       fi[1] - ci * x1 - u * x1 - (z[c1] * k1 + 0.0),
-                       fi[2] - ci * x2 - u * x2 - (z[c2] * k2 + 0.0),
-                       fi[3] - ci * x3 - u * x3 - (z[c3] * k3 + 0.0)))
-        for layer in self.layers[1:]:
-            dq, dp = _less_layer(layer, q, dq), _less_layer(layer, p, dp)
-        return dq, dp
+        return self._rates(q, p)
 
     def step(self, q: list, p: list, dt: float, half: float, sixth: float):
         """One RK4 step plus projection from (q, p); half = 0.5 dt and
         sixth = dt / 6, as _rk4 hoists them."""
-        rates = self.rates
-        k1q, k1p = rates(q, p)
-        k2q, k2p = rates(_axpy(q, half, k1q), _axpy(p, half, k1p))
-        k3q, k3p = rates(_axpy(q, half, k2q), _axpy(p, half, k2p))
-        k4q, k4p = rates(_axpy(q, dt, k3q), _axpy(p, dt, k3p))
-        q = _rk4_sum(q, sixth, k1q, k2q, k3q, k4q)
-        p = _rk4_sum(p, sixth, k1p, k2p, k3p, k4p)
-        if not all(map(math.isfinite, chain(*q, *p))):
-            raise OffShellError("non-finite state")
-        q = _reproject_rows(self.space, q)
-        return q, _tangent_rows(self.space, q, p)
+        return self._step(q, p, dt, half, sixth)
 
 
 def _frame_layers(xi) -> list:
@@ -567,14 +523,6 @@ def _frame_layers(xi) -> list:
             for k in range(depth)]
 
 
-def _less_layer(layer, y: list, d: list) -> list:
-    """The rows d less the co-moving term of one further layer on y."""
-    (c0, k0), (c1, k1), (c2, k2), (c3, k3) = layer
-    return [(a0 - (r[c0] * k0 + 0.0), a1 - (r[c1] * k1 + 0.0),
-             a2 - (r[c2] * k2 + 0.0), a3 - (r[c3] * k3 + 0.0))
-            for (a0, a1, a2, a3), r in zip(d, y)]
-
-
 def _axpy(x: list, h: float, k: list) -> list:
     """The rows x + h k, as the array x + h * k rounds them; with h = -g,
     as x - g * k rounds them, since -(g k) and x + -y are exact."""
@@ -582,14 +530,111 @@ def _axpy(x: list, h: float, k: list) -> list:
             for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(x, k)]
 
 
-def _rk4_sum(x: list, sixth: float, k1, k2, k3, k4) -> list:
-    """The rows x + sixth (k1 + 2 k2 + 2 k3 + k4), in the array order."""
-    return [(x0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
-             x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-             x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-             x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3))
-            for (x0, x1, x2, x3), (a0, a1, a2, a3), (b0, b1, b2, b3),
-            (c0, c1, c2, c3), (d0, d1, d2, d3) in zip(x, k1, k2, k3, k4)]
+@functools.cache
+def _pair_step_factory(space: Space, n: int, layout: tuple):
+    """make(m_0.., m_i m_j.., sigma, mw, lo, hi, k..) -> (rates, step)
+    for n bodies, compiled once per process for each key.
+
+    layout holds, for each co-moving layer (_frame_layers), the column each
+    of the four rows reads; the coefficients k, layer by layer and row by
+    row, are make's last arguments.  The key holds integers and the space
+    only, and the source text holds names and indices only: every float
+    reaches the functions as a closure value.
+    """
+    namespace = {"space": space, "SingularPairError": SingularPairError,
+                 "OffShellError": OffShellError, "sqrt": math.sqrt,
+                 "isfinite": math.isfinite, "_reproject_rows": _reproject_rows,
+                 "_tangent_rows": _tangent_rows}
+    source = _pair_step_source(n, layout)
+    exec(compile(source, f"<RK4 step, {space.value}, N = {n}>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _pair_step_source(n: int, layout: tuple) -> str:
+    """The source of _pair_step_factory's make: rates runs one stage of the
+    equations of motion on the rows (q, p), step four stages, the RK4 sum,
+    the finiteness test, the reprojection and the tangent projection.
+
+    Stage k reads the rows Qk_i_r, Pk_i_r and writes the rates dQk_i_r,
+    dPk_i_r.  Each expression and each summation order is the pair loop's
+    that came before: a pair's s, its test, sn and w in pair order; body
+    i's sums 0.0 + w_ij q_j.. and 0.0 + w_ij s_ij.. over j in order; its
+    velocity, velocity term and rates, less (y[c] * k + 0.0) per layer.
+    Inside the singular bounds sigma (1 - s^2) is at least about
+    2 EPS_SINGULAR, or +inf on H3, so the root and the division cannot fail.
+    """
+    bodies = range(n)
+    pairs = list(combinations(bodies, 2))
+    k = [[f"k{a}_{r}" for r in range(4)] for a in range(len(layout))]
+
+    def rows(name):
+        return ", ".join(f"({', '.join(f'{name}_{i}_{r}' for r in range(4))})"
+                         + ("," if n == 1 else "") for i in bodies)
+
+    def from_zero(terms):
+        return " + ".join(["0.0", *terms])
+
+    def co_moving(Y, i, r):  # less (y[c] * k + 0.0), layer by layer
+        return "".join(f" - ({Y}_{i}_{cols[r]} * {ks[r]} + 0.0)"
+                       for cols, ks in zip(layout, k))
+
+    def stage(t):
+        Q, P = f"Q{t}", f"P{t}"
+        out = []
+        for i, j in pairs:
+            s = f"s{i}_{j}"
+            dot = " + ".join(f"{Q}_{i}_{r} * {Q}_{j}_{r}" for r in range(3))
+            out += [f"{s} = sigma * ({dot} + mw * {Q}_{i}_3 * {Q}_{j}_3)",
+                    f"if not lo <= {s} <= hi:",
+                    f"    raise SingularPairError({i}, {j}, {s})",
+                    f"sn = sqrt(sigma * (1.0 - {s} * {s}))",
+                    f"w{i}_{j} = mm{i}_{j} / (sn * sn * sn)",
+                    f"ws{i}_{j} = w{i}_{j} * {s}"]
+        for i in bodies:
+            near = [(f"{min(i, j)}_{max(i, j)}", j) for j in bodies if j != i]
+            out += [f"v{r} = {P}_{i}_{r} / m{i}" for r in range(4)]
+            out += ["u = sigma * (m%d * (v0 * v0 + v1 * v1 + v2 * v2"
+                    " + mw * v3 * v3))" % i,
+                    "c = " + from_zero(f"ws{ij}" for ij, _ in near)]
+            for r in range(4):
+                f = from_zero(f"w{ij} * {Q}_{j}_{r}" for ij, j in near)
+                out += [f"dQ{t}_{i}_{r} = v{r}{co_moving(Q, i, r)}",
+                        f"dP{t}_{i}_{r} = ({f}) - c * {Q}_{i}_{r}"
+                        f" - u * {Q}_{i}_{r}{co_moving(P, i, r)}"]
+        return out
+
+    def axpy(t, h, d):
+        return [f"{X}{t}_{i}_{r} = {X}1_{i}_{r} + {h} * d{X}{d}_{i}_{r}"
+                for X in "QP" for i in bodies for r in range(4)]
+
+    def block(lines):
+        return ["        " + line for line in lines]
+
+    masses = [f"m{i}" for i in bodies] + [f"mm{i}_{j}" for i, j in pairs]
+    args = ", ".join([*masses, "sigma", "mw", "lo", "hi", *sum(k, [])])
+    rk4 = [f"{X}_{i}_{r} = {X}1_{i}_{r} + sixth * (d{X}1_{i}_{r}"
+           f" + 2.0 * d{X}2_{i}_{r} + 2.0 * d{X}3_{i}_{r} + d{X}4_{i}_{r})"
+           for X in "QP" for i in bodies for r in range(4)]
+    flat = ", ".join(f"{X}_{i}_{r}" for X in "QP" for i in bodies for r in range(4))
+    lines = [f"def make({args}):",
+             "    def rates(q, p):",
+             f"        {rows('Q1')} = q",
+             f"        {rows('P1')} = p",
+             *block(stage(1)),
+             f"        return [{rows('dQ1')}], [{rows('dP1')}]",
+             "    def step(q, p, dt, half, sixth):",
+             f"        {rows('Q1')} = q",
+             f"        {rows('P1')} = p",
+             *block(stage(1)), *block(axpy(2, "half", 1)),
+             *block(stage(2)), *block(axpy(3, "half", 2)),
+             *block(stage(3)), *block(axpy(4, "dt", 3)),
+             *block(stage(4)), *block(rk4),
+             f"        if not all(map(isfinite, ({flat},))):",
+             "            raise OffShellError(\"non-finite state\")",
+             f"        q = _reproject_rows(space, [{rows('Q')}])",
+             f"        return q, _tangent_rows(space, q, [{rows('P')}])",
+             "    return rates, step"]
+    return "\n".join(lines) + "\n"
 
 
 def _grad_U_raw(space: Space, m: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -710,9 +755,11 @@ def _rk4(space: Space, m: np.ndarray, Q, P, dt: float, steps: int, visit,
     after steps k + 1, ..., k + B as (B, N, 4) stacks, in step order.
 
     N alone picks the arithmetic.  Up to _PAIR_LOOP_MAX_N bodies
-    _PairKernel runs whole steps in Python floats and visit gets blocks of
-    up to _BLOCK_STEPS steps; above, _ForceKernel's array stages run and
-    visit gets each step alone.  A singular pair, a non-finite state or a
+    _PairKernel runs whole steps in Python floats, each one call of a
+    straight-line function compiled once per process for the space, N and
+    the generator's column layout, and visit gets blocks of up to
+    _BLOCK_STEPS steps; above, _ForceKernel's array stages run and visit
+    gets each step alone.  A singular pair, a non-finite state or a
     row that cannot be scaled back, met in a stage or the projection,
     raises SingularEncounterError chained from its cause, once visit has
     seen every state before it; visit's own errors pass through.  Overflow
@@ -788,9 +835,11 @@ def integrate(
 
     After each step, positions are rescaled onto the manifold and momenta
     re-projected onto tangent spaces, so recorded states satisfy the
-    constraints to round-off.  Up to four bodies whole steps run in Python
-    floats, forces summed pair by pair; more bodies run the array kernel;
-    the two agree to rounding.  A singular pair encountered mid-run raises
+    constraints to round-off.  Up to four bodies each step is one call of
+    a straight-line Python-float function, forces summed pair by pair,
+    which is compiled the first time a process steps that many bodies on
+    that space (a few ms); more bodies run the array kernel; the two agree
+    to rounding.  A singular pair encountered mid-run raises
     SingularEncounterError carrying the trajectory up to the last good step.
     A dt that is not finite and positive raises OutOfRangeError, and steps
     or record_every below one ValueError.

@@ -1014,6 +1014,46 @@ def test_a_faulty_probe_raises_what_the_first_one_raised_alone():
         centralconfig._kkt_newton(kernel, Q, 0.4, -0.3, 1e-10)
 
 
+def _spy_kkt_newton(monkeypatch, undamped_error=None):
+    """The keyword arguments of each _kkt_newton call; with undamped_error,
+    an undamped call raises it instead of running."""
+    calls = []
+    newton = centralconfig._kkt_newton
+
+    def spy(*args, **kw):
+        calls.append(kw)
+        if undamped_error is not None and not kw.get("damped"):
+            raise undamped_error
+        return newton(*args, **kw)
+
+    monkeypatch.setattr(centralconfig, "_kkt_newton", spy)
+    return calls
+
+
+def test_a_newton_run_that_fails_at_its_start_is_not_retried_damped(monkeypatch):
+    # the hand-off point's tangent frame loses rank, and a damped run would
+    # fail at the same first chart with the same message
+    calls = _spy_kkt_newton(monkeypatch)
+    with pytest.raises(NoConvergenceError, match="tangent frame of body 0 lost rank"):
+        find_cc([1.0, 1.0], Space.H3, LevelSetSpec(1e20))
+    assert calls == [{}]
+
+
+def test_a_jacobian_probe_failure_at_the_start_point_is_marked_so():
+    space, m, Q = _near_antipodal_s3()
+    with pytest.raises(NoConvergenceError, match="jacobian probe") as err:
+        centralconfig._kkt_newton(_ForceKernel(space, m), Q, 0.4, -0.3, 1e-10)
+    assert err.value.at_start is True
+
+
+def test_a_newton_run_that_fails_after_a_step_is_retried_damped(monkeypatch):
+    calls = _spy_kkt_newton(monkeypatch, NoConvergenceError("refinement step rejected"))
+    cfg, _ = find_cc([1.0, 1.0, 1.0], Space.S3, LevelSetSpec(1.2),
+                     rng=np.random.default_rng(0))
+    assert calls == [{}, {"damped": True}]
+    assert np.max(np.abs(criterion_residual(cfg, lambda_estimate(cfg)))) < 1e-8
+
+
 def _h3_pair_one_chart_step_apart():
     a = 1e-3
     Q = np.array([[0.0, 0.0, 0.0, 1.0], [np.sinh(a), 0.0, 0.0, np.cosh(a)],

@@ -44,6 +44,7 @@ from curved_nbody.errors import (
     OffShellError,
     OutOfRangeError,
     SingularEncounterError,
+    SingularPairError,
 )
 from curved_nbody.fixtures import FIXTURE_BUILDERS
 
@@ -259,6 +260,28 @@ def test_find_skips_a_seed_whose_tangent_frame_loses_rank():
     # the first such seed aborted the whole search ("error: not enough
     # values to unpack"); each seed now fails alone and none is found
     code, out, err = _run(["find", "1,1", "--space", "H3", "--c", "1e20"])
+    assert (code, err) == (2, "")
+    assert json.loads(out)["count"] == 0
+
+
+# far out on H3 the default seed's Gram entries are differences of products
+# of order c, which round to nonsense; with masses of 1e200 its bodies
+# coincide.  find_cc let the seed's SingularPairError escape.
+@pytest.mark.parametrize("masses,c,value", [
+    (np.ones(5), 1e40, "-4.7386892574152674e+22"),
+    (np.full(3, 1e200), 1e100, "1.0"),
+])
+def test_a_default_seed_with_a_singular_pair_is_no_convergence(masses, c, value):
+    with pytest.raises(NoConvergenceError) as err:
+        find_cc(masses, Space.H3, LevelSetSpec(c))
+    assert str(err.value) == (f"the default seed holds the singular pair (0, 1): "
+                              f"sigma-inner product {value}")
+    assert isinstance(err.value.__cause__, SingularPairError)
+
+
+def test_find_skips_a_seed_whose_default_seed_is_singular():
+    code, out, err = _run(["find", "1,1,1,1,1", "--space", "H3", "--c", "1e40",
+                           "--seeds", "2"])
     assert (code, err) == (2, "")
     assert json.loads(out)["count"] == 0
 

@@ -9,15 +9,21 @@ for a few bodies sums the forces in another order, so its runs are held
 to the array stepper's within a relative 1e-12, and its singular pairs to
 the same errors.  The array stepper is driven at those few bodies by
 lowering _PAIR_LOOP_MAX_N, the only thing that picks between the two.
+The float stepper runs one generated straight-line function per step,
+held bit for bit to the pair loop it replaced (pair_loop.LoopKernel).
 """
 
 import contextlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import curved_nbody
 from curved_nbody import dynamics
 from curved_nbody.centralconfig import make_report
 from curved_nbody.dynamics import (
@@ -32,7 +38,12 @@ from curved_nbody.dynamics import (
     generator_momenta,
     integrate,
 )
-from curved_nbody.errors import SingularEncounterError, SingularPairError
+from curved_nbody.errors import (
+    DegenerateVectorError,
+    OffShellError,
+    SingularEncounterError,
+    SingularPairError,
+)
 from curved_nbody.fixtures import FIXTURE_BUILDERS
 from curved_nbody.manifold import (
     EPS_SINGULAR,
@@ -44,6 +55,7 @@ from curved_nbody.manifold import (
 from curved_nbody.relequil import certify_rigidity, pick_member, re_family_from_cc
 
 from helpers import random_config, random_momenta
+from pair_loop import LoopKernel
 
 
 # ─── the kernel against the formula it replaced ─────────────────────────
@@ -165,6 +177,92 @@ def test_the_stepper_picks_the_kernel_by_body_count(n, monkeypatch):
     assert calls and set(calls) == {kind}
 
 
+def _step_run(kernel, q, p, dt, steps):
+    """The bits of each state of up to `steps` steps of kernel.step from
+    (q, p), and the class and message of the error that ended them."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    states = []
+    with np.errstate(over="ignore", invalid="ignore"):  # as _rk4 runs it
+        try:
+            for _ in range(steps):
+                q, p = kernel.step(q, p, dt, half, sixth)
+                states.append(_bits([q, p]))
+        except (SingularPairError, OffShellError, DegenerateVectorError) as exc:
+            return states, (type(exc), str(exc))
+    return states, None
+
+
+def _rates_outcome(kernel, q, p):
+    try:
+        return _bits(kernel.rates(q, p))
+    except SingularPairError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([Space.S3, Space.H3]),
+       st.integers(1, _PAIR_LOOP_MAX_N),
+       st.sampled_from(["none", "block", "parabolic"]),
+       st.sampled_from([1e-3, 1e-2, 0.05]), st.sampled_from([0.1, 1.0, 3.0, 10.0]),
+       st.booleans())
+def test_the_generated_step_is_the_pair_loop_bit_for_bit(seed, space, n, kind,
+                                                          dt, scale, zeros):
+    # the rates and 200 steps: every state has the loop's bits, and a run
+    # that ends in an error (a collision, a state that leaves float range)
+    # ends at the same step with the same class and message.  With zeros,
+    # whole coordinate columns start at +-0.0, where the loop's 0.0 + of
+    # each sum and + 0.0 of each co-moving product decide the sign of a
+    # zero rate; random states hardly ever hold one
+    if kind == "parabolic" and space is Space.S3:
+        kind = "block"
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.1, 5.0, n)
+    cfg = random_config(space, max(n, 2), rng, masses=np.resize(m, max(n, 2)))
+    cfg = Configuration(space, m, cfg.points[:n])
+    Q, P = cfg.points.copy(), random_momenta(cfg, rng, scale=scale)
+    for a in (Q, P) if zeros else ():
+        at = np.broadcast_to(rng.random(4) < 0.5, a.shape)
+        a[at] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(at)))
+    g = _generator(space, kind, rng)
+    xi = None if g is None else g.matrix_log()
+    q, p = Q.tolist(), P.tolist()
+    got, want = _PairKernel(space, m, xi), LoopKernel(space, m, xi)
+    assert _rates_outcome(got, q, p) == _rates_outcome(want, q, p)
+    assert _step_run(got, q, p, dt, 200) == _step_run(want, q, p, dt, 200)
+
+
+def test_one_key_compiles_one_step(monkeypatch):
+    # the key is (space, N, column layout): kernels with other masses or
+    # other rates share the function, another space compiles its own
+    dynamics._pair_step_factory.cache_clear()
+    built = []
+    source = dynamics._pair_step_source
+    monkeypatch.setattr(dynamics, "_pair_step_source",
+                        lambda *key: built.append(key) or source(*key))
+    rng = np.random.default_rng(5)
+    cfg = random_config(Space.S3, 3, rng)
+    q, p = cfg.points.tolist(), random_momenta(cfg, rng, scale=1.0).tolist()
+    xi = IsometryGenerator(GeneratorKind.DOUBLE_ROTATION, 0.7, 0.2).matrix_log()
+    for m, rates in (([1.0, 2.0, 3.0], xi), ([0.5, 0.25, 4.0], 2.0 * xi)):
+        got = _step_run(_PairKernel(Space.S3, np.array(m), rates), q, p, 1e-2, 3)
+        assert got == _step_run(LoopKernel(Space.S3, np.array(m), rates), q, p, 1e-2, 3)
+    assert built == [(3, ((1, 0, 3, 2),))]
+    _PairKernel(Space.H3, np.ones(3), None)
+    assert built == [(3, ((1, 0, 3, 2),)), (3, ((0, 1, 2, 3),))]
+
+
+def test_importing_the_package_compiles_no_step():
+    # every workload's setup imports the package: it pays no compile
+    code = ("import curved_nbody, curved_nbody.cli\n"
+            "from curved_nbody import dynamics\n"
+            "print(dynamics._pair_step_factory.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(curved_nbody.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout == "0\n"
+
+
 def _infall(space, n, h):
     """n bodies at rest; bodies 0 and 1 a gap 2h apart fall together, the
     others stay clear of them."""
@@ -179,21 +277,34 @@ def _infall(space, n, h):
     return Configuration(space, [1.0, 2.0, 0.5, 0.8][:n], np.array(pts[:n]))
 
 
+@contextlib.contextmanager
+def _loop_stepper():
+    """A context in which _rk4 runs the pair loop the generated step
+    replaced."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_PairKernel", LoopKernel)
+        yield
+
+
 @pytest.mark.parametrize("space", [Space.S3, Space.H3])
 @pytest.mark.parametrize("n", range(2, _PAIR_LOOP_MAX_N + 1))
 def test_both_steppers_meet_a_collision_alike(space, n):
     # both raise for the same pair at the same t, and integrate's partial
     # trajectory holds the same records; near the collision 1/sn^3
     # amplifies the steppers' rounding differences, but they stay far
-    # below RK4's own error there
+    # below RK4's own error there.  The pair loop meets it bit for bit.
     state = PhaseState(_infall(space, n, 0.3), np.zeros((n, 4)))
     runs = []
-    for arrays in (False, True):
-        with (_array_stepper() if arrays else contextlib.nullcontext()):
+    for stepper in (contextlib.nullcontext, _array_stepper, _loop_stepper):
+        with stepper():
             with pytest.raises(SingularEncounterError) as err:
                 integrate(state, 1e-3, 5000, record_every=3)
         runs.append(err.value)
-    got, want = runs
+    got, want, loop = runs
+    assert str(got) == str(loop)
+    assert _bits(got.__cause__.value) == _bits(loop.__cause__.value)
+    for name in ("times", "positions", "momenta"):
+        assert _bits(getattr(got.partial, name)) == _bits(getattr(loop.partial, name))
     assert str(got) == str(want)
     assert "singular pair (0, 1)" in str(got)
     assert (got.__cause__.i, got.__cause__.j) == (want.__cause__.i, want.__cause__.j)
