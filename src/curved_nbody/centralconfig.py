@@ -729,7 +729,8 @@ def _newton(chart, x, lam, done, max_iter, damped=False):
                     except np.linalg.LinAlgError:
                         delta = np.linalg.lstsq(J, -G, rcond=None)[0]
             except np.linalg.LinAlgError as exc:
-                raise NoConvergenceError(f"refinement step solve failed: {exc}") from exc
+                raise NoConvergenceError(
+                    f"refinement step solve failed: {exc}") from exc
             base = float(np.linalg.norm(G))
             t = 1.0
             # a trial whose rows or their norm overflow is as infeasible as
