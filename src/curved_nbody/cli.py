@@ -11,10 +11,13 @@ Exit codes: 0 success/confirmed, 2 checked-and-false, 1 operational error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -49,6 +52,19 @@ def _load_json(path: str) -> dict:
         raise ValueError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+
+
+def _check_out_dir(path: str) -> None:
+    """Raise, before any work, the OSError that opening path for writing
+    would raise because its directory is missing or is not a directory,
+    with open's class and message; creates nothing."""
+    parent = os.path.dirname(path) or "."
+    try:
+        is_dir = stat.S_ISDIR(os.stat(parent).st_mode)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    if not is_dir:
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
 def _config_from_payload(payload: dict) -> Configuration:
@@ -180,6 +196,8 @@ def cmd_simulate(args) -> int:
     rows follow the orbit the certificate measured.
     """
     step_count(args.horizon, args.dt)  # refuse a bad step before any work
+    if args.out:
+        _check_out_dir(args.out)  # and an output file open cannot create
     payload = _load_json(args.input)
     config = _config_from_payload(payload)
     report = make_report(config, lam=payload.get("lambda"))

@@ -40,7 +40,6 @@ from .manifold import (
     _add_reduce,
     _reproject,
     _reproject_rows,
-    _tangent_rows,
     inner,
 )
 
@@ -481,7 +480,9 @@ class _PairKernel:
     pair i < j, judged by its own s.  The rest is the array stepper's
     arithmetic operation for operation, so bit for bit: the stage sums,
     the velocities and velocity term, the co-moving term (_frame_layers),
-    the reprojection and the tangent projection.
+    the reprojection and the tangent projection.  The two projections run
+    inside the generated step too, in _reproject_rows' and _tangent_rows'
+    expressions; only the S3 row norms leave it, as one numpy call.
     """
 
     def __init__(self, space: Space, m: np.ndarray, xi=None):
@@ -543,17 +544,18 @@ def _pair_step_factory(space: Space, n: int, layout: tuple):
     """
     namespace = {"space": space, "SingularPairError": SingularPairError,
                  "OffShellError": OffShellError, "sqrt": math.sqrt,
-                 "isfinite": math.isfinite, "_reproject_rows": _reproject_rows,
-                 "_tangent_rows": _tangent_rows}
-    source = _pair_step_source(n, layout)
+                 "isfinite": math.isfinite, "array": np.array,
+                 "matmul": np.matmul, "_reproject_rows": _reproject_rows}
+    source = _pair_step_source(space, n, layout)
     exec(compile(source, f"<RK4 step, {space.value}, N = {n}>", "exec"), namespace)
     return namespace["make"]
 
 
-def _pair_step_source(n: int, layout: tuple) -> str:
-    """The source of _pair_step_factory's make: rates runs one stage of the
-    equations of motion on the rows (q, p), step four stages, the RK4 sum,
-    the finiteness test, the reprojection and the tangent projection.
+def _pair_step_source(space: Space, n: int, layout: tuple) -> str:
+    """The source of _pair_step_factory's make for n bodies on space: rates
+    runs one stage of the equations of motion on the rows (q, p), step four
+    stages, the RK4 sum, the finiteness test, the reprojection and the
+    tangent projection.
 
     Stage k reads the rows Qk_i_r, Pk_i_r and writes the rates dQk_i_r,
     dPk_i_r.  Each expression and each summation order is the pair loop's
@@ -562,6 +564,12 @@ def _pair_step_source(n: int, layout: tuple) -> str:
     velocity, velocity term and rates, less (y[c] * k + 0.0) per layer.
     Inside the singular bounds sigma (1 - s^2) is at least about
     2 EPS_SINGULAR, or +inf on H3, so the root and the division cannot fail.
+
+    The RK4 sums Q_i_r, P_i_r are projected into X_i_r, Z_i_r in the
+    expressions of _reproject_rows and _tangent_rows on space: the H3 row
+    norms in floats, the S3 ones from the stacked matmul that
+    _reproject_rows takes.  A row that _reproject_rows refuses sends the
+    rows to it, which raises project_point's error for the first such row.
     """
     bodies = range(n)
     pairs = list(combinations(bodies, 2))
@@ -616,6 +624,27 @@ def _pair_step_source(n: int, layout: tuple) -> str:
            f" + 2.0 * d{X}2_{i}_{r} + 2.0 * d{X}3_{i}_{r} + d{X}4_{i}_{r})"
            for X in "QP" for i in bodies for r in range(4)]
     flat = ", ".join(f"{X}_{i}_{r}" for X in "QP" for i in bodies for r in range(4))
+    refuse = f"    _reproject_rows(space, [{rows('Q')}])  # raises"
+    if space is Space.S3:
+        # the norms from one stacked matmul, as _reproject_rows takes them:
+        # BLAS may round the sums of squares with fused multiply-adds
+        norms = [f"a = array([{rows('Q')}])",
+                 f"{''.join(f'n{i}, ' for i in bodies)}= map(sqrt, matmul("
+                 "a[:, None, :], a[:, :, None]).ravel().tolist())",
+                 "if " + " or ".join(f"n{i} < 1e-12" for i in bodies) + ":",
+                 refuse]
+    else:
+        norms = [f"sq{i} = -((Q_{i}_0 * Q_{i}_0 + Q_{i}_1 * Q_{i}_1"
+                 f" + Q_{i}_2 * Q_{i}_2) - Q_{i}_3 * Q_{i}_3)" for i in bodies]
+        norms += ["if " + " or ".join(f"Q_{i}_3 <= 0.0 or sq{i} <= 1e-12"
+                                      for i in bodies) + ":",
+                  refuse, *(f"n{i} = sqrt(sq{i})" for i in bodies)]
+    pm = "-" if space is Space.H3 else "+"
+    project = [f"X_{i}_{r} = Q_{i}_{r} / n{i}" for i in bodies for r in range(4)]
+    for i in bodies:
+        dot = " + ".join(f"X_{i}_{r} * P_{i}_{r}" for r in range(3))
+        project += [f"cf = sigma * ({dot} {pm} X_{i}_3 * P_{i}_3)",
+                    *(f"Z_{i}_{r} = P_{i}_{r} - cf * X_{i}_{r}" for r in range(4))]
     lines = [f"def make({args}):",
              "    def rates(q, p):",
              f"        {rows('Q1')} = q",
@@ -631,8 +660,8 @@ def _pair_step_source(n: int, layout: tuple) -> str:
              *block(stage(4)), *block(rk4),
              f"        if not all(map(isfinite, ({flat},))):",
              "            raise OffShellError(\"non-finite state\")",
-             f"        q = _reproject_rows(space, [{rows('Q')}])",
-             f"        return q, _tangent_rows(space, q, [{rows('P')}])",
+             *block(norms), *block(project),
+             f"        return [{rows('X')}], [{rows('Z')}]",
              "    return rates, step"]
     return "\n".join(lines) + "\n"
 
@@ -757,7 +786,8 @@ def _rk4(space: Space, m: np.ndarray, Q, P, dt: float, steps: int, visit,
     N alone picks the arithmetic.  Up to _PAIR_LOOP_MAX_N bodies
     _PairKernel runs whole steps in Python floats, each one call of a
     straight-line function compiled once per process for the space, N and
-    the generator's column layout, and visit gets blocks of up to
+    the generator's column layout, projections included, and visit gets
+    blocks of up to
     _BLOCK_STEPS steps; above, _ForceKernel's array stages run and visit
     gets each step alone.  A singular pair, a non-finite state or a
     row that cannot be scaled back, met in a stage or the projection,
@@ -874,15 +904,24 @@ def trajectory_to_csv(
     traj: Trajectory, csv_path, sidecar_path=None, sample_stride: int = 100
 ) -> None:
     """Write `t,i,x,y,z,w,px,py,pz,pw` rows plus an optional JSON sidecar
-    of conserved-quantity samples (every sample_stride-th record)."""
-    lines = ["t,i,x,y,z,w,px,py,pz,pw"]
-    # tolist() hands over Python floats, whose repr is the field's text
-    for t, qs, ps in zip(traj.times.tolist(), traj.positions.tolist(),
-                         traj.momenta.tolist()):
-        for i, (q, p) in enumerate(zip(qs, ps)):
-            lines.append(",".join([repr(t), str(i), *map(repr, q), *map(repr, p)]))
+    of conserved-quantity samples (every sample_stride-th record).
+
+    Each field is the repr of its Python float.  All rows are formatted in
+    one % pass of a per-record template that holds the body indices, with
+    each record's time formatted once.
+    """
+    records, n = traj.positions.shape[:2]
+    # the fields of each row: the time's text, then its eight coordinates
+    # as Python floats, whose repr (%r) is the field's text
+    fields = np.empty((records, n, 9), dtype=object)
+    fields[:, :, 0] = np.array([repr(t) for t in traj.times.tolist()],
+                               dtype=object)[:, None]
+    fields[:, :, 1:5] = traj.positions
+    fields[:, :, 5:] = traj.momenta
+    record = "".join(f"%s,{i}" + ",%r" * 8 + "\n" for i in range(n))
     with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("t,i,x,y,z,w,px,py,pz,pw\n")
+        fh.write((record * records) % tuple(fields.ravel().tolist()))
     if sidecar_path is None:
         return
     samples = []

@@ -258,7 +258,9 @@ def _comoving_run(instance: REInstance, horizon: float, dt: float, record: bool)
     record_every = max(1, steps // 1000): the start, every record_every-th
     step and the last.  Each co-moving state (Y, Z) is mapped back to the
     ambient (Y R^T, Z R^T) with R = exp(t xi), so the rows follow the orbit
-    the certificate measured.  Without record the trajectory is None.
+    the certificate measured; one stacked isometry_matrix call builds every
+    R, the per-time frames bit for bit.  Without record the trajectory is
+    None.
     """
     steps = step_count(horizon, dt)
     cfg = instance.config
@@ -330,6 +332,6 @@ def _comoving_run(instance: REInstance, horizon: float, dt: float, record: bool)
     _rk4(space, m, Y, Z, dt, steps, measure, g.matrix_log())
     if not record:
         return drift, cons, None
-    RT = np.array([isometry_matrix(instance.generator, t).T for t in times])
+    RT = isometry_matrix(g, np.array(times)).swapaxes(-1, -2)
     traj = Trajectory(space, m, np.array(times), np.array(ys) @ RT, np.array(zs) @ RT)
     return drift, cons, traj

@@ -307,6 +307,22 @@ def test_simulate_is_pinned_bitwise_on_the_reference_panel(
     assert h.hexdigest() == _SIMULATE_DIGEST
 
 
+def test_simulate_refuses_a_missing_output_directory_before_it_runs(
+        tmp_path, capsys, monkeypatch):
+    # open's error, before a step is taken, and no file made
+    from curved_nbody import cli
+
+    path = _write(tmp_path, "ex1.json", _payload("example1_s3"))
+    runs = []
+    monkeypatch.setattr(cli, "_comoving_run",
+                        lambda *a, **k: runs.append(a) or relequil._comoving_run(*a, **k))
+    out = str(tmp_path / "no" / "such" / "x.csv")
+    assert main(["simulate", path, "--beta", "0", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+    assert runs == [] and [p.name for p in tmp_path.iterdir()] == ["ex1.json"]
+
+
 def test_simulate_requires_a_rate(tmp_path, capsys):
     path = _write(tmp_path, "ex1.json", _payload("example1_s3"))
     assert main(["simulate", path, "--horizon", "0.5"]) == 1

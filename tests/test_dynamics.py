@@ -7,6 +7,7 @@ import pytest
 from curved_nbody.dynamics import (
     Configuration,
     PhaseState,
+    Trajectory,
     _check_points,
     _check_rows,
     _first_integrals,
@@ -33,7 +34,9 @@ from curved_nbody.manifold import (
     project_point,
     sn,
 )
+from curved_nbody.relequil import REInstance, _comoving_run
 
+from csv_reference import write_csv
 from helpers import random_config, random_momenta, random_points
 
 
@@ -368,6 +371,34 @@ def test_trajectory_csv_and_sidecar(tmp_path):
     first = csv_path.read_bytes()
     trajectory_to_csv(traj, csv_path, sidecar_path=side_path)
     assert csv_path.read_bytes() == first
+
+
+@pytest.mark.parametrize("space", [Space.S3, Space.H3])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_the_csv_is_the_per_field_writers_byte_for_byte(tmp_path, space, n):
+    # an integrate run, a co-moving run mapped back by its frames, and
+    # rows of edge values: signed zero, the least subnormal, +-1e300, 1.0,
+    # and times such as 0.1 + 0.2 whose repr needs all 17 digits
+    rng = np.random.default_rng(10 * n + (space is Space.H3))
+    cfg = random_config(space, n, rng)
+    state = PhaseState(cfg, random_momenta(cfg, rng))
+    kind = (GeneratorKind.DOUBLE_ROTATION if space is Space.S3
+            else GeneratorKind.ROTATION_BOOST)
+    member = REInstance(cfg, IsometryGenerator(kind, *rng.uniform(-1.5, 1.5, 2)),
+                        None, 0.0, None)
+    edge = np.resize([-0.0, 5e-324, 1e300, -1e300, 1.0], (3, n, 8))
+    trajectories = [
+        integrate(state, 1e-3, 30, record_every=3),
+        _comoving_run(member, 0.05, 1e-3, record=True)[2],
+        Trajectory(space, cfg.masses, np.array([0.0, 0.1 + 0.2, -1e300]),
+                   edge[..., :4], edge[..., 4:]),
+    ]
+    for traj in trajectories:
+        trajectory_to_csv(traj, tmp_path / "got.csv")
+        write_csv(traj, tmp_path / "want.csv")
+        want = (tmp_path / "want.csv").read_bytes()
+        assert (tmp_path / "got.csv").read_bytes() == want
+        assert want.count(b"\n") == 1 + len(traj) * n
 
 
 @pytest.mark.parametrize("stride,expected", [

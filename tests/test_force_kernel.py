@@ -231,6 +231,34 @@ def test_the_generated_step_is_the_pair_loop_bit_for_bit(seed, space, n, kind,
     assert _step_run(got, q, p, dt, 200) == _step_run(want, q, p, dt, 200)
 
 
+# Rows at rest whose pairs clear the singular bounds, with rows that
+# _reproject_rows refuses once a step of 1e-9 has moved them by about
+# 1e-18, each for one of its tests alone: on H3 the lower sheet (w <= 0
+# with <q, q> < 0; its pairs are the upper sheet's) and a light-like row
+# (w > 0 with <q, q> = 0) beside upper-sheet rows, on S3 the zero row.
+_UPPER = [(1.0, 0.0, 0.0, math.sqrt(2.0)), (1.0, 1.0, 0.0, math.sqrt(3.0)),
+          (1.0, 0.0, 1.0, math.sqrt(3.0)), (0.0, 0.0, 0.0, 1.0)]
+_REFUSED_ROWS = {
+    "w <= 0": (Space.H3, lambda n: [tuple(-x for x in row) for row in _UPPER[:n]],
+               "hyperbolic points need w > 0 before scaling"),
+    "<q, q> >= -1e-12": (Space.H3, lambda n: [*_UPPER[:n - 1], (-2.0, 0.0, 0.0, 2.0)],
+                         "cannot reach the w >= 1 sheet"),
+    "norm < 1e-12": (Space.S3, lambda n: [*np.eye(4)[:n - 1].tolist(), [0.0] * 4],
+                     "cannot normalize a near-zero vector"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_ROWS))
+@pytest.mark.parametrize("n", range(1, _PAIR_LOOP_MAX_N + 1))
+def test_a_refused_row_raises_what_the_pair_loop_raises(case, n):
+    space, rows, message = _REFUSED_ROWS[case]
+    q, p, m = rows(n), [[0.0] * 4] * n, np.arange(1.0, n + 1.0)
+    got = _step_run(_PairKernel(space, m), q, p, 1e-9, 1)
+    assert got == _step_run(LoopKernel(space, m), q, p, 1e-9, 1)
+    assert got[0] == [] and got[1][0] is DegenerateVectorError
+    assert message in got[1][1]
+
+
 def test_one_key_compiles_one_step(monkeypatch):
     # the key is (space, N, column layout): kernels with other masses or
     # other rates share the function, another space compiles its own
@@ -246,9 +274,9 @@ def test_one_key_compiles_one_step(monkeypatch):
     for m, rates in (([1.0, 2.0, 3.0], xi), ([0.5, 0.25, 4.0], 2.0 * xi)):
         got = _step_run(_PairKernel(Space.S3, np.array(m), rates), q, p, 1e-2, 3)
         assert got == _step_run(LoopKernel(Space.S3, np.array(m), rates), q, p, 1e-2, 3)
-    assert built == [(3, ((1, 0, 3, 2),))]
+    assert built == [(Space.S3, 3, ((1, 0, 3, 2),))]
     _PairKernel(Space.H3, np.ones(3), None)
-    assert built == [(3, ((1, 0, 3, 2),)), (3, ((0, 1, 2, 3),))]
+    assert built == [(Space.S3, 3, ((1, 0, 3, 2),)), (Space.H3, 3, ((0, 1, 2, 3),))]
 
 
 def test_importing_the_package_compiles_no_step():

@@ -239,6 +239,24 @@ def test_isometry_stack_is_the_scalar_frames_in_long_double(kind, alpha, beta, e
         assert np.array_equal(frame, isometry_matrix(gen, float(t), np.longdouble))
 
 
+@pytest.mark.parametrize("kind", list(GeneratorKind))
+def test_isometry_stack_is_the_scalar_frames_in_float64(kind):
+    # at simulate's record times, the start, every max(1, steps // 1000)-th
+    # step and the last, at the default dt, for T = 0.5 and T = 10
+    rng = np.random.default_rng(list(GeneratorKind).index(kind))
+    dt = 1e-3
+    for steps in (500, 10000):
+        every = max(1, steps // 1000)
+        times = [0.0] + [k * dt for k in range(1, steps + 1)
+                         if k % every == 0 or k == steps]
+        for alpha, beta, eta in rng.uniform(-3.0, 3.0, (10, 3)):
+            gen = IsometryGenerator(kind, alpha=alpha, beta=beta, eta=eta)
+            stack = isometry_matrix(gen, np.array(times))
+            assert stack.shape == (len(times), 4, 4) and stack.dtype == float
+            frames = np.array([isometry_matrix(gen, t) for t in times])
+            assert stack.tobytes() == frames.tobytes()
+
+
 def test_parabolic_is_exact_quadratic():
     gen = IsometryGenerator(GeneratorKind.PARABOLIC, eta=0.5)
     t = 1.8
