@@ -54,17 +54,20 @@ def _load_json(path: str) -> dict:
             f"{exc.msg}") from exc
 
 
-def _check_out_dir(path: str) -> None:
+def _check_out_path(path: str) -> None:
     """Raise, before any work, the OSError that opening path for writing
-    would raise because its directory is missing or is not a directory,
-    with open's class and message; creates nothing."""
+    would raise because its directory is missing or is not a directory, or
+    because path is a directory, with open's class and message; creates
+    nothing."""
     parent = os.path.dirname(path) or "."
     try:
-        is_dir = stat.S_ISDIR(os.stat(parent).st_mode)
+        parent_is_dir = stat.S_ISDIR(os.stat(parent).st_mode)
     except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, path) from None
-    if not is_dir:
+    if not parent_is_dir:
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _config_from_payload(payload: dict) -> Configuration:
@@ -197,7 +200,7 @@ def cmd_simulate(args) -> int:
     """
     step_count(args.horizon, args.dt)  # refuse a bad step before any work
     if args.out:
-        _check_out_dir(args.out)  # and an output file open cannot create
+        _check_out_path(args.out)  # and an output file open cannot make
     payload = _load_json(args.input)
     config = _config_from_payload(payload)
     report = make_report(config, lam=payload.get("lambda"))

@@ -332,6 +332,7 @@ def _comoving_run(instance: REInstance, horizon: float, dt: float, record: bool)
     _rk4(space, m, Y, Z, dt, steps, measure, g.matrix_log())
     if not record:
         return drift, cons, None
-    RT = isometry_matrix(g, np.array(times)).swapaxes(-1, -2)
-    traj = Trajectory(space, m, np.array(times), np.array(ys) @ RT, np.array(zs) @ RT)
+    ts = np.array(times)
+    RT = isometry_matrix(g, ts).swapaxes(-1, -2)
+    traj = Trajectory(space, m, ts, np.array(ys) @ RT, np.array(zs) @ RT)
     return drift, cons, traj

@@ -307,19 +307,23 @@ def test_simulate_is_pinned_bitwise_on_the_reference_panel(
     assert h.hexdigest() == _SIMULATE_DIGEST
 
 
-def test_simulate_refuses_a_missing_output_directory_before_it_runs(
-        tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("out,message", [
+    ("no/such/x.csv", "[Errno 2] No such file or directory"),
+    ("ex1.json/x.csv", "[Errno 20] Not a directory"),
+    (".", "[Errno 21] Is a directory"),
+])
+def test_simulate_refuses_an_output_path_it_cannot_open_before_it_runs(
+        tmp_path, capsys, monkeypatch, out, message):
     # open's error, before a step is taken, and no file made
     from curved_nbody import cli
 
-    path = _write(tmp_path, "ex1.json", _payload("example1_s3"))
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "ex1.json", _payload("example1_s3"))
     runs = []
     monkeypatch.setattr(cli, "_comoving_run",
                         lambda *a, **k: runs.append(a) or relequil._comoving_run(*a, **k))
-    out = str(tmp_path / "no" / "such" / "x.csv")
-    assert main(["simulate", path, "--beta", "0", "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+    assert main(["simulate", "ex1.json", "--beta", "0", "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}: {out!r}\n"
     assert runs == [] and [p.name for p in tmp_path.iterdir()] == ["ex1.json"]
 
 
