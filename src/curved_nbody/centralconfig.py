@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +35,7 @@ from .errors import (
     check_scalar,
 )
 from .manifold import (
+    EPS_MANIFOLD,
     EPS_SINGULAR,
     Space,
     _add_reduce,
@@ -40,7 +43,6 @@ from .manifold import (
     _reproject,
     _reproject_rows,
     _rot,
-    _tangent_rows,
     project_tangent,
 )
 from . import dynamics
@@ -50,12 +52,16 @@ from .dynamics import (
     _axpy,
     _check_points,
     _check_rows,
-    _check_rows_float,
+    _compiled_once,
     _grad_U_rows,
     _gram_checked,
+    _gram_rows,
     _potential_gram,
-    _potential_rows,
+    _reproject_source,
+    _rows_source,
+    _singular_bounds,
     _sn_powers,
+    _tangent_source,
     force_function,
     grad_U,
 )
@@ -407,8 +413,9 @@ def _restore_level(space, m, Q, c, max_iter=40):
     iterate, the returned one too, passes Configuration's point checks.
     Returns (Q, s): the point on the level and the Gram matrix that its
     point check built, from which the descent takes U without recomputing.
-    The row descent (_RowDescent.restore) gives the same points, matrix and
-    errors, but builds the Gram matrix only for the iterate it returns.
+    Up to four bodies find_cc restores on rows instead (_RowDescent.restore,
+    generated straight-line code), which gives the same points, matrix and
+    errors but builds the Gram matrix only for the iterate it returns.
     """
     for _ in range(max_iter):
         s = _check_points(space, Q)
@@ -429,11 +436,11 @@ def _restore_level(space, m, Q, c, max_iter=40):
 _INFEASIBLE = (SingularPairError, OffShellError, DegenerateVectorError)
 
 
-def _residual_dir(kernel, Q, s=None):
+def _residual_dir(kernel, Q, s):
     """The descent direction at Q: the tangent part of grad U less lam times
     that of grad I, lam their sigma-metric least-squares ratio; s is Q's
-    checked Gram matrix, if built.  Returns (R, lam, <R, R>_sigma summed
-    over the bodies)."""
+    checked Gram matrix.  Returns (R, lam, <R, R>_sigma summed over the
+    bodies)."""
     # tangent vectors pair in the sigma metric; on S3 it is the Euclidean
     # sum term for term, so the sphere's arithmetic is unchanged
     space, m, md = kernel.space, kernel.m, kernel.met
@@ -468,66 +475,236 @@ class _ArrayDescent:
 class _RowDescent:
     """_ArrayDescent's operations on rows of four Python floats, bit for bit.
 
-    Each is the array code's arithmetic, expression for expression, with
-    every array sum in numpy's order (_add_reduce), so a descent gives the
-    same points, U and multipliers as on arrays, and every failed check
-    raises the array function's error and message.  Three products stay
-    numpy calls, since BLAS may round them with fused multiply-adds: the
-    Gram matrix of the point check of each restored point, the S3 row
-    norms of each reprojection and the w @ Q of grad U.  U and grad U take
-    the Gram matrix that the restored point's check built, which is the one
+    Each operation is one call of a straight-line function generated for
+    the space and N (_row_descent_source) and compiled once per process
+    (_row_descent_factory), which takes the masses, the level and the
+    constants as closure values.  Each is the array code's arithmetic,
+    expression for expression, with every array sum in numpy's order, so
+    a descent gives the same points, U and multipliers as on arrays, and
+    every failed check raises the array function's error and message.
+    Three products stay numpy calls, since BLAS may round them with fused
+    multiply-adds: the Gram matrix of each restored point, the S3 row norms
+    of each reprojection and the w @ Q of grad U.  U and grad U take the
+    Gram matrix that the restored point's check built, which is the one
     they would rebuild.  The restoration's other iterates are checked in
-    floats (_check_rows_float), which builds a Gram matrix only for a pair
-    within rounding distance of a singular bound.
+    floats, and only a pair within rounding distance of a singular bound
+    builds a Gram matrix for them.
     """
 
     def __init__(self, kernel, c):
         space = kernel.space
-        self.space, self.c = space, c
-        self.mw = float(space.metric_diagonal[3])
-        self.m = kernel.m.tolist()
-        self.tm = [2.0 * v for v in self.m]   # 2.0 * m[:, None] in grad I
+        make = _row_descent_factory(space, len(kernel.m))
+        self._trial, self._restore, self._potential, self._direction = make(
+            *kernel.m.tolist(), float(c), float(space.sigma),
+            float(space.metric_diagonal[3]), *_singular_bounds(space),
+            _PAIR_MARGIN, EPS_MANIFOLD)
 
     def restore(self, q):
         """_restore_level of the rows q, at its default max_iter; returns
-        (q, s), s as rows.
-
-        Each iterate's level error comes first, since it needs no Gram
-        matrix: the iterate on the level takes the full check and returns
-        its matrix, every other one passes or raises _check_rows_float.
-        The level error cannot raise, so each iterate raises what its check
-        raises in _restore_level.
-        """
-        space, m, c, mw = self.space, self.m, self.c, self.mw
-        for _ in range(40):
-            r2 = _r2_rows(q)
-            err = _add_reduce([mi * v for mi, v in zip(m, r2)]) - c
-            if abs(err) <= 1e-13 * max(1.0, abs(c)):
-                return q, _check_rows(space, q)
-            _check_rows_float(space, q)
-            G = _grad_I_rows(space, self.tm, q, r2)
-            gg = _add_reduce(_metric_products(G, G, mw))
-            if gg < 1e-30:
-                raise NoConvergenceError("cannot restore I = c: grad I vanished")
-            step = -err / gg
-            q = _reproject_rows(space, _axpy(q, step, G))
-        raise NoConvergenceError("level-set restoration stalled")
+        (q, s), s as rows."""
+        return self._restore(q)
 
     def potential(self, s):
-        return _potential_rows(self.space, self.m, s)
+        """_potential_gram of the checked Gram matrix s, held as rows."""
+        return self._potential(s)
 
     def direction(self, q, s):
         """_residual_dir at the rows q, whose point check built s."""
-        space, mw = self.space, self.mw
-        gu = _tangent_rows(space, q, _grad_U_rows(space, self.m, q, s))
-        gi = _tangent_rows(space, q, _grad_I_rows(space, self.tm, q, _r2_rows(q)))
-        gg = _add_reduce(_metric_products(gi, gi, mw))
-        lam = _add_reduce(_metric_products(gu, gi, mw)) / gg if gg > 1e-20 else 0.0
-        R = _axpy(gu, -lam, gi)
-        return R, lam, _add_reduce(_metric_products(R, R, mw))
+        return self._direction(q, s)
 
     def trial(self, q, gamma, R):
-        return _reproject_rows(self.space, _axpy(q, -gamma, R))
+        """The rows q - gamma R, reprojected."""
+        return self._trial(q, gamma, R)
+
+
+# u = 2^-53 is the unit roundoff.  A sum of the four products a_k b_k, in
+# any order and with or without fused multiply-adds, lies within
+# gamma_4 sum |a_k b_k| of the exact sum, gamma_4 = 4u / (1 - 4u) (Higham,
+# Accuracy and Stability of Numerical Algorithms, section 3.1), so a Gram
+# entry summed in floats and the BLAS one lie within 2 gamma_4 sum |a_k b_k|
+# of each other.  The row restoration's float pair test asks a pair to
+# clear its bounds by twice that, because the test rounds too: its float
+# sum of |a_k b_k|, the margin and the distance to the bound each lie
+# within a few u of exact, far less than the second half of the margin.
+_U_ROUND = sys.float_info.epsilon / 2.0
+_PAIR_MARGIN = 2.0 * (2.0 * (4.0 * _U_ROUND / (1.0 - 4.0 * _U_ROUND)))
+
+
+@_compiled_once
+def _row_descent_factory(space, n):
+    """make(m_0.., c, sigma, mw, lo, hi, margin, eps) -> (trial, restore,
+    potential, direction) for n bodies on space, compiled once per process
+    for each (space, n); every float reaches the functions as a closure
+    value."""
+    namespace = {"space": space, "sqrt": math.sqrt, "array": np.array,
+                 "matmul": np.matmul, "_check_points": _check_points,
+                 "_check_rows": _check_rows, "_gram_rows": _gram_rows,
+                 "_reproject_rows": _reproject_rows,
+                 "NoConvergenceError": NoConvergenceError}
+    return (_row_descent_source(space, n),
+            f"<row descent, {space.value}, N = {n}>", namespace)
+
+
+def _sum_source(terms):
+    """The expression that sums the expressions terms (at most 128) as
+    manifold._add_reduce sums their values: from 0.0 one by one below
+    eight, else in eight running sums over blocks of eight, combined
+    pairwise, then the rest one by one, the total added to 0.0."""
+    if len(terms) < 8:
+        return "(" + " + ".join(["0.0", *terms]) + ")"
+    full = len(terms) - len(terms) % 8
+    r = [f"({' + '.join(terms[k:full:8])})" for k in range(8)]
+    total = (f"((({r[0]} + {r[1]}) + ({r[2]} + {r[3]}))"
+             f" + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]})))")
+    return f"(0.0 + ({' + '.join([total, *terms[full:]])}))"
+
+
+def _metric_sum_source(n, a, b):
+    """The sum of the entries of A * B * metric_diagonal, in C order, for
+    the rows a_i_r and b_i_r: what _add_reduce makes of them."""
+    return _sum_source([f"{a}_{i}_{r} * {b}_{i}_{r}" + (" * mw" if r == 3 else "")
+                        for i in range(n) for r in range(4)])
+
+
+def _grad_I_source(n, x, r2, dst):
+    """Source lines for _grad_I_rows of the rows x_i_r given their r^2 in
+    r2{i}, as dst_i_r; they use rho and need sigma, ns = -sigma and
+    tm{i} = 2 m_i."""
+    lines = []
+    for i in range(n):
+        x0, x1, x2, x3 = (f"{x}_{i}_{r}" for r in range(4))
+        lines += [f"rho = sigma * ({x2} * {x2}) + {x3} * {x3}",
+                  f"{dst}_{i}_0 = tm{i} * ({x0} * rho)",
+                  f"{dst}_{i}_1 = tm{i} * ({x1} * rho)",
+                  f"{dst}_{i}_2 = tm{i} * (ns * {x2} * {r2}{i})",
+                  f"{dst}_{i}_3 = tm{i} * (ns * {x3} * {r2}{i})"]
+    return lines
+
+
+def _row_descent_source(space, n):
+    """The source of _row_descent_factory's make for n bodies on space.
+
+    trial, restore, potential and direction are _ArrayDescent's operations
+    written out for n rows of four floats, X_i_r the rows of a point and
+    s_i_j its Gram matrix.  Each expression is the array code's, and each
+    numpy sum is taken in _add_reduce's order (_sum_source), U's with its
+    zero diagonal terms in place.
+
+    restore is _restore_level: each iterate's level error comes first,
+    since it needs no Gram matrix.  The iterate on the level takes
+    _check_rows' tests: the shell tests in floats, the Gram matrix from
+    BLAS (_gram_rows) and the singular bounds on it.  Every other iterate
+    takes the shell tests and a float pair test that asks each pair to
+    clear both bounds by _PAIR_MARGIN sum |a_k b_k|; the BLAS entries,
+    which differ from the float sums by less, then clear them too.  Rows
+    that fail a test, or a pair inside the margin, go to _check_points or
+    _check_rows, which raise their error and message or, for a pair the
+    margin could not clear, pass.  Refused rows of a reprojection go to
+    _reproject_rows (_reproject_source).
+    """
+    bodies = range(n)
+    pairs = list(combinations(bodies, 2))
+    off = [(i, j) for i in bodies for j in bodies if i != j]
+    h3 = space is Space.H3
+    X, S = _rows_source("X", n), _rows_source("s", n, n)
+
+    def mm(i, j):
+        return f"mm{min(i, j)}_{max(i, j)}"
+
+    def each_row(line):
+        return [line.format(i=i, r=r) for i in bodies for r in range(4)]
+
+    def block(lines, depth=2):
+        return ["    " * depth + line for line in lines]
+
+    trial = [f"{X} = q", f"{_rows_source('R', n)} = R", "h = -gamma",
+             *each_row("Y_{i}_{r} = X_{i}_{r} + h * R_{i}_{r}"),
+             *_reproject_source(space, n, "Y", "Z"),
+             f"return [{_rows_source('Z', n)}]"]
+
+    shell = []
+    for i in bodies:
+        shell += [f"t = X_{i}_0 * X_{i}_0 + X_{i}_1 * X_{i}_1 + X_{i}_2 * X_{i}_2",
+                  f"e{i} = t + X_{i}_3 * X_{i}_3"]
+        shell += [f"u{i} = t - X_{i}_3 * X_{i}_3"] if h3 else []
+    on_shell = " and ".join(
+        f"abs({'u' if h3 else 'e'}{i} - sigma) / (e{i} if e{i} > 1.0 else 1.0)"
+        f" <= eps" + (f" and X_{i}_3 >= wlo" if h3 else "") for i in bodies)
+    in_bounds = " and ".join(f"lo <= s_{i}_{j} <= hi" for i, j in off) or "True"
+    pair_test = []
+    for i, j in pairs:
+        pair_test += [*(f"p{r} = X_{i}_{r} * X_{j}_{r}" for r in range(4)),
+                      f"v{i}_{j} = " + ("p3 - p0 - p1 - p2" if h3
+                                        else "p0 + p1 + p2 + p3"),
+                      f"mg{i}_{j} = margin * (abs(p0) + abs(p1) + abs(p2)"
+                      " + abs(p3))"]
+    clear = " and ".join(["ok", *(f"v{i}_{j} - lo >= mg{i}_{j} and"
+                                  f" hi - v{i}_{j} >= mg{i}_{j}" for i, j in pairs)])
+    level = [*(f"r{i} = X_{i}_0 * X_{i}_0 + X_{i}_1 * X_{i}_1" for i in bodies),
+             "err = " + _sum_source([f"m{i} * r{i}" for i in bodies]) + " - c",
+             *shell,
+             f"ok = {on_shell}",
+             "if abs(err) <= tol:",
+             f"    q = [{X}]",
+             "    if not ok:",
+             "        _check_points(space, array(q))  # raises",
+             "    s = _gram_rows(space, q)",
+             f"    {S} = s",
+             f"    if not ({in_bounds}):",
+             "        _check_rows(space, q)  # raises",
+             "    return q, s",
+             *pair_test,
+             f"if not ({clear}):",
+             f"    _check_rows(space, [{X}])  # raises, or clears the pair",
+             *_grad_I_source(n, "X", "r", "G"),
+             "gg = " + _metric_sum_source(n, "G", "G"),
+             "if gg < 1e-30:",
+             "    raise NoConvergenceError(\"cannot restore I = c: grad I vanished\")",
+             "step = -err / gg",
+             *each_row("Y_{i}_{r} = X_{i}_{r} + step * G_{i}_{r}"),
+             *_reproject_source(space, n, "Y", "X")]
+    restore = [f"{X} = q", "for _ in range(40):", *block(level, 1),
+               "raise NoConvergenceError(\"level-set restoration stalled\")"]
+
+    potential = [f"{S} = s", "return 0.5 * " + _sum_source([
+        "0.0" if i == j else
+        f"{mm(i, j)} * (s_{i}_{j} / sqrt(sigma * (1.0 - s_{i}_{j} * s_{i}_{j})))"
+        for i in bodies for j in bodies])]
+
+    direction = [f"{X} = q", f"{S} = s"]
+    for i, j in off:
+        direction += [f"sn = sqrt(sigma * (1.0 - s_{i}_{j} * s_{i}_{j}))",
+                      f"W_{i}_{j} = {mm(i, j)} / (sn * sn * sn)"]
+    direction += [
+        *(f"W_{i}_{i} = 0.0" for i in bodies),
+        f"{_rows_source('F', n)} = (array([{_rows_source('W', n, n)}])"
+        " @ array(q)).tolist()",
+        *(f"ws{i} = " + _sum_source([f"W_{i}_{j} * s_{i}_{j}" for j in bodies])
+          for i in bodies),
+        *each_row("A_{i}_{r} = F_{i}_{r} - ws{i} * X_{i}_{r}"),
+        *_tangent_source(space, n, "X", "A", "U"),
+        *(f"r{i} = X_{i}_0 * X_{i}_0 + X_{i}_1 * X_{i}_1" for i in bodies),
+        *_grad_I_source(n, "X", "r", "G"),
+        *_tangent_source(space, n, "X", "G", "V"),
+        "gg = " + _metric_sum_source(n, "V", "V"),
+        "lam = " + _metric_sum_source(n, "U", "V") + " / gg if gg > 1e-20 else 0.0",
+        "h = -lam",
+        *each_row("R_{i}_{r} = U_{i}_{r} + h * V_{i}_{r}"),
+        f"return [{_rows_source('R', n)}], lam, " + _metric_sum_source(n, "R", "R")]
+
+    masses = ", ".join(f"m{i}" for i in bodies)
+    lines = [f"def make({masses}, c, sigma, mw, lo, hi, margin, eps):",
+             "    tol = 1e-13 * max(1.0, abs(c))",
+             "    wlo = 1.0 - eps",
+             "    ns = -sigma",
+             *(f"    tm{i} = 2.0 * m{i}" for i in bodies),
+             *(f"    mm{i}_{j} = m{i} * m{j}" for i, j in pairs),
+             "    def trial(q, gamma, R):", *block(trial),
+             "    def restore(q):", *block(restore),
+             "    def potential(s):", *block(potential),
+             "    def direction(q, s):", *block(direction),
+             "    return trial, restore, potential, direction"]
+    return "\n".join(lines) + "\n"
 
 
 def _r2_rows(q):
@@ -547,25 +724,15 @@ def _grad_I_rows(space, tm, q, r2):
     return out
 
 
-def _metric_products(A, B, mw):
-    """The entries of A * B * metric_diagonal for rows A and B, in C order;
-    mw is the metric's w entry."""
-    return [v for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(A, B)
-            for v in (a0 * b0, a1 * b1, a2 * b2, a3 * b3 * mw)]
-
-
-def _descend(kernel, Q, s, c, max_iter):
+def _descend(ops, Q, s, max_iter):
     """find_cc's projected descent of U on I = c from the restored points Q
     with Gram matrix s: Armijo backtracking, the step grown by 1.3 after
     each accepted trial.  Returns (Q, lam), lam from the last direction.
 
-    Up to dynamics._PAIR_LOOP_MAX_N bodies the loop runs on rows of Python
-    floats (_RowDescent), above on arrays; the two give the same bits.
+    ops holds the descent's operations and fixes the arithmetic: rows of
+    Python floats (_RowDescent), whose Q and s are rows too, or arrays
+    (_ArrayDescent); the two give the same bits.
     """
-    if len(kernel.m) <= dynamics._PAIR_LOOP_MAX_N:
-        ops, Q, s = _RowDescent(kernel, c), Q.tolist(), s.tolist()
-    else:
-        ops = _ArrayDescent(kernel, c)
     gamma, lam = 0.1, 0.0
     u0 = ops.potential(s)
     for _ in range(max_iter):
@@ -968,17 +1135,18 @@ def find_cc(
     skips the descent bias and drives the stationarity residual itself to
     zero from the seed, finding non-minimal critical points too.
 
-    One _ForceKernel serves the whole search.  Each descent trial is put
-    back on the level by _restore_level, whose last point check builds the
-    trial's Gram matrix; U is evaluated from that matrix, not rebuilt.  Up
-    to four bodies (dynamics._PAIR_LOOP_MAX_N) the descent runs on rows of
-    Python floats, since there numpy's cost per call on (N, 4) arrays is
-    many times the arithmetic.  It reproduces the array descent bit for
-    bit: every array sum is taken in numpy's order, and three products
-    stay numpy calls, because BLAS may round them with fused multiply-adds
-    and a float loop would not give their bits.  These are the Gram matrix
-    of the point check of each restored point, the S3 row norms of each
-    reprojection and grad U's w @ Q.  The restoration's intermediate
+    One _ForceKernel serves the whole search.  The seed and each descent
+    trial are put back on the level by _restore_level, whose last point
+    check builds the Gram matrix that U is then taken from.  Up to four
+    bodies (dynamics._PAIR_LOOP_MAX_N), where numpy's cost per call on
+    (N, 4) arrays is many times the arithmetic, the seed's restoration and
+    the descent run on rows of Python floats, each of the descent's four
+    operations one straight-line function generated and compiled once per
+    process for the space and N (_RowDescent).  They reproduce the array
+    code bit for bit: every array sum is taken in numpy's order, and three
+    products stay numpy calls, because BLAS may round them with fused
+    multiply-adds: the Gram matrix of each restored point, the S3 row norms
+    of each reprojection and grad U's w @ Q.  The restoration's other
     iterates are checked in floats and build no Gram matrix unless a pair
     lies within rounding distance of a singular bound.  Newton's
     single-point evaluations run on the same float rows, bit for bit
@@ -986,8 +1154,8 @@ def find_cc(
     trial and the stopping test's criterion rows, with grad U taken from
     the Gram matrix of the point's check and the stopping test reusing the
     accepted trial's grad U - lambda grad I.  Its finite-difference
-    Jacobian stays one stacked array evaluation.  Above four bodies the
-    descent and Newton run on arrays.
+    Jacobian stays one stacked array evaluation.  Above four bodies all of
+    it runs on arrays.
 
     Returns (configuration, report).  Raises NoConvergence when iterations
     run out, a tangent frame loses rank, or the default seed holds a
@@ -1009,12 +1177,16 @@ def find_cc(
                 f"sigma-inner product {exc.value!r}") from exc
     if seed.space is not space or len(seed.masses) != len(m):
         raise ValueError("seed does not match the requested problem")
-    Q, s = _restore_level(space, m, seed.points, c)
     kernel = _ForceKernel(space, m)
+    if len(m) <= dynamics._PAIR_LOOP_MAX_N:
+        ops, Q = _RowDescent(kernel, c), seed.points.tolist()
+    else:
+        ops, Q = _ArrayDescent(kernel, c), seed.points
+    Q, s = ops.restore(Q)
 
     lam = 0.0
     if mode == "descent":
-        Q, lam = _descend(kernel, Q, s, c, max_iter)
+        Q, lam = _descend(ops, Q, s, max_iter)
         try:
             lam = lambda_estimate(Configuration(space, m, Q))
         except DegenerateDenominatorError:
@@ -1044,10 +1216,9 @@ def find_cc(
             raise SingularApproachError(str(exc)) from exc
     elif mode == "saddle":
         try:
-            _, lam, _ = _residual_dir(kernel, Q)
-            Q, lam = _kkt_newton(
-                kernel, Q, c, lam, level.tol, damped=True, max_iter=200
-            )
+            _, lam, _ = ops.direction(Q, s)
+            Q, lam = _kkt_newton(kernel, np.asarray(Q, dtype=float), c, lam,
+                                 level.tol, damped=True, max_iter=200)
         except SingularPairError as exc:
             raise SingularApproachError(str(exc)) from exc
     else:

@@ -250,14 +250,20 @@ def _check_rows(space: Space, q: list) -> list:
     matrix, without rebuilding it.
     """
     _check_shell_rows(space, q)
-    a = np.array(q)
-    s = (space.sigma * ((a * space.metric_diagonal) @ a.T)).tolist()
+    s = _gram_rows(space, q)
     lo, hi = _singular_bounds(space)
     for i, row in enumerate(s):
         for j, v in enumerate(row):
             if not lo <= v <= hi and i != j:
                 raise SingularPairError(i, j, v)
     return s
+
+
+def _gram_rows(space: Space, q: list) -> list:
+    """_gram_checked's matrix of the rows q, unchecked, as rows: the BLAS
+    product, since a float sum would not round it as BLAS does."""
+    a = np.array(q)
+    return (space.sigma * ((a * space.metric_diagonal) @ a.T)).tolist()
 
 
 def _check_shell_rows(space: Space, q: list) -> None:
@@ -272,43 +278,6 @@ def _check_shell_rows(space: Space, q: list) -> None:
         if not (abs(unit - sigma) / (sq if sq > 1.0 else 1.0) <= EPS_MANIFOLD
                 and (not h3 or x3 >= 1.0 - EPS_MANIFOLD)):
             _check_points(space, np.array(q))  # raises
-
-
-# u = 2^-53 is the unit roundoff.  A sum of the four products a_k b_k, in
-# any order and with or without fused multiply-adds, lies within
-# gamma_4 sum |a_k b_k| of the exact sum, gamma_4 = 4u / (1 - 4u) (Higham,
-# Accuracy and Stability of Numerical Algorithms, section 3.1), so a Gram
-# entry summed in floats and the BLAS one lie within 2 gamma_4 sum |a_k b_k|
-# of each other.  _check_rows_float asks a pair to clear its bounds by twice
-# that, because the test rounds too: its float sum of |a_k b_k|, the margin
-# and the distance to the bound each lie within a few u of exact, far less
-# than the second half of the margin.
-_U_ROUND = sys.float_info.epsilon / 2.0
-_PAIR_MARGIN = 2.0 * (2.0 * (4.0 * _U_ROUND / (1.0 - 4.0 * _U_ROUND)))
-
-
-def _check_rows_float(space: Space, q: list) -> None:
-    """_check_rows without its Gram matrix: passes or raises exactly as it
-    does, but builds the BLAS product only for a pair it cannot clear in
-    floats.
-
-    After the shell tests, each pair's s is summed in floats.  When every
-    pair clears both singular bounds by _PAIR_MARGIN sum |a_k b_k|, the
-    BLAS entries, which differ from the float sums by less, clear them
-    too, and the rows pass.  A pair inside the margin, or a sum that is not
-    finite, hands the rows to _check_rows, which raises or passes.
-    """
-    _check_shell_rows(space, q)
-    lo, hi = _singular_bounds(space)
-    h3 = space is Space.H3
-    for i, (a0, a1, a2, a3) in enumerate(q):
-        for b0, b1, b2, b3 in q[i + 1:]:
-            p0, p1, p2, p3 = a0 * b0, a1 * b1, a2 * b2, a3 * b3
-            v = p3 - p0 - p1 - p2 if h3 else p0 + p1 + p2 + p3
-            margin = _PAIR_MARGIN * (abs(p0) + abs(p1) + abs(p2) + abs(p3))
-            if not (v - lo >= margin and hi - v >= margin):
-                _check_rows(space, q)
-                return
 
 
 def _raise_singular_pair(s: np.ndarray, lo: float, hi: float) -> None:
@@ -351,21 +320,6 @@ def _potential_gram(space: Space, m: np.ndarray, s: np.ndarray):
     _fill_diagonal(ctn, 0.0)
     u = (np.outer(m, m) * ctn).sum(axis=(-2, -1))
     return 0.5 * (u.astype(float) if u.ndim else float(u))
-
-
-def _potential_rows(space: Space, m: list, s: list) -> float:
-    """_potential_gram of one checked Gram matrix held as rows, with the
-    masses as Python floats, bit for bit.
-
-    Off the diagonal a checked s puts sigma (1 - s^2) above zero, or at
-    +inf on H3, so the root and the division cannot fail; the diagonal's
-    zero terms stay in the sum, whose order they shape.
-    """
-    sigma = space.sigma
-    return 0.5 * _add_reduce([
-        0.0 if i == j else mi * mj * (v / math.sqrt(sigma * (1.0 - v * v)))
-        for i, (mi, row) in enumerate(zip(m, s))
-        for j, (mj, v) in enumerate(zip(m, row))])
 
 
 def _grad_U_rows(space: Space, m: list, q: list, s: list) -> list:
@@ -447,14 +401,15 @@ class _ForceKernel:
 # Up to this many bodies the stepper runs whole RK4 steps in Python floats:
 # a few dozen numpy calls on (N, 4) arrays per step cost more than the
 # O(N^2) work itself.  On a 2-vCPU Xeon a generated float step takes about
-# 30 / 45 / 55 us at N = 2 / 3 / 4 against 190-230 us for an array step
-# (the best of 15 runs of 300 steps each); the two meet near N = 10.  The
-# bound stays at four because find_cc's row descent takes it too.  It is the
-# array descent bit for bit only while _potential_rows sums at most 128
-# terms (_add_reduce), N <= 11: at N = 12 its U differs from the array U on
-# 75 of 200 random H3 Gram matrices.  From N = 12 it is also no faster: an
-# H3 descent capped at 60 steps takes 0.9-1.0x the array time at N = 12,
-# 1.7-2.0x at 20 and 3.7-4.7x at 40.
+# 12-15 / 24 / 31-37 us at N = 2 / 3 / 4 against 140-170 us for an array
+# step (the best of 15 runs of 300 steps each); the two meet near N = 10.
+# find_cc's generated row descent takes the bound too.  At N = 3 one of its
+# trials with the restoration after it takes about 19 us on H3 and 31 us on
+# S3 (a level 2 % off; the S3 row norms are BLAS calls), and an H3 descent
+# capped at 60 steps takes 0.2x the array time at N = 4, 0.6x at 12 and
+# 1.9x at 20.  It is the array descent bit for bit only while U sums at most
+# 128 terms (_add_reduce), N <= 11: at N = 12 the row U differs from the
+# array U on 75 of 200 random H3 Gram matrices.
 _PAIR_LOOP_MAX_N = 4
 
 # The float stepper hands visit its states this many steps at a time, so a
@@ -481,8 +436,9 @@ class _PairKernel:
     arithmetic operation for operation, so bit for bit: the stage sums,
     the velocities and velocity term, the co-moving term (_frame_layers),
     the reprojection and the tangent projection.  The two projections run
-    inside the generated step too, in _reproject_rows' and _tangent_rows'
-    expressions; only the S3 row norms leave it, as one numpy call.
+    inside the generated step too, in _reproject_rows' and
+    project_tangent's expressions; only the S3 row norms leave it, as one
+    numpy call.
     """
 
     def __init__(self, space: Space, m: np.ndarray, xi=None):
@@ -531,7 +487,25 @@ def _axpy(x: list, h: float, k: list) -> list:
             for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(x, k)]
 
 
-@functools.cache
+def _compiled_once(build):
+    """Decorate build(*key) -> (source, filename, namespace) into a factory
+    that returns, for each key, the make that the generated source defines,
+    compiled and run in namespace once per process.
+
+    The factory is functools.cache's wrapper (cache_info, cache_clear).
+    build runs, and looks up its source generator, only on a key's first
+    call, so importing the package compiles nothing.
+    """
+    @functools.cache
+    @functools.wraps(build)
+    def factory(*key):
+        source, filename, namespace = build(*key)
+        exec(compile(source, filename, "exec"), namespace)
+        return namespace["make"]
+    return factory
+
+
+@_compiled_once
 def _pair_step_factory(space: Space, n: int, layout: tuple):
     """make(m_0.., m_i m_j.., sigma, mw, lo, hi, k..) -> (rates, step)
     for n bodies, compiled once per process for each key.
@@ -546,9 +520,58 @@ def _pair_step_factory(space: Space, n: int, layout: tuple):
                  "OffShellError": OffShellError, "sqrt": math.sqrt,
                  "isfinite": math.isfinite, "array": np.array,
                  "matmul": np.matmul, "_reproject_rows": _reproject_rows}
-    source = _pair_step_source(space, n, layout)
-    exec(compile(source, f"<RK4 step, {space.value}, N = {n}>", "exec"), namespace)
-    return namespace["make"]
+    return (_pair_step_source(space, n, layout),
+            f"<RK4 step, {space.value}, N = {n}>", namespace)
+
+
+def _rows_source(name: str, n: int, width: int = 4) -> str:
+    """The n rows name_i_0..name_i_{width - 1} as a tuple display of
+    tuples, which also unpacks rows as an assignment target."""
+    return ", ".join(
+        f"({', '.join(f'{name}_{i}_{r}' for r in range(width))}"
+        f"{',' if width == 1 else ''})" for i in range(n)) + ("," if n == 1 else "")
+
+
+def _reproject_source(space: Space, n: int, src: str, dst: str) -> list:
+    """Source lines that scale the rows src_i_r onto space as dst_i_r, in
+    _reproject_rows' expressions: the H3 row norms in floats, the S3 ones
+    from the stacked matmul that _reproject_rows takes, since BLAS may
+    round their sums of squares with fused multiply-adds.  Rows that
+    _reproject_rows refuses go to it, which raises project_point's error
+    for the first such row.  The lines use a, sq{i} and n{i}, and need
+    array, matmul, sqrt, space and _reproject_rows."""
+    bodies = range(n)
+    refuse = f"    _reproject_rows(space, [{_rows_source(src, n)}])  # raises"
+    if space is Space.S3:
+        lines = [f"a = array([{_rows_source(src, n)}])",
+                 f"{''.join(f'n{i}, ' for i in bodies)}= map(sqrt, matmul("
+                 "a[:, None, :], a[:, :, None]).ravel().tolist())",
+                 "if " + " or ".join(f"n{i} < 1e-12" for i in bodies) + ":",
+                 refuse]
+    else:
+        lines = [f"sq{i} = -(({src}_{i}_0 * {src}_{i}_0 + {src}_{i}_1 * {src}_{i}_1"
+                 f" + {src}_{i}_2 * {src}_{i}_2) - {src}_{i}_3 * {src}_{i}_3)"
+                 for i in bodies]
+        lines += ["if " + " or ".join(f"{src}_{i}_3 <= 0.0 or sq{i} <= 1e-12"
+                                      for i in bodies) + ":",
+                  refuse, *(f"n{i} = sqrt(sq{i})" for i in bodies)]
+    return lines + [f"{dst}_{i}_{r} = {src}_{i}_{r} / n{i}"
+                    for i in bodies for r in range(4)]
+
+
+def _tangent_source(space: Space, n: int, x: str, v: str, dst: str) -> list:
+    """Source lines that project the rows v_i_r to the tangent spaces at the
+    rows x_i_r as dst_i_r, in project_tangent's expressions: each
+    coefficient is sigma times inner's sum, in its order.  They use cf and
+    need sigma."""
+    pm = "-" if space is Space.H3 else "+"
+    lines = []
+    for i in range(n):
+        dot = " + ".join(f"{x}_{i}_{r} * {v}_{i}_{r}" for r in range(3))
+        lines += [f"cf = sigma * ({dot} {pm} {x}_{i}_3 * {v}_{i}_3)",
+                  *(f"{dst}_{i}_{r} = {v}_{i}_{r} - cf * {x}_{i}_{r}"
+                    for r in range(4))]
+    return lines
 
 
 def _pair_step_source(space: Space, n: int, layout: tuple) -> str:
@@ -565,19 +588,15 @@ def _pair_step_source(space: Space, n: int, layout: tuple) -> str:
     Inside the singular bounds sigma (1 - s^2) is at least about
     2 EPS_SINGULAR, or +inf on H3, so the root and the division cannot fail.
 
-    The RK4 sums Q_i_r, P_i_r are projected into X_i_r, Z_i_r in the
-    expressions of _reproject_rows and _tangent_rows on space: the H3 row
-    norms in floats, the S3 ones from the stacked matmul that
-    _reproject_rows takes.  A row that _reproject_rows refuses sends the
-    rows to it, which raises project_point's error for the first such row.
+    The RK4 sums Q_i_r, P_i_r are projected into X_i_r, Z_i_r
+    (_reproject_source, _tangent_source).
     """
     bodies = range(n)
     pairs = list(combinations(bodies, 2))
     k = [[f"k{a}_{r}" for r in range(4)] for a in range(len(layout))]
 
     def rows(name):
-        return ", ".join(f"({', '.join(f'{name}_{i}_{r}' for r in range(4))})"
-                         + ("," if n == 1 else "") for i in bodies)
+        return _rows_source(name, n)
 
     def from_zero(terms):
         return " + ".join(["0.0", *terms])
@@ -624,27 +643,6 @@ def _pair_step_source(space: Space, n: int, layout: tuple) -> str:
            f" + 2.0 * d{X}2_{i}_{r} + 2.0 * d{X}3_{i}_{r} + d{X}4_{i}_{r})"
            for X in "QP" for i in bodies for r in range(4)]
     flat = ", ".join(f"{X}_{i}_{r}" for X in "QP" for i in bodies for r in range(4))
-    refuse = f"    _reproject_rows(space, [{rows('Q')}])  # raises"
-    if space is Space.S3:
-        # the norms from one stacked matmul, as _reproject_rows takes them:
-        # BLAS may round the sums of squares with fused multiply-adds
-        norms = [f"a = array([{rows('Q')}])",
-                 f"{''.join(f'n{i}, ' for i in bodies)}= map(sqrt, matmul("
-                 "a[:, None, :], a[:, :, None]).ravel().tolist())",
-                 "if " + " or ".join(f"n{i} < 1e-12" for i in bodies) + ":",
-                 refuse]
-    else:
-        norms = [f"sq{i} = -((Q_{i}_0 * Q_{i}_0 + Q_{i}_1 * Q_{i}_1"
-                 f" + Q_{i}_2 * Q_{i}_2) - Q_{i}_3 * Q_{i}_3)" for i in bodies]
-        norms += ["if " + " or ".join(f"Q_{i}_3 <= 0.0 or sq{i} <= 1e-12"
-                                      for i in bodies) + ":",
-                  refuse, *(f"n{i} = sqrt(sq{i})" for i in bodies)]
-    pm = "-" if space is Space.H3 else "+"
-    project = [f"X_{i}_{r} = Q_{i}_{r} / n{i}" for i in bodies for r in range(4)]
-    for i in bodies:
-        dot = " + ".join(f"X_{i}_{r} * P_{i}_{r}" for r in range(3))
-        project += [f"cf = sigma * ({dot} {pm} X_{i}_3 * P_{i}_3)",
-                    *(f"Z_{i}_{r} = P_{i}_{r} - cf * X_{i}_{r}" for r in range(4))]
     lines = [f"def make({args}):",
              "    def rates(q, p):",
              f"        {rows('Q1')} = q",
@@ -660,7 +658,8 @@ def _pair_step_source(space: Space, n: int, layout: tuple) -> str:
              *block(stage(4)), *block(rk4),
              f"        if not all(map(isfinite, ({flat},))):",
              "            raise OffShellError(\"non-finite state\")",
-             *block(norms), *block(project),
+             *block(_reproject_source(space, n, "Q", "X")),
+             *block(_tangent_source(space, n, "X", "P", "Z")),
              f"        return [{rows('X')}], [{rows('Z')}]",
              "    return rates, step"]
     return "\n".join(lines) + "\n"

@@ -188,18 +188,6 @@ def _reproject_rows(space, q: list) -> list:
     return [(x0 / n, x1 / n, x2 / n, x3 / n) for (x0, x1, x2, x3), n in zip(q, norms)]
 
 
-def _tangent_rows(space, q: list, v: list) -> list:
-    """project_tangent of the rows v at the rows q, bit for bit; returns
-    tuples.  Each coefficient is sigma times inner's sum, in its order."""
-    sigma, h3 = space.sigma, space is Space.H3
-    out = []
-    for (x0, x1, x2, x3), (v0, v1, v2, v3) in zip(q, v):
-        t = x0 * v0 + x1 * v1 + x2 * v2
-        cf = sigma * (t - x3 * v3 if h3 else t + x3 * v3)
-        out.append((v0 - cf * x0, v1 - cf * x1, v2 - cf * x2, v3 - cf * x3))
-    return out
-
-
 def _add_reduce(v: list) -> float:
     """numpy's add.reduce of at most 128 floats, in its order, bit for bit.
 

@@ -12,7 +12,9 @@ import numpy as np
 
 from curved_nbody.dynamics import _axpy, _frame_layers, _singular_bounds
 from curved_nbody.errors import OffShellError, SingularPairError
-from curved_nbody.manifold import _reproject_rows, _tangent_rows
+from curved_nbody.manifold import _reproject_rows
+
+from row_descent import _tangent_rows
 
 
 class LoopKernel:

@@ -59,7 +59,9 @@ from curved_nbody.manifold import (
     project_tangent,
 )
 
+import row_descent
 from helpers import random_config
+from row_descent import LoopDescent
 
 FIXTURES = default_fixtures()
 ORDINARY = [f for f in FIXTURES if not f.is_special]
@@ -690,17 +692,92 @@ def _counting(calls, fn):
 @pytest.mark.parametrize("space", [Space.S3, Space.H3])
 def test_one_restoration_builds_one_gram_matrix(space, monkeypatch):
     # the iterates the restoration discards are checked in floats; only the
-    # one it returns builds the BLAS Gram product
+    # one it returns builds the BLAS Gram product.  The reference's float
+    # checks count the iterates; the generated restoration's Gram products
+    # are counted through the calls that build one
     cfg = random_config(space, 3, np.random.default_rng(11))
-    _, rows = _both_descents(space, cfg.masses, moment_of_inertia(cfg) * 1.05)
-    grams, floats = [], []
-    for name, calls in (("_check_rows", grams), ("_check_points", grams),
-                        ("_check_rows_float", floats)):
-        counted = _counting(calls, getattr(dynamics, name))
-        for module in (dynamics, centralconfig):
-            monkeypatch.setattr(module, name, counted)
-    rows.restore(cfg.points.tolist())
+    kernel = _ForceKernel(space, cfg.masses)
+    c = moment_of_inertia(cfg) * 1.05
+    floats = []
+    monkeypatch.setattr(row_descent, "_check_rows_float",
+                        _counting(floats, row_descent._check_rows_float))
+    want = LoopDescent(kernel, c).restore(cfg.points.tolist())
+    rows, grams = _RowDescent(kernel, c), []
+    names = rows._restore.__globals__
+    for name in ("_check_rows", "_check_points", "_gram_rows"):
+        monkeypatch.setitem(names, name, _counting(grams, names[name]))
+    got = rows.restore(cfg.points.tolist())
     assert len(floats) >= 3 and len(grams) == 1
+    assert _flat_bits(got) == _flat_bits(want)
+
+
+def _flat_bits(x):
+    """The bytes of the floats of a nest of lists and tuples, in order."""
+    def flat(x):
+        return ([v for item in x for v in flat(item)]
+                if isinstance(x, (list, tuple)) else [x])
+    return np.array(flat(x), dtype=float).tobytes()
+
+
+def _assert_same_outcome(want, got):
+    """want() and got() return the same floats, or raise the same package
+    error with the same message.  Returns the outcome's name."""
+    want, got = _outcome(want), _outcome(got)
+    if want[0] != "ok":
+        assert got == want
+    else:
+        assert got[0] == "ok" and _flat_bits(got[1]) == _flat_bits(want[1])
+    return want[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([Space.S3, Space.H3]),
+       st.integers(1, dynamics._PAIR_LOOP_MAX_N),
+       st.sampled_from(["random", "near a bound", "NaN", "off shell",
+                        "below w = 0"]),
+       st.floats(1e-3, 10.0), st.floats(-0.3, 0.3), st.integers(-6, 6))
+def test_the_generated_descent_is_the_row_loops_bit_for_bit(
+        seed, space, n, case, gamma, off, ulps):
+    # each of the four generated operations against the hand-written row
+    # loops (row_descent.LoopDescent): the same bits, signed zeros
+    # included, or the same error and message.  Points come at random, with
+    # pair (0, 1) a few ulps from a singular bound, with a NaN coordinate,
+    # with a row off the shell, or, on H3, with a trial below w = 0
+    rng = np.random.default_rng(seed)
+    if case == "near a bound" and n > 1:
+        bound = rng.choice(["coinciding", "antipodal"] if space is Space.S3
+                           else ["coinciding"])
+        Q = _pair_near_a_bound(space, bound, ulps, rng, n)
+    else:
+        Q = random_config(space, n, rng).points.copy()
+    m = rng.uniform(0.5, 2.0, n)
+    c = float(m @ (Q[:, 0] ** 2 + Q[:, 1] ** 2)) * (1.0 + off)
+    if case == "NaN":
+        Q[rng.integers(n), rng.integers(4)] = np.nan
+    elif case == "off shell":
+        Q[rng.integers(n)] *= rng.uniform(0.5, 1.5)
+    kernel = _ForceKernel(space, m)
+    loops, rows = LoopDescent(kernel, c), _RowDescent(kernel, c)
+    q = Q.tolist()
+    R = rng.standard_normal((n, 4)).tolist()
+    try:
+        s = _check_points(space, Q).tolist()
+    except CurvedNBodyError:
+        s = None
+    if s is not None:
+        _assert_same_outcome(lambda: loops.potential(s), lambda: rows.potential(s))
+        _assert_same_outcome(lambda: loops.direction(q, s), lambda: rows.direction(q, s))
+        R = loops.direction(q, s)[0]
+    if case == "below w = 0" and space is Space.H3:
+        # body 0 past its own antipode: its trial row has w < 0
+        R[0] = (Q[0] * (1.0 + rng.uniform(0.5, 3.0)) / gamma).tolist()
+    _assert_same_outcome(lambda: loops.trial(q, gamma, R), lambda: rows.trial(q, gamma, R))
+    _assert_same_outcome(lambda: loops.restore(q), lambda: rows.restore(q))
+    try:
+        t = loops.trial(q, gamma, R)
+    except CurvedNBodyError:
+        return
+    _assert_same_outcome(lambda: loops.restore(t), lambda: rows.restore(t))
 
 
 @pytest.mark.parametrize("masses, space, c, seed", [
@@ -754,6 +831,22 @@ def test_the_descent_runs_on_rows_up_to_the_pair_loop_size(n, monkeypatch):
         pass
     kind = _RowDescent if n <= dynamics._PAIR_LOOP_MAX_N else _ArrayDescent
     assert calls and set(calls) == {kind}
+
+
+def test_one_key_compiles_one_descent(monkeypatch):
+    # the key is (space, N): searches with other masses and levels share
+    # the functions, another space compiles its own
+    centralconfig._row_descent_factory.cache_clear()
+    built = []
+    source = centralconfig._row_descent_source
+    monkeypatch.setattr(centralconfig, "_row_descent_source",
+                        lambda *key: built.append(key) or source(*key))
+    for masses, space, c in (([1.0, 1.2, 0.8], Space.S3, 0.5),
+                             ([0.7, 1.9, 1.1], Space.S3, 1.0),
+                             ([1.0, 1.2, 0.8], Space.S3, 0.5),
+                             ([1.0, 2.0, 1.5], Space.H3, 0.9)):
+        find_cc(masses, space, LevelSetSpec(c), rng=np.random.default_rng(0))
+    assert built == [(Space.S3, 3), (Space.H3, 3)]
 
 
 def _faulty_trial(space, case):
