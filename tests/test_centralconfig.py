@@ -769,7 +769,7 @@ def test_the_generated_descent_is_the_row_loops_bit_for_bit(
         _assert_same_outcome(lambda: loops.direction(q, s), lambda: rows.direction(q, s))
         R = loops.direction(q, s)[0]
     if case == "below w = 0" and space is Space.H3:
-        # body 0 past its own antipode: its trial row has w < 0
+        # body 0's trial row is -u q_0, u > 0.5: below w = 0
         R[0] = (Q[0] * (1.0 + rng.uniform(0.5, 3.0)) / gamma).tolist()
     _assert_same_outcome(lambda: loops.trial(q, gamma, R), lambda: rows.trial(q, gamma, R))
     _assert_same_outcome(lambda: loops.restore(q), lambda: rows.restore(q))
