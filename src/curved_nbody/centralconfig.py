@@ -191,7 +191,12 @@ def cc_residual(config: Configuration, lam: float):
     say) are scaled by that entry before the norm, so the squares do not
     overflow; ordinary rows take the plain norm.
     """
-    R = grad_U(config) - lam * grad_I(config)
+    return _cc_residual(grad_U(config), config, lam)
+
+
+def _cc_residual(GU, config, lam):
+    """cc_residual with grad U already built."""
+    R = GU - lam * grad_I(config)
     big = float(np.max(np.abs(R)))
     if _NORM_UNSCALED_MAX < big < math.inf:
         return R, big * float(np.max(np.linalg.norm(R / big, axis=1)))
@@ -224,7 +229,12 @@ def lambda_estimate(config: Configuration) -> float:
 
 def is_special_cc(config: Configuration, tol: float = 1e-10) -> bool:
     """True when the force-function gradient vanishes for every body."""
-    return float(np.max(np.linalg.norm(grad_U(config), axis=1))) < tol
+    return _is_special(grad_U(config), tol)
+
+
+def _is_special(GU, tol) -> bool:
+    """is_special_cc with grad U already built."""
+    return float(np.max(np.linalg.norm(GU, axis=1))) < tol
 
 
 def criterion_residual(config: Configuration, lam: float) -> np.ndarray:
@@ -300,15 +310,17 @@ def make_report(
 ) -> CCReport:
     """Assemble the standard report; lambda defaults to lambda_estimate
     (zero when the multiplier is undetermined because all bodies sit on
-    the axes).  A lambda given that is not finite raises OutOfRangeError."""
-    special = is_special_cc(config, special_tol)
+    the axes).  A lambda given that is not finite raises OutOfRangeError.
+    grad U is built once, for the special test and the residual."""
+    GU = grad_U(config)
+    special = _is_special(GU, special_tol)
     lam = None if lam is None else check_scalar("lambda", lam, positive=False)
     if lam is None:
         try:
             lam = lambda_estimate(config)
         except DegenerateDenominatorError:
             lam = 0.0
-    _, rmax = cc_residual(config, lam)
+    _, rmax = _cc_residual(GU, config, lam)
     return CCReport(
         lam=float(lam),
         residual_max=rmax,

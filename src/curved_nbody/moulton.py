@@ -4,11 +4,10 @@ Two settings are covered:
 
 * N bodies on the hyperbolic geodesic H1_xw, embedded as
   ``(sinh theta, 0, 0, cosh theta)``.  For every ordering of the bodies
-  there is exactly one central configuration, found by minimizing the
-  cotangent potential on a fixed moment-of-inertia level set; the
-  certified Hessian shows it is a minimum.  Reversing an ordering gives
-  the 180-degree xy-rotation (theta -> -theta) of its configuration, so
-  enumeration solves one ordering of each of the N!/2 classes.
+  there is exactly one central configuration, the minimizer of U (convex in
+  the gaps) over {I <= c}, found on the convex dual path argmin U + mu I
+  and certified by the Hessian.  Reversing an ordering gives its 180-degree
+  xy-rotation (theta -> -theta), so enumeration solves one ordering per class.
 
 * Two bodies on the circle S1_xz, embedded as ``(-sin theta, 0, cos theta, 0)``,
   where the count of solutions depends on the size c of the configuration
@@ -115,18 +114,23 @@ class GeodesicHSolution:
 # ---------------------------------------------------------------------------
 # hyperbolic geodesic: U, I and their theta gradients
 # ---------------------------------------------------------------------------
-# One implementation each, in Python floats over math's sinh and cosh; out of
-# float range they raise OverflowError or ZeroDivisionError.
+# One implementation each, in Python floats over math's sinh, cosh and expm1;
+# out of float range they raise OverflowError or ZeroDivisionError.
 
-def _pair_potential(t, m) -> float:
-    """U = sum over i < j of m_i m_j coth(t_j - t_i), t increasing."""
+def _pair_excess(t, m) -> float:
+    """U - sum of m_i m_j, as 2 m_i m_j / expm1(2d) = m_i m_j (coth d - 1) per
+    pair, t increasing: unlike U, it keeps a small change's bits."""
     val = 0.0
     for i in range(len(t) - 1):
         ti, mi = t[i], m[i]
         for j in range(i + 1, len(t)):
-            d = t[j] - ti
-            val += mi * m[j] * math.cosh(d) / math.sinh(d)
+            val += 2.0 * mi * m[j] / math.expm1(2.0 * (t[j] - ti))
     return val
+
+
+def _pair_potential(t, m) -> float:
+    """U = sum over i < j of m_i m_j coth(t_j - t_i), t increasing."""
+    return sum(a * b for a, b in itertools.combinations(m, 2)) + _pair_excess(t, m)
 
 
 def _pair_gradient(t, m) -> list:
@@ -150,16 +154,6 @@ def _inertia(t, m) -> float:
 def _grad_inertia(t, m) -> list:
     """dI/dtheta = m sinh 2theta, per body, for t in any order."""
     return [mk * math.sinh(2.0 * tk) for tk, mk in zip(t, m)]
-
-
-def _rounding_floor(t, lam, m) -> float:
-    """The residual dU - lam dI cannot be resolved below this: each row sums
-    n terms, so it carries about n ulps of the largest of them.  t increasing."""
-    terms = [abs(lam * g) for g in _grad_inertia(t, m)]
-    for i, j in itertools.combinations(range(len(t)), 2):
-        sh = math.sinh(t[j] - t[i])
-        terms.append(m[i] * m[j] / (sh * sh))
-    return len(t) * np.finfo(float).eps * max(terms)
 
 
 def _multiplier(t, m) -> float:
@@ -193,7 +187,11 @@ def hessian_geodesic_h(config: GeodesicHConfig, lam: float) -> np.ndarray:
     cosh 2theta of a far body, a gap whose sinh^3 is 0) it raises
     OutOfRangeError naming theta; elsewhere numpy's errstate changes no bit.
     """
-    t, m = config.thetas, config.masses
+    return _hessian(config.thetas, config.masses, lam)
+
+
+def _hessian(t, m, lam) -> np.ndarray:
+    """hessian_geodesic_h's arithmetic on arrays of thetas and masses."""
     d = np.abs(t[:, None] - t[None, :])
     np.fill_diagonal(d, 1.0)  # any nonzero gap; the diagonal is cleared below
     try:
@@ -217,102 +215,94 @@ def geodesic_lambda(config: GeodesicHConfig) -> float:
 # hyperbolic geodesic: solver
 # ---------------------------------------------------------------------------
 
-# The solver's working range for every mass and for c.  Inside it
-# c / sum(m) >= 1e-40 / N, which keeps lambda and the Hessian (about
-# M^2 (c/M)^-1.5) near 1e100 or below, so Newton's squared norms stay
-# finite, and c / min(m) <= 1e40, which keeps every |theta| below 47, so
-# cosh 2theta and the cube of sinh of a gap stay finite.
+# The working range for every mass and for c.  With sum(m) scaled into [1/2, 1)
+# it keeps lambda and the Hessian below 1e60 and every |theta| below 47.
 _GEODESIC_RANGE = (1e-20, 1e20)
-_DESCENT_MAX_ITER = 50  # steps before the hand-off to Newton
-_DESCENT_GTOL = 1e-8     # the projected-gradient norm that ends the descent
+# The certificate that ends the KKT steps and that every solution passes: the
+# largest row of dU - lam dI, and |I - c| / c, over the largest term of lam dI
+# (at a CC no pair term exceeds N times it); rounding leaves ~N^2 ulps of it.
+_CERTIFICATE_TOL = 1e-12
+_DUAL_LEVEL_TOL = 1e-6   # |log(I / c)| at which the dual path hands over
+_DECREMENT_TOL = 1e-10   # Newton decrement, over U + mu I, that ends a minimization
+_MAX_ITER = 200          # Newton steps on the dual path, and on the KKT system
+_MAX_LOG_STEP = 10.0     # in log mu; a step of 38 left the Hessian singular
 
 
-def _check_geodesic_range(masses, c):
-    lo, hi = _GEODESIC_RANGE
-    if not (lo <= masses.min() and masses.max() <= hi):
-        raise OutOfRangeError(f"masses must lie in [{lo:g}, {hi:g}] on the "
-                              f"geodesic; got {masses.tolist()}")
-    if not lo <= c <= hi:
-        raise OutOfRangeError(f"size c must lie in [{lo:g}, {hi:g}] on the "
-                              f"geodesic; got {c!r}")
-
-
-def _project_ellipsoid(u, masses, c):
-    return u * math.sqrt(c / float(np.sum(masses * u * u)))
-
-
-def _trial_potential(u, m) -> float:
-    """U at u = sinh(theta); +inf where a math call overflows or divides by zero."""
+def _dual_objective(t, m, mu) -> float:
+    """U + mu I less U's constant far-field part, at t (Python floats); +inf
+    where t is not increasing or the arithmetic leaves float range."""
+    if not all(a < b for a, b in zip(t, t[1:])):
+        return math.inf
     try:
-        return _pair_potential([math.asinh(x) for x in u], m)
+        return _pair_excess(t, m) + mu * _inertia(t, m)
     except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
-def _descend_ordered(u, masses, c):
-    """Projected gradient descent on {sum m u^2 = c} in u = sinh(theta).
+def _dual_path(masses, c, t):
+    """(theta, lam) with |log(I / c)| <= _DUAL_LEVEL_TOL, from the increasing
+    array t, on the path theta(mu) = argmin U + mu I over increasing theta.
 
-    U itself keeps the ordering: coth d grows without bound as two bodies
-    meet, so U rejects every Armijo step toward a collision, and a step that
-    jumps past one fails the ordering test.  At most _DESCENT_MAX_ITER steps
-    put the iterate where Newton converges; _newton does the rest.
-
-    The loop runs on lists of Python floats, over the pair loops that the
-    theta chart also takes its rows from, with math's asinh for theta.  A
-    trial whose arithmetic overflows or divides by zero has U = +inf and is
-    rejected; a gradient that cannot be formed ends the descent.  Takes and
-    returns arrays.
+    U is convex in the gaps (coth'' > 0), I strictly convex, and both grow
+    without bound at the ordered cone's walls and at infinity, so Newton on
+    U + mu I, halving a trial of +inf objective, converges from any ordered
+    start.  Once its decrement is _DECREMENT_TOL of the objective, one full
+    step reaches theta(mu), where the next mu's minimization starts.  There
+    dI/dmu = -grad I^T H^-1 grad I < 0: Newton in log mu, bounded by
+    _MAX_LOG_STEP and bisecting out of the bracket found so far, moves mu.
     """
-    u, m = u.tolist(), masses.tolist()
-    val = _trial_potential(u, m)
-    step = 1.0
-    for _ in range(_DESCENT_MAX_ITER):
-        try:
-            t = [math.asinh(x) for x in u]
-            g = [gk / math.cosh(tk) for gk, tk in zip(_pair_gradient(t, m), t)]
-            gc = [2.0 * mk * uk for mk, uk in zip(m, u)]
-            k = (sum(a * b for a, b in zip(g, gc))
-                 / sum(b * b for b in gc))
-        except (OverflowError, ZeroDivisionError):
-            break
-        g = [a - k * b for a, b in zip(g, gc)]
-        gnorm = math.sqrt(sum(a * a for a in g))
-        # a NaN or infinite gradient cannot move the iterate either
-        if not _DESCENT_GTOL <= gnorm < math.inf:
-            break
-        step = min(step * 1.5, 1.0 / max(gnorm, 1e-6))
-        for _ in range(60):
-            trial = [a - step * b for a, b in zip(u, g)]
-            try:
-                scale = math.sqrt(c / sum(mk * x * x for mk, x in zip(m, trial)))
-            except ZeroDivisionError:
-                scale = math.nan  # an all-zero trial; the ordering test fails
-            trial = [x * scale for x in trial]
-            if all(a < b for a, b in zip(trial, trial[1:])):
-                tval = _trial_potential(trial, m)
-                if math.isfinite(tval) and tval <= val - 1e-4 * step * gnorm * gnorm:
-                    u, val = trial, tval
-                    break
-            step *= 0.5
-        else:
-            break
-    return np.array(u)
+    m, tl = masses.tolist(), t.tolist()
+    mu = math.hypot(*_pair_gradient(tl, m)) / math.hypot(*_grad_inertia(tl, m))
+    lo, hi = -math.inf, math.inf
+    for _ in range(_MAX_ITER):
+        tl = t.tolist()
+        val = _dual_objective(tl, m, mu)
+        g_i = np.array(_grad_inertia(tl, m))
+        grad = np.array(_pair_gradient(tl, m)) + mu * g_i
+        hess = _hessian(t, masses, -mu)
+        step = np.linalg.solve(hess, -grad)
+        decrement = -float(grad @ step)
+        if decrement > _DECREMENT_TOL * val:
+            frac = 1.0
+            while (trial := _dual_objective((t + frac * step).tolist(), m, mu)) \
+                    > val - 0.25 * frac * decrement:
+                frac *= 0.5
+                if frac < 1e-12:
+                    raise NoConvergenceError(f"no descent on U + mu I at mu = {mu!r}")
+            t = t + frac * step
+            continue
+        if _dual_objective((t + step).tolist(), m, mu) < math.inf:
+            t = t + step
+        inertia = _inertia(t.tolist(), m)
+        miss = math.log(inertia / c)
+        if abs(miss) <= _DUAL_LEVEL_TOL:
+            return t, -mu
+        s = math.log(mu)
+        lo, hi = (s, hi) if miss > 0.0 else (lo, s)
+        s_new = s + miss * inertia / (mu * float(g_i @ np.linalg.solve(hess, g_i)))
+        s_new = min(max(s_new, s - _MAX_LOG_STEP), s + _MAX_LOG_STEP)
+        if not lo < s_new < hi:
+            s_new = 0.5 * (lo + hi)
+        mu = math.exp(s_new)
+    raise NoConvergenceError(f"I = c not reached in {_MAX_ITER} Newton steps")
 
 
 def _theta_chart(masses, c):
-    """[dU - lam dI; I - c] in theta as a chart for _newton, with the exact
-    Jacobian.  The rows are the float loops', so a trial out of float range
-    raises an ArithmeticError, which _newton halves.  A trial that reorders
-    two bodies raises SingularPairError: the crossing passes through their
-    collision, where cosh d = 1."""
+    """[dU - lam dI; (I - c) w] in theta as a chart for _newton, with the
+    exact Jacobian; w = |lam| max|dI| / c weighs the level like the rows in
+    the norm that _newton backtracks on.  A trial out of float range raises
+    an ArithmeticError, which _newton halves; one that reorders two bodies
+    raises SingularPairError: the crossing passes through their collision."""
     m = masses.tolist()
     n = len(m)
 
     def chart(t, lam):
+        g_i = np.array([_grad_inertia(t.tolist(), m)])
+        w = abs(lam) * float(np.max(np.abs(g_i))) / c
+
         def jac():
-            g_i = np.array([_grad_inertia(t.tolist(), m)])
-            hess = hessian_geodesic_h(GeodesicHConfig(t, masses), lam)
-            return np.block([[hess, -g_i.T], [g_i, np.zeros((1, 1))]])
+            hess = _hessian(t, masses, lam)
+            return np.block([[hess, -g_i.T], [w * g_i, np.zeros((1, 1))]])
 
         def trial(d):
             t_new, lam_new = t + d[:n], float(lam + d[n])
@@ -322,7 +312,7 @@ def _theta_chart(masses, c):
             tl = t_new.tolist()
             f = [a - lam_new * b
                  for a, b in zip(_pair_gradient(tl, m), _grad_inertia(tl, m))]
-            return np.array(f + [_inertia(tl, m) - c]), t_new, lam_new
+            return np.array(f + [(_inertia(tl, m) - c) * w]), t_new, lam_new
 
         return trial(np.zeros(n + 1))[0], jac, trial
 
@@ -334,12 +324,21 @@ def solve_geodesic_h(masses, c: float, ordering: Optional[Sequence[int]] = None,
     """Find the unique geodesic central configuration for one body ordering.
 
     ``ordering`` lists body indices from most negative to most positive theta;
-    the identity ordering is used when omitted.  ``rng`` jitters the initial
-    guess (the minimizer is unique per ordering, so all seeds agree).
+    the identity ordering is used when omitted.  The convex dual path finds
+    the configuration, with masses and c divided by the power of two at
+    sum(m), which changes no theta; Newton on the KKT system finishes it to
+    the relative certificate (_CERTIFICATE_TOL), else NoConvergenceError.
+    ``rng`` has no effect: the solve is deterministic.
     """
     masses = check_masses(masses, 2)
     c = check_scalar("size c", c)
-    _check_geodesic_range(masses, c)
+    lo, hi = _GEODESIC_RANGE
+    if not (lo <= masses.min() and masses.max() <= hi):
+        raise OutOfRangeError(f"masses must lie in [{lo:g}, {hi:g}] on the "
+                              f"geodesic; got {masses.tolist()}")
+    if not lo <= c <= hi:
+        raise OutOfRangeError(f"size c must lie in [{lo:g}, {hi:g}] on the "
+                              f"geodesic; got {c!r}")
     n = masses.size
     if ordering is None:
         ordering = tuple(range(n))
@@ -347,26 +346,26 @@ def solve_geodesic_h(masses, c: float, ordering: Optional[Sequence[int]] = None,
     if sorted(ordering) != list(range(n)):
         raise ValueError("ordering must be a permutation of body indices")
 
-    m_sorted = masses[list(ordering)]
+    e = -math.frexp(float(np.sum(masses)))[1]
+    m_sorted, c_scaled = np.ldexp(masses[list(ordering)], e), math.ldexp(c, e)
+    m = m_sorted.tolist()
 
-    # initial guess: spread in theta, jittered, pushed onto the level set
-    base = math.asinh(math.sqrt(c / float(np.sum(masses))))
-    t0 = np.linspace(-1.0, 1.0, n) * max(1.0, base)
-    if rng is not None:
-        t0 = np.sort(rng.uniform(-1.5, 1.5, size=n) * max(1.0, base))
-        t0 += np.arange(n) * 1e-3
-    u = _descend_ordered(_project_ellipsoid(np.sinh(t0), m_sorted, c), m_sorted, c)
-
-    t = np.arcsinh(u)
-    lam = geodesic_lambda(GeodesicHConfig(t, m_sorted))
-    t, lam, f, _ = _newton(_theta_chart(m_sorted, c), t, lam,
-                           lambda t, lam, f: np.max(np.abs(f)) < 1e-12, 80)
-    res = float(np.max(np.abs(f)))
-    # tight, heavy configurations have a rounding floor above 1e-10
-    if res >= 1e-10 and res >= _rounding_floor(t.tolist(), lam, m_sorted.tolist()):
-        raise NoConvergenceError(
-            f"geodesic solve stalled at residual {res:.3e} for ordering {ordering}")
-
+    def done(t, lam, f):  # the certificate on the theta chart's rows
+        big = abs(lam) * max(abs(g) for g in _grad_inertia(t.tolist(), m))
+        return np.max(np.abs(f)) <= _CERTIFICATE_TOL * big
+    u = np.linspace(-1.0, 1.0, n)
+    t = np.arcsinh(u * math.sqrt(c_scaled / float(np.sum(m_sorted * u * u))))
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            t, lam = _dual_path(m_sorted, c_scaled, t)
+            t, lam, f, _ = _newton(_theta_chart(m_sorted, c_scaled), t, lam,
+                                   done, _MAX_ITER)
+            if not done(t, lam, f):
+                raise NoConvergenceError(f"geodesic solve stalled at rows "
+                                         f"{f.tolist()} for ordering {ordering}")
+    except (ArithmeticError, ValueError) as exc:  # LinAlgError, math domain errors
+        raise NoConvergenceError(f"geodesic solve for ordering {ordering} left "
+                                 f"float range: {exc}") from exc
     thetas = np.empty(n)
     thetas[list(ordering)] = t
     return GeodesicHConfig(thetas, masses)

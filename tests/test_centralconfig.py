@@ -1201,3 +1201,39 @@ def test_make_report_round_trip():
     assert d["lambda"] == pytest.approx(-0.5, abs=1e-10)
     assert d["residual_max"] < 1e-9
     assert not d["is_special"]
+
+
+def _reports(config):
+    """make_report at its estimated multiplier, at a given one and at a
+    special-CC tolerance that flips the special flag of the fixtures."""
+    for lam, special_tol in ((None, 1e-10), (0.75, 1e-10), (None, 1e3)):
+        yield lam, special_tol, make_report(config, lam=lam, special_tol=special_tol)
+
+
+_FIXTURES = default_fixtures()
+
+
+@pytest.mark.parametrize("fix", _FIXTURES, ids=[f.name for f in _FIXTURES])
+def test_make_report_builds_grad_U_once(fix, monkeypatch):
+    calls = []
+
+    def counting(config):
+        calls.append(config)
+        return grad_U(config)
+
+    monkeypatch.setattr(centralconfig, "grad_U", counting)
+    monkeypatch.setattr(dynamics, "grad_U", counting)
+    for _ in _reports(fix.config):
+        assert len(calls) == 1
+        calls.clear()
+
+
+@pytest.mark.parametrize("fix", _FIXTURES, ids=[f.name for f in _FIXTURES])
+def test_make_report_fields_equal_the_checks_called_alone(fix):
+    config = fix.config
+    for lam, special_tol, report in _reports(config):
+        assert report.is_special is is_special_cc(config, special_tol)
+        rmax = cc_residual(config, report.lam)[1]
+        assert np.float64(report.residual_max).tobytes() == np.float64(rmax).tobytes()
+        if lam is not None:
+            assert report.lam == lam

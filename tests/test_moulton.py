@@ -20,18 +20,14 @@ from curved_nbody import (
 )
 from curved_nbody import moulton
 from curved_nbody.centralconfig import _newton
-from curved_nbody.errors import (
-    NoConvergenceError,
-    OutOfRangeError,
-    SingularPairError,
-)
+from curved_nbody.errors import OutOfRangeError, SingularPairError
 from curved_nbody.moulton import (
-    _descend_ordered,
+    _dual_objective,
+    _dual_path,
+    _grad_inertia,
     _pair_gradient,
     _pair_potential,
-    _project_ellipsoid,
     _theta_chart,
-    _trial_potential,
 )
 
 
@@ -113,34 +109,113 @@ def test_solution_satisfies_balance_and_level():
     assert rmax < 1e-9
 
 
+def _relative_row_residual(g):
+    """The largest row of dU - lam dI over the largest term summed into a
+    row, at g's least-squares multiplier."""
+    order = np.argsort(g.thetas)
+    t, m = g.thetas[order].tolist(), g.masses[order].tolist()
+    lam = geodesic_lambda(g)
+    g_i = _grad_inertia(t, m)
+    rows = [a - lam * b for a, b in zip(_pair_gradient(t, m), g_i)]
+    terms = [abs(lam * b) for b in g_i]
+    for i, j in itertools.combinations(range(len(t)), 2):
+        terms.append(m[i] * m[j] / math.sinh(t[j] - t[i]) ** 2)
+    return max(abs(r) for r in rows) / max(terms)
+
+
 def test_descent_brings_a_lopsided_pair_within_newton_reach():
-    # Newton from the unrefined start stalls here; the descent must not
+    # Newton from the unrefined start stalls here; the dual path must not
     m, c = [5.104101873155492, 0.29422821498375307], 26.063712995063234
     g = solve_geodesic_h(m, c)
     assert abs(float(np.sum(g.masses * np.sinh(2.0 * g.thetas)))) < 1e-10
     assert g.inertia() == pytest.approx(c, rel=1e-12)
 
 
-@pytest.mark.xfail(strict=True, raises=NoConvergenceError,
-                   reason="Newton stalls near a residual of 3e-8 (KKT "
-                          "condition number about 3.9e5)")
 @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
 def test_the_lopsided_heavy_level_solves(seed):
+    # a KKT Jacobian condition number of about 3.9e5 stalled Newton from
+    # the old descent's hand-off near a residual of 3e-8
     rng = None if seed is None else np.random.default_rng(seed)
-    solve_geodesic_h([0.15207086400859238, 0.6654546753844922],
-                     17.462269008547768, (1, 0), rng=rng)
+    m, c = [0.15207086400859238, 0.6654546753844922], 17.462269008547768
+    g = solve_geodesic_h(m, c, (1, 0), rng=rng)
+    assert g.thetas[1] < g.thetas[0]
+    assert g.inertia() == pytest.approx(c, rel=1e-12)
+    assert _relative_row_residual(g) < 1e-12
 
 
-@pytest.mark.xfail(strict=True, raises=NoConvergenceError,
-                   reason="the 50-step descent cap hands Newton a point out "
-                          "of its reach for ordering (0, 1, 2)")
 @pytest.mark.parametrize("c", [500.0, 1000.0])
 def test_a_large_level_solves_every_ordering(c):
     # c / sum(m) is about 36 and 71; each ordering has exactly one CC
     assert len(enumerate_geodesic_h([1.0, 3.0, 10.0], c)) == 3
 
 
-# ─── the float pair loops and the descent on them ────────────────────────
+@pytest.mark.parametrize("masses,c,ordering", [
+    ([0.0023319403000613822, 0.023124372224701133], 92482.72275032176, (0, 1)),
+    ([0.0200861953525039, 0.02284208271886374], 350889.64439794386, (1, 0)),
+])
+def test_a_light_pair_on_a_large_level_is_a_central_configuration(masses, c,
+                                                                  ordering):
+    # an absolute stopping test took rows below 3e-11 for a CC here, and
+    # returned theta = +-8.2459 with a balance sum m sinh 2theta of 1.5e5
+    g = solve_geodesic_h(masses, c, ordering)
+    balance = g.masses * np.sinh(2.0 * g.thetas)
+    assert abs(float(np.sum(balance))) < 1e-8 * float(np.sum(np.abs(balance)))
+    assert _relative_row_residual(g) < 1e-8
+    assert g.inertia() == pytest.approx(c, rel=1e-12)
+
+
+def test_a_level_past_two_to_the_nineteen_solves():
+    # one ulp of c there, 1.164e-10, is above an absolute 1e-10 test
+    g = solve_geodesic_h([1.0, 1.5], 6e5)
+    assert g.inertia() == pytest.approx(6e5, rel=1e-12)
+    assert _relative_row_residual(g) < 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(k=st.integers(min_value=-60, max_value=60),
+       seed=st.integers(min_value=0, max_value=5))
+def test_a_power_of_two_scale_changes_no_bit(k, seed):
+    # (2^k m, 2^k c) is divided by a power of two 2^k larger, exactly, so
+    # the solve runs on the same floats
+    rng = np.random.default_rng(seed)
+    masses, c = rng.uniform(0.1, 10.0, size=3), float(rng.uniform(0.1, 10.0))
+    ordering = tuple(int(i) for i in rng.permutation(3))
+    want = solve_geodesic_h(masses, c, ordering).thetas
+    got = solve_geodesic_h(np.ldexp(masses, k), math.ldexp(c, k), ordering)
+    assert got.thetas.tobytes() == want.tobytes()
+
+
+def _wide_problems(count):
+    """Masses and c log-uniform on [1e-3, 1e6], N from 2 to 5, one random
+    ordering each; seeded."""
+    rng = np.random.default_rng(2024)
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        masses = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), n))
+        c = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e6))))
+        yield masses, c, tuple(int(k) for k in rng.permutation(n))
+
+
+def test_the_wide_sweep_solves_to_the_certificate():
+    # the test configuration turns a RuntimeWarning into a failure.  The
+    # certificate is recomputed at the least-squares multiplier, over the
+    # largest term of lam dI as in the solver; twice the solver's bound
+    # leaves room for that multiplier and for the recomputation's rounding
+    bound = 2.0 * moulton._CERTIFICATE_TOL
+    for masses, c, ordering in _wide_problems(40):
+        g = solve_geodesic_h(masses, c, ordering)
+        assert list(np.argsort(g.thetas)) == list(ordering)
+        order = list(ordering)
+        t, m = g.thetas[order].tolist(), g.masses[order].tolist()
+        lam = geodesic_lambda(g)
+        g_i = _grad_inertia(t, m)
+        rows = [a - lam * b for a, b in zip(_pair_gradient(t, m), g_i)]
+        assert max(map(abs, rows)) <= bound * abs(lam) * max(map(abs, g_i))
+        assert abs(g.inertia() - c) <= bound * c
+        assert np.linalg.eigvalsh(hessian_geodesic_h(g, lam))[0] > 0.0
+
+
+# ─── the float pair loops and the dual path on them ──────────────────────
 
 @st.composite
 def _ordered_problem(draw):
@@ -186,24 +261,67 @@ def test_float_potential_and_gradient_match_a_long_double_evaluation(problem):
 @given(problem=_ordered_problem(),
        log_c=st.floats(min_value=math.log(0.02), max_value=math.log(50.0)))
 def test_descent_stays_ordered_on_the_level(problem, log_c):
+    # every Newton point of the dual path is ordered, and it ends on the
+    # level within the hand-off tolerance, with a multiplier below zero
     m, t = problem
     c = math.exp(log_c)
-    u = _descend_ordered(_project_ellipsoid(np.sinh(t), m, c), m, c)
-    assert isinstance(u, np.ndarray) and u.shape == m.shape
-    assert np.all(np.diff(u) > 0.0)
-    assert float(np.sum(m * u * u)) == pytest.approx(c, rel=1e-12)
+    visited = []
+
+    def recording(t, masses, lam):
+        visited.append(t)
+        return hessian(t, masses, lam)
+
+    hessian = moulton._hessian
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moulton, "_hessian", recording)
+        out, lam = _dual_path(m, c, t)
+    assert isinstance(out, np.ndarray) and out.shape == m.shape
+    assert visited and all(np.all(np.diff(p) > 0.0) for p in visited + [out])
+    inertia = float(np.sum(m * np.sinh(out) ** 2))
+    assert abs(math.log(inertia / c)) <= moulton._DUAL_LEVEL_TOL
+    assert lam < 0.0
 
 
 @pytest.mark.parametrize("u,m", [
-    # distinct u, equal asinh: coth of a zero gap divides by zero
+    # distinct u, equal asinh: the trial is not increasing
     ([1e10, math.nextafter(1e10, math.inf)], [1.0, 1.0]),
-    ([-1e300, 1e300], [1.0, 1.0]),            # cosh of the gap overflows
+    ([-1e300, 1e300], [1.0, 1.0]),            # expm1 of the gap overflows
     ([-1e200, 0.0, 1e200], [1.0, 1.0, 1.0]),
     # finite trig, but the pair weight overflows to inf without raising
     ([-1.0, 1.0], [1e200, 1e200]),
 ])
 def test_a_trial_out_of_float_range_has_infinite_potential(u, m):
-    assert _trial_potential(u, m) == math.inf
+    assert _dual_objective([math.asinh(x) for x in u], m, 1.0) == math.inf
+
+
+def test_the_dual_path_halves_a_trial_out_of_float_range(monkeypatch):
+    # a first Hessian 1e-4 of the true one makes the first full step move
+    # the bodies to theta near -3000: sinh overflows there, and the step is
+    # halved, not raised
+    m, t0, c = np.array([1.0, 2.0]), np.array([-0.5, 0.7]), 1.0
+    hessian, objective = moulton._hessian, moulton._dual_objective
+    calls, tried = [], []
+
+    def shrunk(t, masses, lam):
+        calls.append(t)
+        return hessian(t, masses, lam) * (1e-4 if len(calls) == 1 else 1.0)
+
+    def recorded(t, m, mu):
+        tried.append((t, objective(t, m, mu)))
+        return tried[-1][1]
+
+    monkeypatch.setattr(moulton, "_hessian", shrunk)
+    monkeypatch.setattr(moulton, "_dual_objective", recorded)
+    t, _ = _dual_path(m, c, t0)
+    (_, start), (full, full_val), (half, _) = tried[:3]
+    assert np.all(np.diff(full) > 0.0) and full[0] < -1000.0
+    with pytest.raises(OverflowError):
+        moulton._pair_excess(full, m.tolist())
+    assert math.isfinite(start) and full_val == math.inf
+    assert np.array(half) - t0 == pytest.approx(0.5 * (np.array(full) - t0),
+                                                rel=1e-12)
+    assert np.all(np.diff(t) > 0.0)
+    assert abs(math.log(float(np.sum(m * np.sinh(t) ** 2)) / c)) <= 1e-6
 
 
 # ─── the theta chart through the shared Newton core ──────────────────────
@@ -214,7 +332,7 @@ def _never(t, lam, f):
 
 
 def _newton_handoff(monkeypatch, masses, c):
-    """(theta, lambda) that solve_geodesic_h's descent hands to Newton."""
+    """(theta, lambda) that solve_geodesic_h's dual path hands to Newton."""
     seen = []
 
     def spy(chart, t, lam, done, max_iter):
