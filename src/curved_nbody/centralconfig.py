@@ -19,7 +19,6 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .manifold import (
     EPS_MANIFOLD,
     EPS_SINGULAR,
     Space,
-    _add_reduce,
     _boost,
     _reproject,
     _reproject_rows,
@@ -49,11 +47,8 @@ from . import dynamics
 from .dynamics import (
     Configuration,
     _ForceKernel,
-    _axpy,
     _check_points,
-    _check_rows,
     _compiled_once,
-    _grad_U_rows,
     _gram_checked,
     _gram_rows,
     _potential_gram,
@@ -191,12 +186,11 @@ def cc_residual(config: Configuration, lam: float):
     say) are scaled by that entry before the norm, so the squares do not
     overflow; ordinary rows take the plain norm.
     """
-    return _cc_residual(grad_U(config), config, lam)
+    return _cc_residual(grad_U(config) - lam * grad_I(config))
 
 
-def _cc_residual(GU, config, lam):
-    """cc_residual with grad U already built."""
-    R = GU - lam * grad_I(config)
+def _cc_residual(R):
+    """cc_residual of the rows R = grad U - lambda grad I, already built."""
     big = float(np.max(np.abs(R)))
     if _NORM_UNSCALED_MAX < big < math.inf:
         return R, big * float(np.max(np.linalg.norm(R / big, axis=1)))
@@ -320,7 +314,13 @@ def make_report(
             lam = lambda_estimate(config)
         except DegenerateDenominatorError:
             lam = 0.0
-    _, rmax = _cc_residual(GU, config, lam)
+    return _report(config, lam, special, GU - lam * grad_I(config))
+
+
+def _report(config, lam, special, R):
+    """make_report's record at the multiplier lam, with the special test's
+    outcome and the rows R = grad U - lam grad I already built."""
+    _, rmax = _cc_residual(R)
     return CCReport(
         lam=float(lam),
         residual_max=rmax,
@@ -425,9 +425,8 @@ def _restore_level(space, m, Q, c, max_iter=40):
     iterate, the returned one too, passes Configuration's point checks.
     Returns (Q, s): the point on the level and the Gram matrix that its
     point check built, from which the descent takes U without recomputing.
-    Up to four bodies find_cc restores on rows instead (_RowDescent.restore,
-    generated straight-line code), which gives the same points, matrix and
-    errors but builds the Gram matrix only for the iterate it returns.
+    Up to four bodies find_cc restores on rows instead (_RowDescent), bit
+    for bit, building the Gram matrix only for the iterate it returns.
     """
     for _ in range(max_iter):
         s = _check_points(space, Q)
@@ -485,31 +484,15 @@ class _ArrayDescent:
 
 
 class _RowDescent:
-    """_ArrayDescent's operations on rows of four Python floats, bit for bit.
-
-    Each operation is one call of a straight-line function generated for
-    the space and N (_row_descent_source) and compiled once per process
-    (_row_descent_factory), which takes the masses, the level and the
-    constants as closure values.  Each is the array code's arithmetic,
-    expression for expression, with every array sum in numpy's order, so
-    a descent gives the same points, U and multipliers as on arrays, and
-    every failed check raises the array function's error and message.
-    Three products stay numpy calls, since BLAS may round them with fused
-    multiply-adds: the Gram matrix of each restored point, the S3 row norms
-    of each reprojection and the w @ Q of grad U.  U and grad U take the
-    Gram matrix that the restored point's check built, which is the one
-    they would rebuild.  The restoration's other iterates are checked in
-    floats, and only a pair within rounding distance of a singular bound
-    builds a Gram matrix for them.
-    """
+    """_ArrayDescent's operations on rows of four Python floats, bit for
+    bit: each is one call of a function that _row_ops_factory generates
+    for the space and N (_row_ops_source).  U and grad U take the Gram
+    matrix that the restored point's check built, which is the one they
+    would rebuild."""
 
     def __init__(self, kernel, c):
-        space = kernel.space
-        make = _row_descent_factory(space, len(kernel.m))
-        self._trial, self._restore, self._potential, self._direction = make(
-            *kernel.m.tolist(), float(c), float(space.sigma),
-            float(space.metric_diagonal[3]), *_singular_bounds(space),
-            _PAIR_MARGIN, EPS_MANIFOLD)
+        self._trial, self._restore, self._potential, self._direction = (
+            _row_ops(kernel, c)[:4])
 
     def restore(self, q):
         """_restore_level of the rows q, at its default max_iter; returns
@@ -542,26 +525,54 @@ _U_ROUND = sys.float_info.epsilon / 2.0
 _PAIR_MARGIN = 2.0 * (2.0 * (4.0 * _U_ROUND / (1.0 - 4.0 * _U_ROUND)))
 
 
+def _row_ops(kernel, c):
+    """The six functions of _row_ops_factory for the space and masses of
+    kernel and the level c: the descent's trial, restore, potential and
+    direction, then Newton's chart residuals and criterion."""
+    space = kernel.space
+    make = _row_ops_factory(space, len(kernel.m))
+    return make(*kernel.m.tolist(), float(c), float(space.sigma),
+                float(space.metric_diagonal[3]), *_singular_bounds(space),
+                _PAIR_MARGIN, EPS_MANIFOLD, EPS_AXIS)
+
+
 @_compiled_once
-def _row_descent_factory(space, n):
-    """make(m_0.., c, sigma, mw, lo, hi, margin, eps) -> (trial, restore,
-    potential, direction) for n bodies on space, compiled once per process
-    for each (space, n); every float reaches the functions as a closure
-    value."""
-    namespace = {"space": space, "sqrt": math.sqrt, "array": np.array,
-                 "matmul": np.matmul, "_check_points": _check_points,
-                 "_check_rows": _check_rows, "_gram_rows": _gram_rows,
+def _row_ops_factory(space, n):
+    """make(m_0.., c, sigma, mw, lo, hi, margin, eps, axis) -> (trial,
+    restore, potential, direction, residuals, criterion) for n bodies on
+    space, compiled once per process for each (space, n); every float
+    reaches the functions as a closure value."""
+    namespace = {"space": space, "sqrt": math.sqrt, "copysign": math.copysign,
+                 "array": np.array, "matmul": np.matmul,
+                 "_check_points": _check_points, "_gram_rows": _gram_rows,
+                 "_force_rows": _force_rows,
                  "_reproject_rows": _reproject_rows,
+                 "_axis_row": _axis_row,
                  "NoConvergenceError": NoConvergenceError}
-    return (_row_descent_source(space, n),
-            f"<row descent, {space.value}, N = {n}>", namespace)
+    return (_row_ops_source(space, n),
+            f"<row descent and chart, {space.value}, N = {n}>", namespace)
+
+
+def _force_rows(w, q):
+    """The rows of w @ q, grad U's weighted sum of the points, for the
+    weight rows w and the point rows q: the BLAS product, since a float sum
+    would not round it as BLAS does."""
+    return (np.array(w) @ np.array(q)).tolist()
+
+
+def _axis_row(p, g):
+    """_criterion_rows' row of a body on the axes at the point p: the
+    components of g less the one along p's largest coordinate."""
+    k = max(range(4), key=lambda i: abs(p[i]))
+    return g[:k] + g[k + 1:]
 
 
 def _sum_source(terms):
     """The expression that sums the expressions terms (at most 128) as
-    manifold._add_reduce sums their values: from 0.0 one by one below
-    eight, else in eight running sums over blocks of eight, combined
-    pairwise, then the rest one by one, the total added to 0.0."""
+    numpy's add.reduce sums their values: from 0.0 one by one below eight,
+    else in eight running sums over blocks of eight, combined pairwise,
+    then the rest one by one, the total added to 0.0.  A sum of an array's
+    entries in C order then has the bits of the array's .sum()."""
     if len(terms) < 8:
         return "(" + " + ".join(["0.0", *terms]) + ")"
     full = len(terms) - len(terms) % 8
@@ -573,13 +584,39 @@ def _sum_source(terms):
 
 def _metric_sum_source(n, a, b):
     """The sum of the entries of A * B * metric_diagonal, in C order, for
-    the rows a_i_r and b_i_r: what _add_reduce makes of them."""
+    the rows a_i_r and b_i_r, as numpy sums them."""
     return _sum_source([f"{a}_{i}_{r} * {b}_{i}_{r}" + (" * mw" if r == 3 else "")
                         for i in range(n) for r in range(4)])
 
 
+def _mm(i, j):
+    """The name of the pair product m_i m_j in make's closure."""
+    return f"mm{min(i, j)}_{max(i, j)}"
+
+
+def _grad_U_source(n, x, s, dst):
+    """Source lines for _ForceKernel.grad of the rows x_i_r, held also as
+    the list q, from their checked Gram matrix s_i_j, as dst_i_r: the
+    weights m_i m_j / sn^3 in its expressions, each row sum of w s in
+    numpy's order and w @ q the BLAS product (_force_rows).  They use sn,
+    W_i_j, F_i_r and ws{i} and need sigma and mm{i}_{j}."""
+    bodies = range(n)
+    lines = []
+    for i in bodies:
+        for j in bodies:
+            if i != j:
+                lines += [f"sn = sqrt(sigma * (1.0 - {s}_{i}_{j} * {s}_{i}_{j}))",
+                          f"W_{i}_{j} = {_mm(i, j)} / (sn * sn * sn)"]
+    return [*lines, *(f"W_{i}_{i} = 0.0" for i in bodies),
+            f"{_rows_source('F', n)} = _force_rows([{_rows_source('W', n, n)}], q)",
+            *(f"ws{i} = " + _sum_source([f"W_{i}_{j} * {s}_{i}_{j}" for j in bodies])
+              for i in bodies),
+            *(f"{dst}_{i}_{r} = F_{i}_{r} - ws{i} * {x}_{i}_{r}"
+              for i in bodies for r in range(4))]
+
+
 def _grad_I_source(n, x, r2, dst):
-    """Source lines for _grad_I_rows of the rows x_i_r given their r^2 in
+    """Source lines for _grad_I_raw of the rows x_i_r given their r^2 in
     r2{i}, as dst_i_r; they use rho and need sigma, ns = -sigma and
     tm{i} = 2 m_i."""
     lines = []
@@ -593,35 +630,80 @@ def _grad_I_source(n, x, r2, dst):
     return lines
 
 
-def _row_descent_source(space, n):
-    """The source of _row_descent_factory's make for n bodies on space.
+def _check_source(space, n):
+    """(shell, check): source lines for _check_points of the rows X_i_r.
 
-    trial, restore, potential and direction are _ArrayDescent's operations
-    written out for n rows of four floats, X_i_r the rows of a point and
-    s_i_j its Gram matrix.  Each expression is the array code's, and each
-    numpy sum is taken in _add_reduce's order (_sum_source), U's with its
-    zero diagonal terms in place.
+    shell takes its shell tests in floats, in its expressions, and sets ok;
+    it uses t, e{i} and, on H3, u{i}, and needs sigma, eps and wlo.  check,
+    once ok is set, holds the rows as the list q, builds their Gram matrix
+    s from BLAS (_gram_rows), unpacked as s_i_j, and tests it against the
+    singular bounds lo and hi.  Rows that fail a test go to _check_points,
+    which raises its error and message from the same expressions and the
+    same product.
+    """
+    bodies = range(n)
+    h3 = space is Space.H3
+    shell = []
+    for i in bodies:
+        shell += [f"t = X_{i}_0 * X_{i}_0 + X_{i}_1 * X_{i}_1 + X_{i}_2 * X_{i}_2",
+                  f"e{i} = t + X_{i}_3 * X_{i}_3"]
+        shell += [f"u{i} = t - X_{i}_3 * X_{i}_3"] if h3 else []
+    shell.append("ok = " + " and ".join(
+        f"abs({'u' if h3 else 'e'}{i} - sigma) / (e{i} if e{i} > 1.0 else 1.0)"
+        f" <= eps" + (f" and X_{i}_3 >= wlo" if h3 else "") for i in bodies))
+    in_bounds = " and ".join(f"lo <= s_{i}_{j} <= hi" for i in bodies
+                             for j in bodies if i != j) or "True"
+    check = [f"q = [{_rows_source('X', n)}]",
+             "if not ok:",
+             "    _check_points(space, array(q))  # raises",
+             "s = _gram_rows(space, q)",
+             f"{_rows_source('s', n, n)} = s",
+             f"if not ({in_bounds}):",
+             "    _check_points(space, array(q))  # raises"]
+    return shell, check
+
+
+def _row_ops_source(space, n):
+    """The source of _row_ops_factory's make for n bodies on space.
+
+    trial, restore, potential and direction are _ArrayDescent's operations,
+    and residuals and criterion _ArrayChart's, written out for n rows of
+    four floats, X_i_r the rows of a point and s_i_j its Gram matrix.  Each
+    expression is the array code's, and each numpy sum is taken in numpy's
+    order (_sum_source), U's with its zero diagonal terms in place; the
+    einsum sums of the chart start from 0.0 and run in index order.  So
+    the functions give the array code's bits, and every failed check
+    raises the array function's error and message.  Three products stay
+    numpy calls, since BLAS may round them with fused multiply-adds: the
+    Gram matrix of each checked point, the S3 row norms of each
+    reprojection and the w @ Q of grad U.
 
     restore is _restore_level: each iterate's level error comes first,
     since it needs no Gram matrix.  The iterate on the level takes
-    _check_rows' tests: the shell tests in floats, the Gram matrix from
-    BLAS (_gram_rows) and the singular bounds on it.  Every other iterate
-    takes the shell tests and a float pair test that asks each pair to
-    clear both bounds by _PAIR_MARGIN sum |a_k b_k|; the BLAS entries,
-    which differ from the float sums by less, then clear them too.  Rows
-    that fail a test, or a pair inside the margin, go to _check_points or
-    _check_rows, which raise their error and message or, for a pair the
-    margin could not clear, pass.  Refused rows of a reprojection go to
-    _reproject_rows (_reproject_source).
+    _check_points' tests (_check_source).  Every other iterate takes the
+    shell tests and a float pair test that asks each pair to clear both
+    bounds by _PAIR_MARGIN sum |a_k b_k|; the BLAS entries, which differ
+    from the float sums by less, then clear them too.  Rows that fail a
+    test, or a pair inside the margin, go to _check_points, which raises
+    its error and message or, for a pair the margin could not clear,
+    passes.  Refused rows of a reprojection go to _reproject_rows
+    (_reproject_source).
+
+    A chart point is the tuple (q, s, lam, R): its rows, their Gram matrix,
+    and the lambda and rows grad U - lambda grad I it was evaluated with,
+    both None at a chart origin.  residuals(q, frames, y) evaluates the
+    chart point y (an array, lambda last) around the rows q in the tangent
+    frames `frames` and returns (the residual rows as an array, the chart
+    point).  criterion(point, lam) returns the stopping test's rows; it
+    reuses the point's R when lam is the point's lambda to the bit (equal
+    and, should both be zeros, of one sign), and hands the rows of a body
+    on the axes to _axis_row.
     """
     bodies = range(n)
     pairs = list(combinations(bodies, 2))
-    off = [(i, j) for i in bodies for j in bodies if i != j]
     h3 = space is Space.H3
     X, S = _rows_source("X", n), _rows_source("s", n, n)
-
-    def mm(i, j):
-        return f"mm{min(i, j)}_{max(i, j)}"
+    shell, check = _check_source(space, n)
 
     def each_row(line):
         return [line.format(i=i, r=r) for i in bodies for r in range(4)]
@@ -629,20 +711,17 @@ def _row_descent_source(space, n):
     def block(lines, depth=2):
         return ["    " * depth + line for line in lines]
 
+    r2 = [f"r{i} = X_{i}_0 * X_{i}_0 + X_{i}_1 * X_{i}_1" for i in bodies]
+    stationarity = [*_grad_U_source(n, "X", "s", "A"),
+                    *_grad_I_source(n, "X", "r", "G"),
+                    "h = -lam",
+                    *each_row("R_{i}_{r} = A_{i}_{r} + h * G_{i}_{r}")]
+
     trial = [f"{X} = q", f"{_rows_source('R', n)} = R", "h = -gamma",
              *each_row("Y_{i}_{r} = X_{i}_{r} + h * R_{i}_{r}"),
              *_reproject_source(space, n, "Y", "Z"),
              f"return [{_rows_source('Z', n)}]"]
 
-    shell = []
-    for i in bodies:
-        shell += [f"t = X_{i}_0 * X_{i}_0 + X_{i}_1 * X_{i}_1 + X_{i}_2 * X_{i}_2",
-                  f"e{i} = t + X_{i}_3 * X_{i}_3"]
-        shell += [f"u{i} = t - X_{i}_3 * X_{i}_3"] if h3 else []
-    on_shell = " and ".join(
-        f"abs({'u' if h3 else 'e'}{i} - sigma) / (e{i} if e{i} > 1.0 else 1.0)"
-        f" <= eps" + (f" and X_{i}_3 >= wlo" if h3 else "") for i in bodies)
-    in_bounds = " and ".join(f"lo <= s_{i}_{j} <= hi" for i, j in off) or "True"
     pair_test = []
     for i, j in pairs:
         pair_test += [*(f"p{r} = X_{i}_{r} * X_{j}_{r}" for r in range(4)),
@@ -652,22 +731,13 @@ def _row_descent_source(space, n):
                       " + abs(p3))"]
     clear = " and ".join(["ok", *(f"v{i}_{j} - lo >= mg{i}_{j} and"
                                   f" hi - v{i}_{j} >= mg{i}_{j}" for i, j in pairs)])
-    level = [*(f"r{i} = X_{i}_0 * X_{i}_0 + X_{i}_1 * X_{i}_1" for i in bodies),
+    level = [*r2,
              "err = " + _sum_source([f"m{i} * r{i}" for i in bodies]) + " - c",
              *shell,
-             f"ok = {on_shell}",
-             "if abs(err) <= tol:",
-             f"    q = [{X}]",
-             "    if not ok:",
-             "        _check_points(space, array(q))  # raises",
-             "    s = _gram_rows(space, q)",
-             f"    {S} = s",
-             f"    if not ({in_bounds}):",
-             "        _check_rows(space, q)  # raises",
-             "    return q, s",
+             "if abs(err) <= tol:", *block(check, 1), "    return q, s",
              *pair_test,
              f"if not ({clear}):",
-             f"    _check_rows(space, [{X}])  # raises, or clears the pair",
+             f"    _check_points(space, array([{X}]))  # raises, or clears the pair",
              *_grad_I_source(n, "X", "r", "G"),
              "gg = " + _metric_sum_source(n, "G", "G"),
              "if gg < 1e-30:",
@@ -680,32 +750,58 @@ def _row_descent_source(space, n):
 
     potential = [f"{S} = s", "return 0.5 * " + _sum_source([
         "0.0" if i == j else
-        f"{mm(i, j)} * (s_{i}_{j} / sqrt(sigma * (1.0 - s_{i}_{j} * s_{i}_{j})))"
+        f"{_mm(i, j)} * (s_{i}_{j} / sqrt(sigma * (1.0 - s_{i}_{j} * s_{i}_{j})))"
         for i in bodies for j in bodies])]
 
-    direction = [f"{X} = q", f"{S} = s"]
-    for i, j in off:
-        direction += [f"sn = sqrt(sigma * (1.0 - s_{i}_{j} * s_{i}_{j}))",
-                      f"W_{i}_{j} = {mm(i, j)} / (sn * sn * sn)"]
-    direction += [
-        *(f"W_{i}_{i} = 0.0" for i in bodies),
-        f"{_rows_source('F', n)} = (array([{_rows_source('W', n, n)}])"
-        " @ array(q)).tolist()",
-        *(f"ws{i} = " + _sum_source([f"W_{i}_{j} * s_{i}_{j}" for j in bodies])
-          for i in bodies),
-        *each_row("A_{i}_{r} = F_{i}_{r} - ws{i} * X_{i}_{r}"),
-        *_tangent_source(space, n, "X", "A", "U"),
-        *(f"r{i} = X_{i}_0 * X_{i}_0 + X_{i}_1 * X_{i}_1" for i in bodies),
-        *_grad_I_source(n, "X", "r", "G"),
-        *_tangent_source(space, n, "X", "G", "V"),
-        "gg = " + _metric_sum_source(n, "V", "V"),
-        "lam = " + _metric_sum_source(n, "U", "V") + " / gg if gg > 1e-20 else 0.0",
-        "h = -lam",
-        *each_row("R_{i}_{r} = U_{i}_{r} + h * V_{i}_{r}"),
-        f"return [{_rows_source('R', n)}], lam, " + _metric_sum_source(n, "R", "R")]
+    direction = [f"{X} = q", f"{S} = s",
+                 *_grad_U_source(n, "X", "s", "A"),
+                 *_tangent_source(space, n, "X", "A", "U"),
+                 *r2,
+                 *_grad_I_source(n, "X", "r", "G"),
+                 *_tangent_source(space, n, "X", "G", "V"),
+                 "gg = " + _metric_sum_source(n, "V", "V"),
+                 "lam = " + _metric_sum_source(n, "U", "V") + " / gg if gg > 1e-20 else 0.0",
+                 "h = -lam",
+                 *each_row("R_{i}_{r} = U_{i}_{r} + h * V_{i}_{r}"),
+                 f"return [{_rows_source('R', n)}], lam, " + _metric_sum_source(n, "R", "R")]
+
+    # Q + einsum("bnk,nkd->bnd", X, bases), then einsum("nkd,bnd,d->bnk",
+    # bases, R, metric_diagonal): each sum from 0.0, in index order
+    frames = ", ".join(f"({_rows_source(f'f{i}', 3)})" for i in bodies)
+    residuals = [
+        f"{_rows_source('O', n)} = q",
+        f"{frames}{',' if n == 1 else ''} = frames",
+        f"{''.join(f'y{k}, ' for k in range(3 * n))}lam = y.tolist()",
+        *(f"Y_{i}_{r} = O_{i}_{r} + (0.0 + y{3 * i} * f{i}_0_{r}"
+          f" + y{3 * i + 1} * f{i}_1_{r} + y{3 * i + 2} * f{i}_2_{r})"
+          for i in bodies for r in range(4)),
+        *_reproject_source(space, n, "Y", "X"),
+        *shell, *check, *r2, *stationarity,
+        "return array([" + ", ".join(
+            [f"0.0 + f{i}_{k}_0 * R_{i}_0 + f{i}_{k}_1 * R_{i}_1"
+             f" + f{i}_{k}_2 * R_{i}_2 + f{i}_{k}_3 * R_{i}_3 * mw"
+             for i in bodies for k in range(3)]
+            + [_sum_source([f"m{i} * r{i}" for i in bodies]) + " - c"])
+        + f"]), (q, s, lam, ({_rows_source('R', n)}))"]
+
+    on_axes = [f"sqrt(r{i} * abs(X_{i}_2 * X_{i}_2 + X_{i}_3 * X_{i}_3))"
+               if space is Space.S3 else f"sqrt(r{i})" for i in bodies]
+    criterion = [
+        "q, s, at, R = point", f"{X} = q", *r2,
+        "if R is None or at != lam or copysign(1.0, at) != copysign(1.0, lam):",
+        f"    {S} = s", *block(stationarity, 1),
+        "else:", f"    {_rows_source('R', n)} = R",
+        "out = [" + ", ".join(
+            f"R_{i}_0 * X_{i}_0 + R_{i}_1 * X_{i}_1, -R_{i}_0 * X_{i}_1 + R_{i}_1 * X_{i}_0,"
+            f" -R_{i}_2 * X_{i}_3 + R_{i}_3 * X_{i}_2" for i in bodies) + "]"]
+    for i in bodies:
+        criterion += [f"if {on_axes[i]} < axis:",
+                      f"    out[{3 * i}:{3 * i + 3}] = _axis_row("
+                      f"q[{i}], ({', '.join(f'R_{i}_{r}' for r in range(4))}))"]
+    criterion.append("return out")
 
     masses = ", ".join(f"m{i}" for i in bodies)
-    lines = [f"def make({masses}, c, sigma, mw, lo, hi, margin, eps):",
+    lines = [f"def make({masses}, c, sigma, mw, lo, hi, margin, eps, axis):",
              "    tol = 1e-13 * max(1.0, abs(c))",
              "    wlo = 1.0 - eps",
              "    ns = -sigma",
@@ -715,25 +811,10 @@ def _row_descent_source(space, n):
              "    def restore(q):", *block(restore),
              "    def potential(s):", *block(potential),
              "    def direction(q, s):", *block(direction),
-             "    return trial, restore, potential, direction"]
+             "    def residuals(q, frames, y):", *block(residuals),
+             "    def criterion(point, lam):", *block(criterion),
+             "    return trial, restore, potential, direction, residuals, criterion"]
     return "\n".join(lines) + "\n"
-
-
-def _r2_rows(q):
-    """The r^2 of _r2_rho2 for each of the rows q."""
-    return [x0 * x0 + x1 * x1 for x0, x1, _, _ in q]
-
-
-def _grad_I_rows(space, tm, q, r2):
-    """_grad_I_raw of the rows q given their r^2, tm holding 2 m_i; returns
-    tuples."""
-    sigma = space.sigma
-    out = []
-    for t, (x0, x1, x2, x3), r in zip(tm, q, r2):
-        rho2 = sigma * (x2 * x2) + x3 * x3
-        out.append((t * (x0 * rho2), t * (x1 * rho2),
-                    t * (-sigma * x2 * r), t * (-sigma * x3 * r)))
-    return out
 
 
 def _descend(ops, Q, s, max_iter):
@@ -971,105 +1052,39 @@ class _ArrayChart:
             space, Q, self.kernel.grad(Q) - lam * _grad_I_raw(space, m, Q))
 
 
-class _RowPoint(NamedTuple):
-    """A point of _RowChart: its rows q and the Gram matrix s that their
-    point check built; for a chart point also its r^2 and the rows
-    R = grad U - lam grad I at the lambda lam it was evaluated at."""
-
-    q: list
-    s: list
-    r2: list | None = None
-    lam: float | None = None
-    R: list | None = None
-
-
 class _RowChart:
     """_ArrayChart's operations on rows of four Python floats, bit for bit.
 
-    A point is a _RowPoint, whose Gram matrix grad U is taken from
-    (_grad_U_rows).  Each expression is the array code's, each sum in its
-    order: the einsum sums from 0.0 in index order, the array sums in
-    numpy's (_add_reduce).  The numpy calls left are those of _RowDescent's
-    operations, and a chart point that leaves the feasible region raises
-    the array chart's error and message.  Where a trial's arithmetic
+    A point is a chart point tuple (q, s, lam, R) of _row_ops_source, and
+    residuals and criterion are each one call of a function generated with
+    the descent's (_row_ops_factory).  Where a trial's arithmetic
     overflows, numpy raises FloatingPointError under _newton's errstate
     while the floats carry inf on into a failed point check; _newton halves
-    the step either way.
-
-    A chart point keeps the grad U - lam grad I rows it was evaluated with,
-    so the stopping test at that point and lambda reuses them; it builds
-    them only at the starting point.  A chart origin is still evaluated
-    afresh, since its reprojection can move the accepted point by an ulp.
+    the step either way.  A chart origin is evaluated afresh, since its
+    reprojection can move the accepted point by an ulp.
     """
 
     def __init__(self, kernel, c):
-        space = kernel.space
-        self.space, self.c = space, c
-        self.sigma, self.mw = space.sigma, float(space.metric_diagonal[3])
-        self.m = kernel.m.tolist()
-        self.tm = [2.0 * v for v in self.m]   # 2.0 * m[:, None] in grad I
+        self.space = kernel.space
+        self._residuals, self._criterion = _row_ops(kernel, c)[4:]
 
     def start(self, Q):
-        q = Q.tolist()
-        return _RowPoint(q, _check_rows(self.space, q))
+        return Q.tolist(), _check_points(self.space, Q).tolist(), None, None
 
     def array(self, x):
-        return np.array(x.q)
+        return np.array(x[0])
 
     def frames(self, x):
-        return _tangent_frames(self.space, x.q)
+        return _tangent_frames(self.space, x[0])
 
     def residuals(self, x, frames, y):
         """_ArrayChart.residuals at the chart point y (an array) around the
         point x; returns (the rows as an array, the point)."""
-        space, mw = self.space, self.mw
-        y = y.tolist()
-        # Q + einsum("bnk,nkd->bnd", X, bases)
-        pts = []
-        for i, ((x0, x1, x2, x3), (a, b, e)) in enumerate(zip(x.q, frames)):
-            u, v, t = y[3 * i:3 * i + 3]
-            pts.append((x0 + (0.0 + u * a[0] + v * b[0] + t * e[0]),
-                        x1 + (0.0 + u * a[1] + v * b[1] + t * e[1]),
-                        x2 + (0.0 + u * a[2] + v * b[2] + t * e[2]),
-                        x3 + (0.0 + u * a[3] + v * b[3] + t * e[3])))
-        q = _reproject_rows(space, pts)
-        s = _check_rows(space, q)
-        r2 = _r2_rows(q)
-        R = self._stationarity(q, s, r2, y[-1])
-        # einsum("nkd,bnd,d->bnk", bases, R, metric_diagonal)
-        G = [0.0 + e0 * g0 + e1 * g1 + e2 * g2 + e3 * g3 * mw
-             for frame, (g0, g1, g2, g3) in zip(frames, R)
-             for e0, e1, e2, e3 in frame]
-        G.append(_add_reduce([mi * v for mi, v in zip(self.m, r2)]) - self.c)
-        return np.array(G), _RowPoint(q, s, r2, y[-1], R)
+        return self._residuals(x[0], frames, y)
 
     def criterion(self, x, lam):
         """_criterion_rows of grad U - lam grad I at the point x."""
-        (q, s, r2, at, G), sigma = x, self.sigma
-        # the rows x was evaluated with, if at is lam to the bit: equal and,
-        # should both be zeros, of one sign
-        if (G is None or at != lam
-                or math.copysign(1.0, at) != math.copysign(1.0, lam)):
-            r2 = _r2_rows(q)
-            G = self._stationarity(q, s, r2, lam)
-        out = []
-        for p, g, r in zip(q, G, r2):
-            x0, x1, x2, x3 = p
-            rho2 = sigma * (x2 * x2) + x3 * x3
-            if math.sqrt(r * abs(rho2) if sigma == 1 else r) < EPS_AXIS:
-                k = max(range(4), key=lambda i: abs(p[i]))
-                out.extend(g[:k] + g[k + 1:])
-            else:
-                g0, g1, g2, g3 = g
-                out.extend((g0 * x0 + g1 * x1, -g0 * x1 + g1 * x0,
-                            -g2 * x3 + g3 * x2))
-        return out
-
-    def _stationarity(self, q, s, r2, lam):
-        """grad U - lam grad I at the rows q, from their Gram matrix s and
-        r^2."""
-        return _axpy(_grad_U_rows(self.space, self.m, q, s), -lam,
-                     _grad_I_rows(self.space, self.tm, q, r2))
+        return self._criterion(x, lam)
 
 
 def _kkt_newton(kernel, Q, c, lam, tol, max_iter=60, damped=False):
@@ -1083,16 +1098,14 @@ def _kkt_newton(kernel, Q, c, lam, tol, max_iter=60, damped=False):
     residual on the raw points: each one has passed the point checks,
     the hand-off point in find_cc and every chart point in _chart_residuals.
 
-    Up to dynamics._PAIR_LOOP_MAX_N bodies the single-point evaluations run
-    on rows of Python floats (_RowChart): the residual at each chart
-    origin, every backtracking trial and the stopping test.  Above, they
-    run on arrays (_ArrayChart).  The two give the same bits.  On rows the
-    stopping test at an accepted trial reuses the grad U - lambda grad I
-    rows the trial built; each chart origin is evaluated afresh.  The
-    stacked finite-difference Jacobian runs on arrays at every N, since its
-    2 (3N + 1) probes cost less as one stack than one by one in floats.
-    A tangent frame that rounding leaves short of rank raises
-    NoConvergenceError (_tangent_frames).
+    Up to dynamics._PAIR_LOOP_MAX_N bodies the single-point evaluations
+    (the residual at each chart origin, every backtracking trial and the
+    stopping test, which reuses an accepted trial's grad U - lambda grad I)
+    run as generated float functions (_RowChart), above on arrays
+    (_ArrayChart), with the same bits.  The stacked finite-difference
+    Jacobian runs on arrays at every N, since its 2 (3N + 1) probes cost
+    less as one stack than one by one in floats.  A tangent frame that
+    rounding leaves short of rank raises NoConvergenceError.
     """
     n = len(kernel.m)
     ops = (_RowChart if n <= dynamics._PAIR_LOOP_MAX_N else _ArrayChart)(kernel, c)
@@ -1127,6 +1140,21 @@ def _kkt_newton(kernel, Q, c, lam, tol, max_iter=60, damped=False):
     return ops.array(x), lam
 
 
+# find_cc's self-certificate: its criterion rows, at most this fraction of
+# the largest pair force m_i m_j / sn^2 d_ij.  Relative to a force of the
+# configuration, not to |grad U|, which a special CC drives to zero.
+_CERTIFICATE_TOL = 1e-8
+
+
+def _largest_pair_force(config):
+    """max over pairs of m_i m_j / sn^2 d_ij, 0.0 for one body."""
+    s = _gram_checked(config.space, config.points)
+    i, j = np.triu_indices(config.n, 1)
+    m = config.masses
+    sn2 = config.space.sigma * (1.0 - s[i, j] * s[i, j])
+    return float(np.max(m[i] * m[j] / sn2, initial=0.0))
+
+
 def find_cc(
     masses,
     space: Space,
@@ -1151,31 +1179,23 @@ def find_cc(
     trial are put back on the level by _restore_level, whose last point
     check builds the Gram matrix that U is then taken from.  Up to four
     bodies (dynamics._PAIR_LOOP_MAX_N), where numpy's cost per call on
-    (N, 4) arrays is many times the arithmetic, the seed's restoration and
-    the descent run on rows of Python floats, each of the descent's four
-    operations one straight-line function generated and compiled once per
-    process for the space and N (_RowDescent).  They reproduce the array
-    code bit for bit: every array sum is taken in numpy's order, and three
-    products stay numpy calls, because BLAS may round them with fused
-    multiply-adds: the Gram matrix of each restored point, the S3 row norms
-    of each reprojection and grad U's w @ Q.  The restoration's other
-    iterates are checked in floats and build no Gram matrix unless a pair
-    lies within rounding distance of a singular bound.  Newton's
-    single-point evaluations run on the same float rows, bit for bit
-    (_RowChart): the residual at each chart origin, every backtracking
-    trial and the stopping test's criterion rows, with grad U taken from
-    the Gram matrix of the point's check and the stopping test reusing the
-    accepted trial's grad U - lambda grad I.  Its finite-difference
-    Jacobian stays one stacked array evaluation.  Above four bodies all of
-    it runs on arrays.
+    (N, 4) arrays is many times the arithmetic, the seed's restoration, the
+    descent and Newton's single-point evaluations run on rows of Python
+    floats, as straight-line functions generated and compiled once per
+    process for the space and N (_row_ops_source), which give the array
+    code's bits.  Newton's finite-difference Jacobian stays one stacked
+    array evaluation.  Above four bodies all of it runs on arrays.
 
-    Returns (configuration, report).  Raises NoConvergence when iterations
-    run out, a tangent frame loses rank, or the default seed holds a
-    singular pair (far out on H3, where rounding leaves the seed's Gram
-    entries meaningless, or with masses so large that its bodies coincide),
-    and SingularApproach when the iterate degenerates into the singular
-    set.  A descent's Newton run that fails is retried damped unless it
-    failed at its starting point, where damping changes nothing.
+    Returns (configuration, report) once the criterion rows pass the
+    level's tol and a self-certificate: none above _CERTIFICATE_TOL times
+    the largest pair force m_i m_j / sn^2 d_ij.  Raises NoConvergence when
+    iterations run out, the certificate fails, a tangent frame loses rank,
+    or the default seed holds a singular pair (far out on H3, where
+    rounding leaves the seed's Gram entries meaningless, or with masses so
+    large that its bodies coincide), and SingularApproach when the iterate
+    degenerates into the singular set.  A descent's Newton run that fails
+    is retried damped unless it failed at its starting point, where
+    damping changes nothing.
     """
     m = np.asarray(masses, dtype=float)
     level.validate(space, m)
@@ -1241,9 +1261,15 @@ def find_cc(
         lam_final = lambda_estimate(config)
     except DegenerateDenominatorError:
         lam_final = lam
-    crit = criterion_residual(config, lam_final)
-    if np.max(np.abs(crit)) >= level.tol:
+    GU = grad_U(config)
+    R = GU - lam_final * grad_I(config)
+    worst = float(np.max(np.abs(_criterion_rows(space, config.points, R))))
+    if worst >= level.tol:
+        raise NoConvergenceError(f"criterion residual {worst:.3e} above tolerance")
+    # a non-finite lambda leaves a NaN or infinite row, which fails here too
+    force = _largest_pair_force(config)
+    if not worst <= _CERTIFICATE_TOL * force:
         raise NoConvergenceError(
-            f"criterion residual {np.max(np.abs(crit)):.3e} above tolerance"
-        )
-    return config, make_report(config, lam_final)
+            f"criterion residual {worst:.3e} above {_CERTIFICATE_TOL:g} of the "
+            f"largest pair force {force:.3e}")
+    return config, _report(config, lam_final, _is_special(GU, 1e-10), R)

@@ -37,7 +37,6 @@ from .manifold import (
     EPS_MANIFOLD,
     EPS_SINGULAR,
     Space,
-    _add_reduce,
     _reproject,
     _reproject_rows,
     inner,
@@ -237,47 +236,11 @@ def _gram_checked(space: Space, Q: np.ndarray) -> np.ndarray:
     return s
 
 
-def _check_rows(space: Space, q: list) -> list:
-    """_check_points on one configuration held as rows of four Python
-    floats, bit for bit; returns the Gram matrix as rows.
-
-    The checks run in floats, in _check_points' expressions; only the Gram
-    product stays a numpy call, since BLAS may round it with fused
-    multiply-adds.  A row off the shell goes to _check_points, so the
-    error and its message are that function's own.  A singular pair raises
-    SingularPairError for the first entry of the Gram matrix outside the
-    bounds in C order, the one _raise_singular_pair finds in the same
-    matrix, without rebuilding it.
-    """
-    _check_shell_rows(space, q)
-    s = _gram_rows(space, q)
-    lo, hi = _singular_bounds(space)
-    for i, row in enumerate(s):
-        for j, v in enumerate(row):
-            if not lo <= v <= hi and i != j:
-                raise SingularPairError(i, j, v)
-    return s
-
-
 def _gram_rows(space: Space, q: list) -> list:
     """_gram_checked's matrix of the rows q, unchecked, as rows: the BLAS
     product, since a float sum would not round it as BLAS does."""
     a = np.array(q)
     return (space.sigma * ((a * space.metric_diagonal) @ a.T)).tolist()
-
-
-def _check_shell_rows(space: Space, q: list) -> None:
-    """_check_points' shell tests on the rows q, in its expressions; a row
-    that fails them goes to _check_points, which raises its error."""
-    sigma, h3 = space.sigma, space is Space.H3
-    for x0, x1, x2, x3 in q:
-        t = x0 * x0 + x1 * x1 + x2 * x2
-        sq = t + x3 * x3  # (q * q).sum(axis=-1): 0.0 + x0 * x0 adds nothing
-        unit = t - x3 * x3 if h3 else sq
-        # a NaN sq comes with a NaN unit, whose test fails as numpy's does
-        if not (abs(unit - sigma) / (sq if sq > 1.0 else 1.0) <= EPS_MANIFOLD
-                and (not h3 or x3 >= 1.0 - EPS_MANIFOLD)):
-            _check_points(space, np.array(q))  # raises
 
 
 def _raise_singular_pair(s: np.ndarray, lo: float, hi: float) -> None:
@@ -320,31 +283,6 @@ def _potential_gram(space: Space, m: np.ndarray, s: np.ndarray):
     _fill_diagonal(ctn, 0.0)
     u = (np.outer(m, m) * ctn).sum(axis=(-2, -1))
     return 0.5 * (u.astype(float) if u.ndim else float(u))
-
-
-def _grad_U_rows(space: Space, m: list, q: list, s: list) -> list:
-    """_ForceKernel.grad of the rows q from the Gram matrix s (rows) that
-    their point check built, bit for bit; returns tuples.
-
-    The weights m_i m_j / sn^3 are _ForceKernel's expressions, and each row
-    sum of w s is taken in numpy's order (_add_reduce).  The product w @ q
-    stays a numpy call, since BLAS may round it with fused multiply-adds.
-    """
-    sigma = space.sigma
-    w = []
-    for i, (mi, row) in enumerate(zip(m, s)):
-        wi = [0.0] * len(m)
-        for j, (mj, v) in enumerate(zip(m, row)):
-            if i != j:
-                sn = math.sqrt(sigma * (1.0 - v * v))
-                wi[j] = mi * mj / (sn * sn * sn)
-        w.append(wi)
-    wq = (np.array(w) @ np.array(q)).tolist()
-    out = []
-    for wi, row, (x0, x1, x2, x3), (f0, f1, f2, f3) in zip(w, s, q, wq):
-        ws = _add_reduce([a * b for a, b in zip(wi, row)])
-        out.append((f0 - ws * x0, f1 - ws * x1, f2 - ws * x2, f3 - ws * x3))
-    return out
 
 
 def _singular_bounds(space: Space) -> tuple[float, float]:
@@ -403,13 +341,14 @@ class _ForceKernel:
 # O(N^2) work itself.  On a 2-vCPU Xeon a generated float step takes about
 # 12-15 / 24 / 31-37 us at N = 2 / 3 / 4 against 140-170 us for an array
 # step (the best of 15 runs of 300 steps each); the two meet near N = 10.
-# find_cc's generated row descent takes the bound too.  At N = 3 one of its
-# trials with the restoration after it takes about 19 us on H3 and 31 us on
-# S3 (a level 2 % off; the S3 row norms are BLAS calls), and an H3 descent
-# capped at 60 steps takes 0.2x the array time at N = 4, 0.6x at 12 and
-# 1.9x at 20.  It is the array descent bit for bit only while U sums at most
-# 128 terms (_add_reduce), N <= 11: at N = 12 the row U differs from the
-# array U on 75 of 200 random H3 Gram matrices.
+# find_cc's generated row functions, the descent's and Newton's chart
+# evaluations, take the bound too.  At N = 3 one descent trial with the
+# restoration after it takes about 19 us on H3 and 31 us on S3 (a level 2 %
+# off; the S3 row norms are BLAS calls), and an H3 descent capped at 60
+# steps takes 0.2x the array time at N = 4, 0.6x at 12 and 1.9x at 20.
+# They are the array code bit for bit only while U sums at most 128 terms
+# in numpy's order (_sum_source), N <= 11: at N = 12 the row U differs
+# from the array U on 75 of 200 random H3 Gram matrices.
 _PAIR_LOOP_MAX_N = 4
 
 # The float stepper hands visit its states this many steps at a time, so a
@@ -478,13 +417,6 @@ def _frame_layers(xi) -> list:
     depth = max(1, *map(len, rows))
     return [[row[k] if k < len(row) else (r, 0.0) for r, row in enumerate(rows)]
             for k in range(depth)]
-
-
-def _axpy(x: list, h: float, k: list) -> list:
-    """The rows x + h k, as the array x + h * k rounds them; with h = -g,
-    as x - g * k rounds them, since -(g k) and x + -y are exact."""
-    return [(a0 + h * b0, a1 + h * b1, a2 + h * b2, a3 + h * b3)
-            for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(x, k)]
 
 
 def _compiled_once(build):

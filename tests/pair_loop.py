@@ -10,11 +10,11 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from curved_nbody.dynamics import _axpy, _frame_layers, _singular_bounds
+from curved_nbody.dynamics import _frame_layers, _singular_bounds
 from curved_nbody.errors import OffShellError, SingularPairError
 from curved_nbody.manifold import _reproject_rows
 
-from row_descent import _tangent_rows
+from row_descent import _axpy, _tangent_rows
 
 
 class LoopKernel:

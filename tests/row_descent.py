@@ -1,24 +1,24 @@
-"""find_cc's small-N descent as hand-written row loops: the reference that
-the generated straight-line descent of centralconfig._RowDescent is held
-to, bit for bit.
+"""find_cc's small-N arithmetic as hand-written row loops: the reference
+that the generated straight-line descent of centralconfig._RowDescent is
+held to, bit for bit.
 
 LoopDescent's four operations are the row descent that centralconfig ran
 before its descent was generated, with its helpers (_check_rows_float,
-_metric_products, _potential_rows, _tangent_rows), unchanged.
+_metric_products, _potential_rows, _tangent_rows), unchanged.  The row
+helpers that Newton's chart ran on before its functions were generated
+with the descent's (_add_reduce, _grad_U_rows, _grad_I_rows, _r2_rows,
+_axpy, and the point check _check_rows with _check_shell_rows) follow,
+unchanged too.
 """
 
 import math
 
-from curved_nbody.centralconfig import _PAIR_MARGIN, _grad_I_rows, _r2_rows
-from curved_nbody.dynamics import (
-    _axpy,
-    _check_rows,
-    _check_shell_rows,
-    _grad_U_rows,
-    _singular_bounds,
-)
-from curved_nbody.errors import NoConvergenceError
-from curved_nbody.manifold import Space, _add_reduce, _reproject_rows
+import numpy as np
+
+from curved_nbody.centralconfig import _PAIR_MARGIN
+from curved_nbody.dynamics import _check_points, _gram_rows, _singular_bounds
+from curved_nbody.errors import NoConvergenceError, SingularPairError
+from curved_nbody.manifold import EPS_MANIFOLD, Space, _reproject_rows
 
 
 class LoopDescent:
@@ -142,3 +142,121 @@ def _tangent_rows(space, q, v):
         cf = sigma * (t - x3 * v3 if h3 else t + x3 * v3)
         out.append((v0 - cf * x0, v1 - cf * x1, v2 - cf * x2, v3 - cf * x3))
     return out
+
+
+def _add_reduce(v: list) -> float:
+    """numpy's add.reduce of at most 128 floats, in its order, bit for bit.
+
+    Below 8 values numpy adds them one by one to 0.0; from 8 on it keeps
+    eight running sums over blocks of eight, combines them pairwise and
+    adds the rest one by one, and the reduction adds that total to 0.0.
+    A float loop over an (N, 4) or (N, N) array's entries in C order gets
+    the bits of the array's .sum() this way, which a plain sum() does not.
+    """
+    n = len(v)
+    if n < 8:
+        r = 0.0
+        for x in v:
+            r += x
+        return r
+    r0, r1, r2, r3, r4, r5, r6, r7 = v[:8]
+    i = 8
+    while i + 8 <= n:
+        r0 += v[i]
+        r1 += v[i + 1]
+        r2 += v[i + 2]
+        r3 += v[i + 3]
+        r4 += v[i + 4]
+        r5 += v[i + 5]
+        r6 += v[i + 6]
+        r7 += v[i + 7]
+        i += 8
+    r = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for x in v[i:]:
+        r += x
+    return 0.0 + r
+
+
+def _grad_U_rows(space: Space, m: list, q: list, s: list) -> list:
+    """_ForceKernel.grad of the rows q from the Gram matrix s (rows) that
+    their point check built, bit for bit; returns tuples.
+
+    The weights m_i m_j / sn^3 are _ForceKernel's expressions, and each row
+    sum of w s is taken in numpy's order (_add_reduce).  The product w @ q
+    stays a numpy call, since BLAS may round it with fused multiply-adds.
+    """
+    sigma = space.sigma
+    w = []
+    for i, (mi, row) in enumerate(zip(m, s)):
+        wi = [0.0] * len(m)
+        for j, (mj, v) in enumerate(zip(m, row)):
+            if i != j:
+                sn = math.sqrt(sigma * (1.0 - v * v))
+                wi[j] = mi * mj / (sn * sn * sn)
+        w.append(wi)
+    wq = (np.array(w) @ np.array(q)).tolist()
+    out = []
+    for wi, row, (x0, x1, x2, x3), (f0, f1, f2, f3) in zip(w, s, q, wq):
+        ws = _add_reduce([a * b for a, b in zip(wi, row)])
+        out.append((f0 - ws * x0, f1 - ws * x1, f2 - ws * x2, f3 - ws * x3))
+    return out
+
+
+def _r2_rows(q):
+    """The r^2 of _r2_rho2 for each of the rows q."""
+    return [x0 * x0 + x1 * x1 for x0, x1, _, _ in q]
+
+
+def _grad_I_rows(space, tm, q, r2):
+    """_grad_I_raw of the rows q given their r^2, tm holding 2 m_i; returns
+    tuples."""
+    sigma = space.sigma
+    out = []
+    for t, (x0, x1, x2, x3), r in zip(tm, q, r2):
+        rho2 = sigma * (x2 * x2) + x3 * x3
+        out.append((t * (x0 * rho2), t * (x1 * rho2),
+                    t * (-sigma * x2 * r), t * (-sigma * x3 * r)))
+    return out
+
+
+def _axpy(x: list, h: float, k: list) -> list:
+    """The rows x + h k, as the array x + h * k rounds them; with h = -g,
+    as x - g * k rounds them, since -(g k) and x + -y are exact."""
+    return [(a0 + h * b0, a1 + h * b1, a2 + h * b2, a3 + h * b3)
+            for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(x, k)]
+
+
+def _check_rows(space: Space, q: list) -> list:
+    """_check_points on one configuration held as rows of four Python
+    floats, bit for bit; returns the Gram matrix as rows.
+
+    The checks run in floats, in _check_points' expressions; only the Gram
+    product stays a numpy call, since BLAS may round it with fused
+    multiply-adds.  A row off the shell goes to _check_points, so the
+    error and its message are that function's own.  A singular pair raises
+    SingularPairError for the first entry of the Gram matrix outside the
+    bounds in C order, the one _raise_singular_pair finds in the same
+    matrix, without rebuilding it.
+    """
+    _check_shell_rows(space, q)
+    s = _gram_rows(space, q)
+    lo, hi = _singular_bounds(space)
+    for i, row in enumerate(s):
+        for j, v in enumerate(row):
+            if not lo <= v <= hi and i != j:
+                raise SingularPairError(i, j, v)
+    return s
+
+
+def _check_shell_rows(space: Space, q: list) -> None:
+    """_check_points' shell tests on the rows q, in its expressions; a row
+    that fails them goes to _check_points, which raises its error."""
+    sigma, h3 = space.sigma, space is Space.H3
+    for x0, x1, x2, x3 in q:
+        t = x0 * x0 + x1 * x1 + x2 * x2
+        sq = t + x3 * x3  # (q * q).sum(axis=-1): 0.0 + x0 * x0 adds nothing
+        unit = t - x3 * x3 if h3 else sq
+        # a NaN sq comes with a NaN unit, whose test fails as numpy's does
+        if not (abs(unit - sigma) / (sq if sq > 1.0 else 1.0) <= EPS_MANIFOLD
+                and (not h3 or x3 >= 1.0 - EPS_MANIFOLD)):
+            _check_points(space, np.array(q))  # raises

@@ -421,6 +421,43 @@ def test_find_cc_reports_a_near_antipodal_handoff_as_singular():
     assert isinstance(info.value.__cause__, NoConvergenceError)
 
 
+@pytest.mark.parametrize("space", [Space.S3, Space.H3])
+@pytest.mark.parametrize("alpha", [1e-6, 1e-8, 2.0**-20])
+def test_find_cc_refuses_a_point_that_only_the_absolute_tolerance_accepts(
+        space, alpha):
+    # at masses this small every criterion row is below the absolute 1e-10,
+    # yet the rows are 9 % (S3) and 2 % (H3) of the largest pair force: the
+    # descent's point is not a CC, and the certificate refuses it
+    with pytest.raises(NoConvergenceError, match="of the largest pair force"):
+        find_cc(np.array([1.0, 2.0, 3.0]) * alpha, space, LevelSetSpec(0.4 * alpha),
+                rng=np.random.default_rng(0))
+
+
+def test_find_cc_certifies_a_special_cc_against_its_pair_forces():
+    # draw 21 of the cc_search recipe's S3 problems (default_rng(0)): grad U
+    # vanishes here, so rows at a relative 8.6e-12 of the largest pair force
+    # are of the order of |grad U| itself, and a certificate scaled by
+    # |grad U| would refuse this CC
+    masses, c = [1.1219837740335061, 1.601725357683094, 1.5667143169846247], 2.4576569837543065
+    cfg, report = find_cc(masses, Space.S3, LevelSetSpec(c), rng=np.random.default_rng(0))
+    assert report.is_special
+    crit = np.max(np.abs(criterion_residual(cfg, report.lam)))
+    assert crit > 1e-8 * np.max(np.linalg.norm(grad_U(cfg), axis=1))
+
+
+def test_find_cc_builds_each_gradient_once_after_newton(monkeypatch):
+    # the closing checks and the report share one grad U and one grad I
+    calls = []
+    monkeypatch.setattr(centralconfig, "grad_U", _counting(calls, grad_U))
+    monkeypatch.setattr(centralconfig, "grad_I", _counting(calls, grad_I))
+    for masses, space, c in (([1.0, 1.2, 0.8], Space.S3, 0.5),
+                             ([1.0, 2.0, 1.5], Space.H3, 0.9),
+                             (np.linspace(1.0, 2.0, 5), Space.H3, 1.0)):
+        calls.clear()
+        find_cc(masses, space, LevelSetSpec(c), rng=np.random.default_rng(0))
+        assert calls == [grad_U, grad_I]
+
+
 @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("off", [0.8, 1.2])
 def test_restore_level_is_quadratic_on_h3(r, off):
@@ -704,7 +741,7 @@ def test_one_restoration_builds_one_gram_matrix(space, monkeypatch):
     want = LoopDescent(kernel, c).restore(cfg.points.tolist())
     rows, grams = _RowDescent(kernel, c), []
     names = rows._restore.__globals__
-    for name in ("_check_rows", "_check_points", "_gram_rows"):
+    for name in ("_check_points", "_gram_rows"):
         monkeypatch.setitem(names, name, _counting(grams, names[name]))
     got = rows.restore(cfg.points.tolist())
     assert len(floats) >= 3 and len(grams) == 1
@@ -789,30 +826,30 @@ def test_newton_builds_the_stationarity_rows_once_per_chart_point(
         masses, space, c, seed, monkeypatch):
     # each chart point (the origins and every trial) builds grad U - lam
     # grad I once; the stopping test builds them only at the starting point
-    # of each Newton run, and at every other point reuses the trial's rows
+    # of each Newton run, and at every other point reuses the trial's rows.
+    # The generated functions build grad U through one BLAS product,
+    # _force_rows, whose calls are counted inside the chart's two calls
     built, points, starts, fresh = [], [], [], []
-    stationarity, residuals = _RowChart._stationarity, _RowChart.residuals
-    start, criterion = _RowChart.start, _RowChart.criterion
+    residuals, start, criterion = (_RowChart.residuals, _RowChart.start,
+                                   _RowChart.criterion)
+    names = centralconfig._row_ops_factory(space, len(masses)).__globals__
 
-    def counted_residuals(self, *args):
-        out = residuals(self, *args)
-        points.append(1)
-        return out
+    def builds(into, fn):
+        def counted(self, *args):
+            before = len(built)
+            out = fn(self, *args)
+            into.append(len(built) - before)
+            return out
+        return counted
 
-    def counted_criterion(self, x, lam):
-        before = len(built)
-        out = criterion(self, x, lam)
-        fresh.append(len(built) - before)
-        return out
-
-    monkeypatch.setattr(_RowChart, "_stationarity", _counting(built, stationarity))
-    monkeypatch.setattr(_RowChart, "residuals", counted_residuals)
+    monkeypatch.setitem(names, "_force_rows", _counting(built, names["_force_rows"]))
+    monkeypatch.setattr(_RowChart, "residuals", builds(points, residuals))
     monkeypatch.setattr(_RowChart, "start", _counting(starts, start))
-    monkeypatch.setattr(_RowChart, "criterion", counted_criterion)
+    monkeypatch.setattr(_RowChart, "criterion", builds(fresh, criterion))
     find_cc(masses, space, LevelSetSpec(c), rng=np.random.default_rng(seed))
     assert len(fresh) > len(starts) >= 1
     assert sum(fresh) == len(starts) and fresh[0] == 1
-    assert len(built) == len(points) + len(starts)
+    assert sum(points) + sum(fresh) == len(points) + len(starts)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -834,12 +871,13 @@ def test_the_descent_runs_on_rows_up_to_the_pair_loop_size(n, monkeypatch):
 
 
 def test_one_key_compiles_one_descent(monkeypatch):
-    # the key is (space, N): searches with other masses and levels share
-    # the functions, another space compiles its own
-    centralconfig._row_descent_factory.cache_clear()
+    # the key is (space, N): one compile serves the descent and Newton's
+    # chart, searches with other masses and levels share the functions,
+    # another space compiles its own
+    centralconfig._row_ops_factory.cache_clear()
     built = []
-    source = centralconfig._row_descent_source
-    monkeypatch.setattr(centralconfig, "_row_descent_source",
+    source = centralconfig._row_ops_source
+    monkeypatch.setattr(centralconfig, "_row_ops_source",
                         lambda *key: built.append(key) or source(*key))
     for masses, space, c in (([1.0, 1.2, 0.8], Space.S3, 0.5),
                              ([0.7, 1.9, 1.1], Space.S3, 1.0),
@@ -847,6 +885,10 @@ def test_one_key_compiles_one_descent(monkeypatch):
                              ([1.0, 2.0, 1.5], Space.H3, 0.9)):
         find_cc(masses, space, LevelSetSpec(c), rng=np.random.default_rng(0))
     assert built == [(Space.S3, 3), (Space.H3, 3)]
+    kernel = _ForceKernel(Space.H3, np.ones(2))
+    _RowChart(kernel, 1.0)
+    _RowDescent(kernel, 1.0)
+    assert built == [(Space.S3, 3), (Space.H3, 3), (Space.H3, 2)]
 
 
 def _faulty_trial(space, case):
@@ -920,22 +962,45 @@ def _assert_same_chart_point(arrays, rows, Q, y):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([Space.S3, Space.H3]),
        st.integers(2, dynamics._PAIR_LOOP_MAX_N),
-       st.sampled_from([0.0, 1e-7, 1e-3, 0.1, 1.0]))
-def test_the_row_chart_is_the_array_chart_bit_for_bit(seed, space, n, step):
+       st.sampled_from([0.0, 1e-7, 1e-3, 0.1, 1.0]),
+       st.sampled_from([None, "coinciding", "antipodal"]), st.integers(-6, 6))
+def test_the_row_chart_is_the_array_chart_bit_for_bit(seed, space, n, step, bound, ulps):
     # the residual at the chart origin (step 0) and at a Newton trial, the
     # trial's point and the stopping test's criterion rows; S3 points with
-    # w = 0, as find_cc's S3 results have, and signed zeros in the sums
+    # w = 0, as find_cc's S3 results have, and signed zeros in the sums.
+    # With a bound, the trial takes body 1 to a few ulps from that singular
+    # bound with body 0 (H3 has only the coinciding one)
     rng = np.random.default_rng(seed)
-    Q = random_config(space, n, rng).points
-    if space is Space.S3 and seed % 2:
+    near = bound == "coinciding" or (bound == "antipodal" and space is Space.S3)
+    if near:
+        Q, y = _step_near_a_bound(space, bound, ulps, rng, n, rng.uniform(-3.0, 3.0))
+    else:
+        Q = random_config(space, n, rng).points
+    if space is Space.S3 and seed % 2 and not near:
         Q = Q.copy()
         Q[:, 3] = -0.0 if seed % 4 == 1 else 0.0
         Q /= np.linalg.norm(Q, axis=1)[:, None]
     m = rng.uniform(0.5, 2.0, n)
     c = float(m @ (Q[:, 0] ** 2 + Q[:, 1] ** 2)) * rng.uniform(0.8, 1.2)
-    y = np.append(step * rng.standard_normal(3 * n), rng.uniform(-3.0, 3.0))
+    if not near:
+        y = np.append(step * rng.standard_normal(3 * n), rng.uniform(-3.0, 3.0))
     arrays, rows = _both_charts(space, m, c)
-    assert _assert_same_chart_point(arrays, rows, Q, y) in ("ok", "DegenerateVectorError")
+    outcome = _assert_same_chart_point(arrays, rows, Q, y)
+    assert outcome in ("ok", "DegenerateVectorError", *["SingularPairError"] * near)
+
+
+def _step_near_a_bound(space, bound, ulps, rng, n, lam):
+    """An origin of n points and the chart point around it, at lambda lam,
+    that takes body 1 to about ulps ulps from a singular bound with body 0
+    (_pair_near_a_bound); the origin's body 1 sits a chart step of 1e-3
+    away from there."""
+    P = _pair_near_a_bound(space, bound, ulps, rng, n)
+    Q = P.copy()
+    t = project_tangent(P[1], rng.standard_normal(4), space)
+    Q[1] = project_point(P[1] + 1e-3 * t / math.sqrt(inner(t, t, space)), space)
+    # the multiple of P[1] whose step from Q[1] is tangent there
+    raw = P[1] * (space.sigma / inner(P[1], Q[1], space))
+    return Q, _chart_step(space, Q, lam, 1, raw)
 
 
 def test_the_row_chart_sums_from_zero_as_einsum_does():
@@ -951,6 +1016,19 @@ def test_the_row_chart_sums_from_zero_as_einsum_does():
     assert _assert_same_chart_point(arrays, rows, Q, y) == "ok"
     _, Qx = arrays.residuals(Q, bases, y)
     assert not np.signbit(Qx[:, 3]).any()
+
+
+@pytest.mark.parametrize("space", [Space.S3, Space.H3])
+def test_the_row_chart_takes_a_body_on_the_axes_as_the_array_chart(space):
+    # body 0 sits on the axes, where the stopping test's rows are three
+    # gradient components, less the one along its largest coordinate
+    rng = np.random.default_rng(4)
+    Q = random_config(space, 3, rng).points.copy()
+    Q[0] = [0.0, 0.0, 0.6, 0.8] if space is Space.S3 else [0.0, 0.0, 0.75, 1.25]
+    arrays, rows = _both_charts(space, rng.uniform(0.5, 2.0, 3), 0.5)
+    y = np.append(1e-3 * rng.standard_normal(9), 0.7)
+    y[:3] = 0.0
+    assert _assert_same_chart_point(arrays, rows, Q, y) == "ok"
 
 
 def _chart_step(space, Q, lam, body, raw):

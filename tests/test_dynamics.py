@@ -9,7 +9,6 @@ from curved_nbody.dynamics import (
     PhaseState,
     Trajectory,
     _check_points,
-    _check_rows,
     _first_integrals,
     conserved,
     eom_rhs,
@@ -38,6 +37,7 @@ from curved_nbody.relequil import REInstance, _comoving_run
 
 from csv_reference import write_csv
 from helpers import random_config, random_momenta, random_points
+from row_descent import _check_rows
 
 
 # ---------------------------------------------------------------------------

@@ -281,11 +281,11 @@ def test_one_key_compiles_one_step(monkeypatch):
 
 def test_importing_the_package_compiles_no_step():
     # every workload's setup imports the package: it pays no compile, of an
-    # RK4 step or of find_cc's row descent
+    # RK4 step or of find_cc's row descent and chart
     code = ("import curved_nbody, curved_nbody.cli\n"
             "from curved_nbody import centralconfig, dynamics\n"
             "print(dynamics._pair_step_factory.cache_info().currsize,"
-            " centralconfig._row_descent_factory.cache_info().currsize)")
+            " centralconfig._row_ops_factory.cache_info().currsize)")
     src = os.path.dirname(os.path.dirname(curved_nbody.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

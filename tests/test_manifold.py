@@ -13,7 +13,6 @@ from curved_nbody.manifold import (
     GeneratorKind,
     IsometryGenerator,
     Space,
-    _add_reduce,
     csn,
     ctn,
     distance,
@@ -26,6 +25,7 @@ from curved_nbody.manifold import (
 )
 
 from helpers import random_points
+from row_descent import _add_reduce
 
 
 # ---------------------------------------------------------------------------
