@@ -39,7 +39,6 @@ from .manifold import (
     Space,
     _boost,
     _reproject,
-    _reproject_rows,
     _rot,
     project_tangent,
 )
@@ -425,8 +424,8 @@ def _restore_level(space, m, Q, c, max_iter=40):
     iterate, the returned one too, passes Configuration's point checks.
     Returns (Q, s): the point on the level and the Gram matrix that its
     point check built, from which the descent takes U without recomputing.
-    Up to four bodies find_cc restores on rows instead (_RowDescent), bit
-    for bit, building the Gram matrix only for the iterate it returns.
+    Up to four bodies find_cc restores on rows instead (_RowOps), bit for
+    bit, building the Gram matrix only for the iterate it returns.
     """
     for _ in range(max_iter):
         s = _check_points(space, Q)
@@ -463,55 +462,6 @@ def _residual_dir(kernel, Q, s):
     return R, lam, float((R * R * md).sum())
 
 
-class _ArrayDescent:
-    """The descent's four operations on (N, 4) arrays: restoring the level,
-    U from the restoration's Gram matrix, the direction and the trial point."""
-
-    def __init__(self, kernel, c):
-        self.kernel, self.c = kernel, c
-
-    def restore(self, Q):
-        return _restore_level(self.kernel.space, self.kernel.m, Q, self.c)
-
-    def potential(self, s):
-        return _potential_gram(self.kernel.space, self.kernel.m, s)
-
-    def direction(self, Q, s):
-        return _residual_dir(self.kernel, Q, s)
-
-    def trial(self, Q, gamma, R):
-        return _reproject(self.kernel.space, Q - gamma * R)
-
-
-class _RowDescent:
-    """_ArrayDescent's operations on rows of four Python floats, bit for
-    bit: each is one call of a function that _row_ops_factory generates
-    for the space and N (_row_ops_source).  U and grad U take the Gram
-    matrix that the restored point's check built, which is the one they
-    would rebuild."""
-
-    def __init__(self, kernel, c):
-        self._trial, self._restore, self._potential, self._direction = (
-            _row_ops(kernel, c)[:4])
-
-    def restore(self, q):
-        """_restore_level of the rows q, at its default max_iter; returns
-        (q, s), s as rows."""
-        return self._restore(q)
-
-    def potential(self, s):
-        """_potential_gram of the checked Gram matrix s, held as rows."""
-        return self._potential(s)
-
-    def direction(self, q, s):
-        """_residual_dir at the rows q, whose point check built s."""
-        return self._direction(q, s)
-
-    def trial(self, q, gamma, R):
-        """The rows q - gamma R, reprojected."""
-        return self._trial(q, gamma, R)
-
-
 # u = 2^-53 is the unit roundoff.  A sum of the four products a_k b_k, in
 # any order and with or without fused multiply-adds, lies within
 # gamma_4 sum |a_k b_k| of the exact sum, gamma_4 = 4u / (1 - 4u) (Higham,
@@ -545,9 +495,8 @@ def _row_ops_factory(space, n):
     namespace = {"space": space, "sqrt": math.sqrt, "copysign": math.copysign,
                  "array": np.array, "matmul": np.matmul,
                  "_check_points": _check_points, "_gram_rows": _gram_rows,
-                 "_force_rows": _force_rows,
-                 "_reproject_rows": _reproject_rows,
-                 "_axis_row": _axis_row,
+                 "_force_rows": _force_rows, "_reproject": _reproject,
+                 "errstate": np.errstate, "_axis_row": _axis_row,
                  "NoConvergenceError": NoConvergenceError}
     return (_row_ops_source(space, n),
             f"<row descent and chart, {space.value}, N = {n}>", namespace)
@@ -666,17 +615,17 @@ def _check_source(space, n):
 def _row_ops_source(space, n):
     """The source of _row_ops_factory's make for n bodies on space.
 
-    trial, restore, potential and direction are _ArrayDescent's operations,
-    and residuals and criterion _ArrayChart's, written out for n rows of
-    four floats, X_i_r the rows of a point and s_i_j its Gram matrix.  Each
-    expression is the array code's, and each numpy sum is taken in numpy's
-    order (_sum_source), U's with its zero diagonal terms in place; the
-    einsum sums of the chart start from 0.0 and run in index order.  So
-    the functions give the array code's bits, and every failed check
-    raises the array function's error and message.  Three products stay
-    numpy calls, since BLAS may round them with fused multiply-adds: the
-    Gram matrix of each checked point, the S3 row norms of each
-    reprojection and the w @ Q of grad U.
+    The six functions are _ArrayOps' trial, restore, potential, direction,
+    residuals and criterion, written out for n rows of four floats, X_i_r
+    the rows of a point and s_i_j its Gram matrix.  Each expression is the
+    array code's, and each numpy sum is taken in numpy's order
+    (_sum_source), U's with its zero diagonal terms in place; the einsum
+    sums of the chart start from 0.0 and run in index order.  So the
+    functions give the array code's bits, and every failed check raises
+    the array function's error and message.  Three products stay numpy
+    calls, since BLAS may round them with fused multiply-adds: the Gram
+    matrix of each checked point, the S3 row norms of each reprojection
+    and the w @ Q of grad U.
 
     restore is _restore_level: each iterate's level error comes first,
     since it needs no Gram matrix.  The iterate on the level takes
@@ -686,15 +635,15 @@ def _row_ops_source(space, n):
     from the float sums by less, then clear them too.  Rows that fail a
     test, or a pair inside the margin, go to _check_points, which raises
     its error and message or, for a pair the margin could not clear,
-    passes.  Refused rows of a reprojection go to _reproject_rows
+    passes.  Refused rows of a reprojection go to _reproject
     (_reproject_source).
 
     A chart point is the tuple (q, s, lam, R): its rows, their Gram matrix,
     and the lambda and rows grad U - lambda grad I it was evaluated with,
-    both None at a chart origin.  residuals(q, frames, y) evaluates the
-    chart point y (an array, lambda last) around the rows q in the tangent
-    frames `frames` and returns (the residual rows as an array, the chart
-    point).  criterion(point, lam) returns the stopping test's rows; it
+    both None at a chart origin.  residuals(point, frames, y) evaluates the
+    chart point y (an array, lambda last) around the point's rows in the
+    tangent frames `frames` and returns (the residual rows as an array, the
+    chart point).  criterion(point, lam) returns the stopping test's rows; it
     reuses the point's R when lam is the point's lambda to the bit (equal
     and, should both be zeros, of one sign), and hands the rows of a body
     on the axes to _axis_row.
@@ -769,7 +718,7 @@ def _row_ops_source(space, n):
     # bases, R, metric_diagonal): each sum from 0.0, in index order
     frames = ", ".join(f"({_rows_source(f'f{i}', 3)})" for i in bodies)
     residuals = [
-        f"{_rows_source('O', n)} = q",
+        f"{_rows_source('O', n)} = point[0]",
         f"{frames}{',' if n == 1 else ''} = frames",
         f"{''.join(f'y{k}, ' for k in range(3 * n))}lam = y.tolist()",
         *(f"Y_{i}_{r} = O_{i}_{r} + (0.0 + y{3 * i} * f{i}_0_{r}"
@@ -811,7 +760,7 @@ def _row_ops_source(space, n):
              "    def restore(q):", *block(restore),
              "    def potential(s):", *block(potential),
              "    def direction(q, s):", *block(direction),
-             "    def residuals(q, frames, y):", *block(residuals),
+             "    def residuals(point, frames, y):", *block(residuals),
              "    def criterion(point, lam):", *block(criterion),
              "    return trial, restore, potential, direction, residuals, criterion"]
     return "\n".join(lines) + "\n"
@@ -823,8 +772,8 @@ def _descend(ops, Q, s, max_iter):
     each accepted trial.  Returns (Q, lam), lam from the last direction.
 
     ops holds the descent's operations and fixes the arithmetic: rows of
-    Python floats (_RowDescent), whose Q and s are rows too, or arrays
-    (_ArrayDescent); the two give the same bits.
+    Python floats (_RowOps), whose Q and s are rows too, or arrays
+    (_ArrayOps); the two give the same bits.
     """
     gamma, lam = 0.1, 0.0
     u0 = ops.potential(s)
@@ -1024,13 +973,27 @@ def _newton(chart, x, lam, done, max_iter, damped=False):
         raise
 
 
-class _ArrayChart:
-    """_kkt_newton's single-point operations on (N, 4) arrays.  A point is
-    the array Q: the frames at Q, the residual rows at one chart point
-    around Q (_chart_residuals), and the stopping test's criterion rows."""
+class _ArrayOps:
+    """find_cc's operations on (N, 4) arrays for the problem's kernel (the
+    _ForceKernel of its space and masses) and level c: the descent's
+    restore, U from the restoration's Gram matrix, direction and trial;
+    Newton's, at a point that is the array Q itself, the frames at Q, the
+    residual rows at one chart point around Q and the criterion rows."""
 
     def __init__(self, kernel, c):
         self.kernel, self.c = kernel, c
+
+    def restore(self, Q):
+        return _restore_level(self.kernel.space, self.kernel.m, Q, self.c)
+
+    def potential(self, s):
+        return _potential_gram(self.kernel.space, self.kernel.m, s)
+
+    def direction(self, Q, s):
+        return _residual_dir(self.kernel, Q, s)
+
+    def trial(self, Q, gamma, R):
+        return _reproject(self.kernel.space, Q - gamma * R)
 
     def start(self, Q):
         return Q
@@ -1052,45 +1015,41 @@ class _ArrayChart:
             space, Q, self.kernel.grad(Q) - lam * _grad_I_raw(space, m, Q))
 
 
-class _RowChart:
-    """_ArrayChart's operations on rows of four Python floats, bit for bit.
+class _RowOps:
+    """_ArrayOps on rows of four Python floats, bit for bit: six of its
+    operations are the functions of one _row_ops build (_row_ops_source).
 
-    A point is a chart point tuple (q, s, lam, R) of _row_ops_source, and
-    residuals and criterion are each one call of a function generated with
-    the descent's (_row_ops_factory).  Where a trial's arithmetic
-    overflows, numpy raises FloatingPointError under _newton's errstate
-    while the floats carry inf on into a failed point check; _newton halves
-    the step either way.  A chart origin is evaluated afresh, since its
-    reprojection can move the accepted point by an ulp.
+    The descent's points and Gram matrices are rows; a Newton point is a
+    chart point tuple (q, s, lam, R), and a chart origin is evaluated
+    afresh, since its reprojection can move the accepted point by an ulp.
+    Where a trial's arithmetic overflows, numpy raises FloatingPointError
+    under _newton's errstate while the floats carry inf on into a failed
+    point check; _newton halves the step either way.
     """
 
     def __init__(self, kernel, c):
-        self.space = kernel.space
-        self._residuals, self._criterion = _row_ops(kernel, c)[4:]
+        self.kernel, self.c = kernel, c
+        (self.trial, self.restore, self.potential, self.direction,
+         self.residuals, self.criterion) = _row_ops(kernel, c)
 
     def start(self, Q):
-        return Q.tolist(), _check_points(self.space, Q).tolist(), None, None
+        return Q.tolist(), _check_points(self.kernel.space, Q).tolist(), None, None
 
     def array(self, x):
         return np.array(x[0])
 
     def frames(self, x):
-        return _tangent_frames(self.space, x[0])
-
-    def residuals(self, x, frames, y):
-        """_ArrayChart.residuals at the chart point y (an array) around the
-        point x; returns (the rows as an array, the point)."""
-        return self._residuals(x[0], frames, y)
-
-    def criterion(self, x, lam):
-        """_criterion_rows of grad U - lam grad I at the point x."""
-        return self._criterion(x, lam)
+        return _tangent_frames(self.kernel.space, x[0])
 
 
-def _kkt_newton(kernel, Q, c, lam, tol, max_iter=60, damped=False):
-    """Solve the stationarity system on I = c by finite-difference Newton.
+def _kkt_newton(ops, Q, lam, tol, max_iter=60, damped=False):
+    """Solve the stationarity system on I = c by finite-difference Newton
+    from the (N, 4) array Q.
 
-    kernel is the _ForceKernel of the problem's space and masses.
+    ops (_RowOps or _ArrayOps) holds the problem's kernel and level c and
+    fixes the arithmetic, with the same bits, of the single-point
+    evaluations: each chart origin, every backtracking trial and the
+    stopping test, which on rows reuses an accepted trial's rows.
     Unknowns: 3 tangent chart coordinates per body plus lambda.  Equations:
     tangent components of grad U - lambda grad I plus the level constraint.
     _newton iterates; damped=True, its Levenberg-style least-squares step,
@@ -1098,17 +1057,12 @@ def _kkt_newton(kernel, Q, c, lam, tol, max_iter=60, damped=False):
     residual on the raw points: each one has passed the point checks,
     the hand-off point in find_cc and every chart point in _chart_residuals.
 
-    Up to dynamics._PAIR_LOOP_MAX_N bodies the single-point evaluations
-    (the residual at each chart origin, every backtracking trial and the
-    stopping test, which reuses an accepted trial's grad U - lambda grad I)
-    run as generated float functions (_RowChart), above on arrays
-    (_ArrayChart), with the same bits.  The stacked finite-difference
-    Jacobian runs on arrays at every N, since its 2 (3N + 1) probes cost
-    less as one stack than one by one in floats.  A tangent frame that
-    rounding leaves short of rank raises NoConvergenceError.
+    The finite-difference Jacobian's 2 (3N + 1) probes run as one array
+    stack with either ops.  A tangent frame that rounding leaves short of
+    rank raises NoConvergenceError.
     """
+    kernel, c = ops.kernel, ops.c
     n = len(kernel.m)
-    ops = (_RowChart if n <= dynamics._PAIR_LOOP_MAX_N else _ArrayChart)(kernel, c)
 
     def chart(x, lam):
         frames = ops.frames(x)
@@ -1155,6 +1109,26 @@ def _largest_pair_force(config):
     return float(np.max(m[i] * m[j] / sn2, initial=0.0))
 
 
+def _raise_refinement_error(exc, mode, space, Q):
+    """Raise what find_cc reports when its last Newton run from the
+    hand-off points Q (an array) raised exc: a singular pair as
+    SingularApproachError; in descent mode on S3, a failure from a pair
+    next to the antipodal set as SingularApproachError too, since U = sum
+    m m cot d falls without bound as d -> pi and the descent can hand
+    Newton such a pair; else exc itself."""
+    if isinstance(exc, SingularPairError):
+        raise SingularApproachError(str(exc)) from exc
+    if mode == "descent" and space is Space.S3:
+        s = Q @ Q.T
+        np.fill_diagonal(s, np.inf)
+        i, j = map(int, np.unravel_index(np.argmin(s), s.shape))
+        if s[i, j] < -1.0 + 10.0 * EPS_SINGULAR:
+            raise SingularApproachError(
+                f"refinement failed from the near-antipodal pair ({i}, {j}) at "
+                f"sigma-inner product {float(s[i, j])!r}: {exc}") from exc
+    raise exc
+
+
 def find_cc(
     masses,
     space: Space,
@@ -1175,16 +1149,15 @@ def find_cc(
     skips the descent bias and drives the stationarity residual itself to
     zero from the seed, finding non-minimal critical points too.
 
-    One _ForceKernel serves the whole search.  The seed and each descent
-    trial are put back on the level by _restore_level, whose last point
-    check builds the Gram matrix that U is then taken from.  Up to four
-    bodies (dynamics._PAIR_LOOP_MAX_N), where numpy's cost per call on
-    (N, 4) arrays is many times the arithmetic, the seed's restoration, the
-    descent and Newton's single-point evaluations run on rows of Python
-    floats, as straight-line functions generated and compiled once per
-    process for the space and N (_row_ops_source), which give the array
-    code's bits.  Newton's finite-difference Jacobian stays one stacked
-    array evaluation.  Above four bodies all of it runs on arrays.
+    One ops object, picked once from N, serves the seed's level
+    restoration, the descent and every Newton run: up to four bodies
+    (dynamics._PAIR_LOOP_MAX_N), where numpy's cost per call on (N, 4)
+    arrays is many times the arithmetic, _RowOps, generated float
+    functions (_row_ops_source) that give the array code's bits; above,
+    _ArrayOps.  The Newton runs are one sequence: in descent mode an
+    undamped run, then a damped one unless the first failed at its
+    starting point, where damping changes nothing; in saddle mode one
+    damped run of 200 steps.
 
     Returns (configuration, report) once the criterion rows pass the
     level's tol and a self-certificate: none above _CERTIFICATE_TOL times
@@ -1193,9 +1166,7 @@ def find_cc(
     or the default seed holds a singular pair (far out on H3, where
     rounding leaves the seed's Gram entries meaningless, or with masses so
     large that its bodies coincide), and SingularApproach when the iterate
-    degenerates into the singular set.  A descent's Newton run that fails
-    is retried damped unless it failed at its starting point, where
-    damping changes nothing.
+    degenerates into the singular set (_raise_refinement_error).
     """
     m = np.asarray(masses, dtype=float)
     level.validate(space, m)
@@ -1209,52 +1180,36 @@ def find_cc(
                 f"sigma-inner product {exc.value!r}") from exc
     if seed.space is not space or len(seed.masses) != len(m):
         raise ValueError("seed does not match the requested problem")
-    kernel = _ForceKernel(space, m)
-    if len(m) <= dynamics._PAIR_LOOP_MAX_N:
-        ops, Q = _RowDescent(kernel, c), seed.points.tolist()
-    else:
-        ops, Q = _ArrayDescent(kernel, c), seed.points
-    Q, s = ops.restore(Q)
-
-    lam = 0.0
+    rows = len(m) <= dynamics._PAIR_LOOP_MAX_N
+    ops = (_RowOps if rows else _ArrayOps)(_ForceKernel(space, m), c)
+    Q, s = ops.restore(seed.points.tolist() if rows else seed.points)
     if mode == "descent":
         Q, lam = _descend(ops, Q, s, max_iter)
         try:
             lam = lambda_estimate(Configuration(space, m, Q))
         except DegenerateDenominatorError:
             pass
-        try:
-            Q, lam = _kkt_newton(kernel, Q, c, lam, level.tol)
-        except NoConvergenceError as first:
-            try:
-                # a failure at the starting point (a frame that lost rank, a
-                # Jacobian probe off the feasible region) would repeat as is
-                if getattr(first, "at_start", False):
-                    raise
-                Q, lam = _kkt_newton(kernel, Q, c, lam, level.tol, damped=True)
-            except NoConvergenceError as exc:
-                # U = sum m m cot d falls without bound as d -> pi, so the
-                # descent can hand Newton a pair next to the antipodal set
-                s = Q @ Q.T
-                np.fill_diagonal(s, np.inf)
-                i, j = map(int, np.unravel_index(np.argmin(s), s.shape))
-                if space is Space.S3 and s[i, j] < -1.0 + 10.0 * EPS_SINGULAR:
-                    raise SingularApproachError(
-                        f"refinement failed from the near-antipodal pair "
-                        f"({i}, {j}) at sigma-inner product "
-                        f"{float(s[i, j])!r}: {exc}") from exc
-                raise
-        except SingularPairError as exc:
-            raise SingularApproachError(str(exc)) from exc
+        runs = ({}, {"damped": True})
     elif mode == "saddle":
-        try:
-            _, lam, _ = ops.direction(Q, s)
-            Q, lam = _kkt_newton(kernel, np.asarray(Q, dtype=float), c, lam,
-                                 level.tol, damped=True, max_iter=200)
-        except SingularPairError as exc:
-            raise SingularApproachError(str(exc)) from exc
+        Q, lam = np.asarray(Q, dtype=float), ops.direction(Q, s)[1]
+        runs = ({"damped": True, "max_iter": 200},)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    for kw in runs:
+        try:
+            Q, lam = _kkt_newton(ops, Q, lam, level.tol, **kw)
+        except (NoConvergenceError, SingularPairError) as exc:
+            error = exc
+            # a singular pair ends the search; a failure at the starting
+            # point (a frame that lost rank, a Jacobian probe off the
+            # feasible region) would repeat as is
+            if isinstance(exc, SingularPairError) or getattr(exc, "at_start", False):
+                break
+        else:
+            error = None
+            break
+    if error is not None:
+        _raise_refinement_error(error, mode, space, Q)
 
     config = Configuration(space, m, Q)
     try:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .centralconfig import (
     LevelSetSpec,
+    _largest_pair_force,
     canonicalize,
     equivalent,
     find_cc,
@@ -90,7 +91,10 @@ def _report_item(config: Configuration, lam=None, tol: float = 1e-8) -> dict:
     report = make_report(config, lam=lam)
     item = report.to_json_dict()
     item["space"] = config.space.value
-    item["confirmed"] = bool(report.residual_max < tol)
+    # relative to the largest pair force m_i m_j / sn^2 d_ij, as find_cc's
+    # certificate, so that rescaled masses confirm alike; one body has no pair
+    scale = _largest_pair_force(config) if config.n > 1 else 1.0
+    item["confirmed"] = bool(report.residual_max < tol * scale)
     return item
 
 
@@ -317,6 +321,12 @@ def cmd_fixtures(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+_CONFIRM_HELP = ("relative: an item is confirmed when residual_max < tol "
+                 "(find: 10 tol, tol also being its solver tolerance) times "
+                 "its largest pair force m_i m_j / sn^2 d_ij, or tol itself "
+                 "for one body")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curved-nbody",
@@ -326,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check whether a configuration is a CC")
     p.add_argument("input", help="configuration JSON (or a catalog with 'items')")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8, help=_CONFIRM_HELP)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("find", help="search for CCs on a fixed inertia level")
@@ -335,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True,
                    help="moment of inertia level")
     p.add_argument("--seeds", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10, help=_CONFIRM_HELP)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("simulate",
@@ -353,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("masses", help="comma-separated masses")
     p.add_argument("--space", choices=["S3", "H3"], required=True)
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8, help=_CONFIRM_HELP)
     p.add_argument("--out", default=None, help="catalog CSV path")
 
     p = sub.add_parser("sweep", help="evaluate a fixture family over a grid")

@@ -38,7 +38,6 @@ from .manifold import (
     EPS_SINGULAR,
     Space,
     _reproject,
-    _reproject_rows,
     inner,
 )
 
@@ -375,9 +374,8 @@ class _PairKernel:
     arithmetic operation for operation, so bit for bit: the stage sums,
     the velocities and velocity term, the co-moving term (_frame_layers),
     the reprojection and the tangent projection.  The two projections run
-    inside the generated step too, in _reproject_rows' and
-    project_tangent's expressions; only the S3 row norms leave it, as one
-    numpy call.
+    inside the generated step too, in _reproject's and project_tangent's
+    expressions; only the S3 row norms leave it, as one numpy call.
     """
 
     def __init__(self, space: Space, m: np.ndarray, xi=None):
@@ -451,7 +449,8 @@ def _pair_step_factory(space: Space, n: int, layout: tuple):
     namespace = {"space": space, "SingularPairError": SingularPairError,
                  "OffShellError": OffShellError, "sqrt": math.sqrt,
                  "isfinite": math.isfinite, "array": np.array,
-                 "matmul": np.matmul, "_reproject_rows": _reproject_rows}
+                 "matmul": np.matmul, "_reproject": _reproject,
+                 "errstate": np.errstate}
     return (_pair_step_source(space, n, layout),
             f"<RK4 step, {space.value}, N = {n}>", namespace)
 
@@ -466,27 +465,30 @@ def _rows_source(name: str, n: int, width: int = 4) -> str:
 
 def _reproject_source(space: Space, n: int, src: str, dst: str) -> list:
     """Source lines that scale the rows src_i_r onto space as dst_i_r, in
-    _reproject_rows' expressions: the H3 row norms in floats, the S3 ones
-    from the stacked matmul that _reproject_rows takes, since BLAS may
-    round their sums of squares with fused multiply-adds.  Rows that
-    _reproject_rows refuses go to it, which raises project_point's error
-    for the first such row.  The lines use a, sq{i} and n{i}, and need
-    array, matmul, sqrt, space and _reproject_rows."""
+    _reproject's expressions: the H3 row norms in floats, the S3 ones from
+    the stacked matmul that _reproject takes, since BLAS may round their
+    sums of squares with fused multiply-adds.  Rows that _reproject refuses
+    go to it as an array, which raises project_point's error for the first
+    such row.  Its norms of the other rows may overflow or meet inf - inf,
+    which the floats do silently, so numpy's warnings for them are off
+    there.  The lines use a, sq{i} and n{i}, and need array, matmul, sqrt,
+    space, errstate and _reproject."""
     bodies = range(n)
-    refuse = f"    _reproject_rows(space, [{_rows_source(src, n)}])  # raises"
+    refuse = ['    with errstate(over="ignore", invalid="ignore"):',
+              f"        _reproject(space, array([{_rows_source(src, n)}]))  # raises"]
     if space is Space.S3:
         lines = [f"a = array([{_rows_source(src, n)}])",
                  f"{''.join(f'n{i}, ' for i in bodies)}= map(sqrt, matmul("
                  "a[:, None, :], a[:, :, None]).ravel().tolist())",
                  "if " + " or ".join(f"n{i} < 1e-12" for i in bodies) + ":",
-                 refuse]
+                 *refuse]
     else:
         lines = [f"sq{i} = -(({src}_{i}_0 * {src}_{i}_0 + {src}_{i}_1 * {src}_{i}_1"
                  f" + {src}_{i}_2 * {src}_{i}_2) - {src}_{i}_3 * {src}_{i}_3)"
                  for i in bodies]
         lines += ["if " + " or ".join(f"{src}_{i}_3 <= 0.0 or sq{i} <= 1e-12"
                                       for i in bodies) + ":",
-                  refuse, *(f"n{i} = sqrt(sq{i})" for i in bodies)]
+                  *refuse, *(f"n{i} = sqrt(sq{i})" for i in bodies)]
     return lines + [f"{dst}_{i}_{r} = {src}_{i}_{r} / n{i}"
                     for i in bodies for r in range(4)]
 

@@ -165,29 +165,6 @@ def _reproject(space, Q):
     return Q / norm[..., None]
 
 
-def _reproject_rows(space, q: list) -> list:
-    """_reproject of rows of four Python floats, bit for bit; returns tuples.
-
-    On S3 the row norms still come from the stacked matmul, since a float
-    sum of squares rounds differently from the BLAS reduction _reproject
-    takes them from.  The first refused row raises project_point's error.
-    """
-    if space is Space.S3:
-        a = np.array(q)
-        sq = np.matmul(a[:, None, :], a[:, :, None]).ravel().tolist()
-        norms = [math.sqrt(v) for v in sq]
-        bad = [v < 1e-12 for v in norms]
-    else:
-        # -inner(q, q), in inner's order
-        sq = [-((x0 * x0 + x1 * x1 + x2 * x2) - x3 * x3) for x0, x1, x2, x3 in q]
-        bad = [row[3] <= 0.0 or v <= 1e-12 for row, v in zip(q, sq)]
-    if any(bad):
-        project_point(np.array(q[bad.index(True)]), space)
-    if space is Space.H3:
-        norms = [math.sqrt(v) for v in sq]
-    return [(x0 / n, x1 / n, x2 / n, x3 / n) for (x0, x1, x2, x3), n in zip(q, norms)]
-
-
 def project_tangent(q, v, space: Space) -> np.ndarray:
     """Remove the sigma-normal component of v at base point q.
 

@@ -12,9 +12,8 @@ import numpy as np
 
 from curved_nbody.dynamics import _frame_layers, _singular_bounds
 from curved_nbody.errors import OffShellError, SingularPairError
-from curved_nbody.manifold import _reproject_rows
 
-from row_descent import _axpy, _tangent_rows
+from row_descent import _axpy, _reproject_rows, _tangent_rows
 
 
 class LoopKernel:

@@ -1,5 +1,5 @@
 """find_cc's small-N arithmetic as hand-written row loops: the reference
-that the generated straight-line descent of centralconfig._RowDescent is
+that the generated straight-line functions of centralconfig._RowOps are
 held to, bit for bit.
 
 LoopDescent's four operations are the row descent that centralconfig ran
@@ -8,7 +8,8 @@ _metric_products, _potential_rows, _tangent_rows), unchanged.  The row
 helpers that Newton's chart ran on before its functions were generated
 with the descent's (_add_reduce, _grad_U_rows, _grad_I_rows, _r2_rows,
 _axpy, and the point check _check_rows with _check_shell_rows) follow,
-unchanged too.
+unchanged too, and last the row reprojection that these loops and the
+RK4 pair loop (pair_loop.py) take, _reproject_rows, as manifold held it.
 """
 
 import math
@@ -18,11 +19,11 @@ import numpy as np
 from curved_nbody.centralconfig import _PAIR_MARGIN
 from curved_nbody.dynamics import _check_points, _gram_rows, _singular_bounds
 from curved_nbody.errors import NoConvergenceError, SingularPairError
-from curved_nbody.manifold import EPS_MANIFOLD, Space, _reproject_rows
+from curved_nbody.manifold import EPS_MANIFOLD, Space, project_point
 
 
 class LoopDescent:
-    """_ArrayDescent's operations on rows of four Python floats, bit for bit.
+    """The descent's operations of _ArrayOps on rows of four Python floats, bit for bit.
 
     Each is the array code's arithmetic, expression for expression, with
     every array sum in numpy's order (_add_reduce), so a descent gives the
@@ -260,3 +261,26 @@ def _check_shell_rows(space: Space, q: list) -> None:
         if not (abs(unit - sigma) / (sq if sq > 1.0 else 1.0) <= EPS_MANIFOLD
                 and (not h3 or x3 >= 1.0 - EPS_MANIFOLD)):
             _check_points(space, np.array(q))  # raises
+
+
+def _reproject_rows(space, q: list) -> list:
+    """_reproject of rows of four Python floats, bit for bit; returns tuples.
+
+    On S3 the row norms still come from the stacked matmul, since a float
+    sum of squares rounds differently from the BLAS reduction _reproject
+    takes them from.  The first refused row raises project_point's error.
+    """
+    if space is Space.S3:
+        a = np.array(q)
+        sq = np.matmul(a[:, None, :], a[:, :, None]).ravel().tolist()
+        norms = [math.sqrt(v) for v in sq]
+        bad = [v < 1e-12 for v in norms]
+    else:
+        # -inner(q, q), in inner's order
+        sq = [-((x0 * x0 + x1 * x1 + x2 * x2) - x3 * x3) for x0, x1, x2, x3 in q]
+        bad = [row[3] <= 0.0 or v <= 1e-12 for row, v in zip(q, sq)]
+    if any(bad):
+        project_point(np.array(q[bad.index(True)]), space)
+    if space is Space.H3:
+        norms = [math.sqrt(v) for v in sq]
+    return [(x0 / n, x1 / n, x2 / n, x3 / n) for (x0, x1, x2, x3), n in zip(q, norms)]

@@ -29,10 +29,8 @@ from curved_nbody import (
 from curved_nbody import centralconfig, dynamics, grad_I, grad_U
 from curved_nbody.centralconfig import (
     EPS_AXIS,
-    _ArrayChart,
-    _ArrayDescent,
-    _RowChart,
-    _RowDescent,
+    _ArrayOps,
+    _RowOps,
     _chart_residuals,
     _fd_jacobian,
     _restore_level,
@@ -637,7 +635,7 @@ def _outcome(fn):
 
 def _both_descents(space, m, c):
     kernel = _ForceKernel(space, np.asarray(m, dtype=float))
-    return _ArrayDescent(kernel, c), _RowDescent(kernel, c)
+    return _ArrayOps(kernel, c), _RowOps(kernel, c)
 
 
 def _assert_same_restoration(arrays, rows, trial):
@@ -739,8 +737,8 @@ def test_one_restoration_builds_one_gram_matrix(space, monkeypatch):
     monkeypatch.setattr(row_descent, "_check_rows_float",
                         _counting(floats, row_descent._check_rows_float))
     want = LoopDescent(kernel, c).restore(cfg.points.tolist())
-    rows, grams = _RowDescent(kernel, c), []
-    names = rows._restore.__globals__
+    rows, grams = _RowOps(kernel, c), []
+    names = rows.restore.__globals__
     for name in ("_check_points", "_gram_rows"):
         monkeypatch.setitem(names, name, _counting(grams, names[name]))
     got = rows.restore(cfg.points.tolist())
@@ -794,7 +792,7 @@ def test_the_generated_descent_is_the_row_loops_bit_for_bit(
     elif case == "off shell":
         Q[rng.integers(n)] *= rng.uniform(0.5, 1.5)
     kernel = _ForceKernel(space, m)
-    loops, rows = LoopDescent(kernel, c), _RowDescent(kernel, c)
+    loops, rows = LoopDescent(kernel, c), _RowOps(kernel, c)
     q = Q.tolist()
     R = rng.standard_normal((n, 4)).tolist()
     try:
@@ -830,44 +828,93 @@ def test_newton_builds_the_stationarity_rows_once_per_chart_point(
     # The generated functions build grad U through one BLAS product,
     # _force_rows, whose calls are counted inside the chart's two calls
     built, points, starts, fresh = [], [], [], []
-    residuals, start, criterion = (_RowChart.residuals, _RowChart.start,
-                                   _RowChart.criterion)
     names = centralconfig._row_ops_factory(space, len(masses)).__globals__
+    row_ops = centralconfig._row_ops
 
     def builds(into, fn):
-        def counted(self, *args):
+        def counted(*args):
             before = len(built)
-            out = fn(self, *args)
+            out = fn(*args)
             into.append(len(built) - before)
             return out
         return counted
 
+    def counted_ops(kernel, c):
+        *descent, residuals, criterion = row_ops(kernel, c)
+        return (*descent, builds(points, residuals), builds(fresh, criterion))
+
     monkeypatch.setitem(names, "_force_rows", _counting(built, names["_force_rows"]))
-    monkeypatch.setattr(_RowChart, "residuals", builds(points, residuals))
-    monkeypatch.setattr(_RowChart, "start", _counting(starts, start))
-    monkeypatch.setattr(_RowChart, "criterion", builds(fresh, criterion))
+    monkeypatch.setattr(centralconfig, "_row_ops", counted_ops)
+    monkeypatch.setattr(_RowOps, "start", _counting(starts, _RowOps.start))
     find_cc(masses, space, LevelSetSpec(c), rng=np.random.default_rng(seed))
     assert len(fresh) > len(starts) >= 1
     assert sum(fresh) == len(starts) and fresh[0] == 1
     assert sum(points) + sum(fresh) == len(points) + len(starts)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_the_descent_runs_on_rows_up_to_the_pair_loop_size(n, monkeypatch):
-    calls = []
-    for cls in (_ArrayDescent, _RowDescent):
-        def counted(self, *args, _original=cls.direction, _cls=cls):
-            calls.append(_cls)
-            return _original(self, *args)
+def _spy_ops(monkeypatch):
+    """The ops object that each _descend and _kkt_newton call takes, by
+    the function's name."""
+    seen = {"_descend": [], "_kkt_newton": []}
+    for name in seen:
+        def spy(ops, *args, _name=name, _original=getattr(centralconfig, name), **kw):
+            seen[_name].append(ops)
+            return _original(ops, *args, **kw)
 
-        monkeypatch.setattr(cls, "direction", counted)
+        monkeypatch.setattr(centralconfig, name, spy)
+    return seen
+
+
+def _ops_of_a_search(n, monkeypatch):
+    """The ops objects that a short H3 search with N unit masses hands to
+    _descend and _kkt_newton, and the kind that N picks: rows of floats up
+    to the pair loop size, arrays above."""
+    seen = _spy_ops(monkeypatch)
     try:
         find_cc(np.ones(n), Space.H3, LevelSetSpec(1.0),
                 rng=np.random.default_rng(0), max_iter=2)
     except CurvedNBodyError:
         pass
-    kind = _RowDescent if n <= dynamics._PAIR_LOOP_MAX_N else _ArrayDescent
-    assert calls and set(calls) == {kind}
+    kind = _RowOps if n <= dynamics._PAIR_LOOP_MAX_N else _ArrayOps
+    return seen, kind
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_descent_runs_on_rows_up_to_the_pair_loop_size(n, monkeypatch):
+    seen, kind = _ops_of_a_search(n, monkeypatch)
+    assert seen["_descend"]
+    assert all(type(ops) is kind for ops in seen["_descend"])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_newton_charts_on_rows_up_to_the_pair_loop_size(n, monkeypatch):
+    # every Newton run takes the one ops object that served the descent
+    seen, kind = _ops_of_a_search(n, monkeypatch)
+    assert seen["_descend"] and seen["_kkt_newton"]
+    ops = seen["_descend"] + seen["_kkt_newton"]
+    assert type(ops[0]) is kind and all(x is ops[0] for x in ops)
+
+
+@pytest.mark.parametrize("masses, space, c, mode, seed, runs", [
+    ([1.0, 1.5], Space.S3, 0.5, "descent", 0, 1),
+    ([1.0, 1.2, 0.8, 0.9], Space.H3, 1.0, "descent", 0, 1),
+    ([1.0, 1.2, 0.8], Space.S3, 0.5, "saddle", 0, 1),
+    # a cc_search panel draw whose undamped run fails after a step, and
+    # whose damped retry fails too (SingularApproachError)
+    ([0.7026447575336168, 1.5822325102911226, 1.2880314837135889], Space.S3,
+     1.1579681152189687, "descent", 3, 2),
+])
+def test_one_search_builds_its_row_functions_once(masses, space, c, mode, seed, runs,
+                                                  monkeypatch):
+    # the seed's restoration, the descent and every Newton run take the six
+    # functions of one _row_ops build
+    built = []
+    monkeypatch.setattr(centralconfig, "_row_ops",
+                        _counting(built, centralconfig._row_ops))
+    calls = _spy_kkt_newton(monkeypatch)
+    _outcome(lambda: find_cc(masses, space, LevelSetSpec(c), mode=mode,
+                             rng=np.random.default_rng(seed)))
+    assert len(calls) == runs and len(built) == 1
 
 
 def test_one_key_compiles_one_descent(monkeypatch):
@@ -885,9 +932,7 @@ def test_one_key_compiles_one_descent(monkeypatch):
                              ([1.0, 2.0, 1.5], Space.H3, 0.9)):
         find_cc(masses, space, LevelSetSpec(c), rng=np.random.default_rng(0))
     assert built == [(Space.S3, 3), (Space.H3, 3)]
-    kernel = _ForceKernel(Space.H3, np.ones(2))
-    _RowChart(kernel, 1.0)
-    _RowDescent(kernel, 1.0)
+    _RowOps(_ForceKernel(Space.H3, np.ones(2)), 1.0)
     assert built == [(Space.S3, 3), (Space.H3, 3), (Space.H3, 2)]
 
 
@@ -909,8 +954,8 @@ def _faulty_trial(space, case):
 
     def trial(ops):
         if case in ("off shell", "lower sheet"):
-            return bad if isinstance(ops, _ArrayDescent) else bad.tolist()
-        if isinstance(ops, _ArrayDescent):
+            return bad if isinstance(ops, _ArrayOps) else bad.tolist()
+        if isinstance(ops, _ArrayOps):
             return ops.trial(Q, 1.0, R)
         return ops.trial(Q.tolist(), 1.0, R.tolist())
 
@@ -937,7 +982,7 @@ def test_the_row_descent_raises_what_the_array_descent_raises(space, case, error
 
 def _both_charts(space, m, c):
     kernel = _ForceKernel(space, np.asarray(m, dtype=float))
-    return _ArrayChart(kernel, c), _RowChart(kernel, c)
+    return _ArrayOps(kernel, c), _RowOps(kernel, c)
 
 
 def _assert_same_chart_point(arrays, rows, Q, y):
@@ -1078,24 +1123,6 @@ def test_the_row_chart_raises_what_the_array_chart_raises(space, case, error):
     assert _assert_same_chart_point(arrays, rows, Q, y) == error
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_newton_charts_on_rows_up_to_the_pair_loop_size(n, monkeypatch):
-    calls = []
-    for cls in (_ArrayChart, _RowChart):
-        def counted(self, *args, _original=cls.residuals, _cls=cls):
-            calls.append(_cls)
-            return _original(self, *args)
-
-        monkeypatch.setattr(cls, "residuals", counted)
-    try:
-        find_cc(np.ones(n), Space.H3, LevelSetSpec(1.0),
-                rng=np.random.default_rng(0), max_iter=2)
-    except CurvedNBodyError:
-        pass
-    kind = _RowChart if n <= dynamics._PAIR_LOOP_MAX_N else _ArrayChart
-    assert calls and set(calls) == {kind}
-
-
 # ─── the stacked finite-difference Jacobian ──────────────────────────────
 
 
@@ -1137,9 +1164,9 @@ def _newton_handoff(monkeypatch, masses, space, c, seed):
     seen = []
     newton = centralconfig._kkt_newton
 
-    def spy(kernel, Q, c, lam, tol, **kw):
-        seen.append((kernel.m, Q.copy(), lam))
-        return newton(kernel, Q, c, lam, tol, **kw)
+    def spy(ops, Q, lam, tol, **kw):
+        seen.append((ops.kernel.m, Q.copy(), lam))
+        return newton(ops, Q, lam, tol, **kw)
 
     monkeypatch.setattr(centralconfig, "_kkt_newton", spy)
     find_cc(masses, space, LevelSetSpec(c), rng=np.random.default_rng(seed))
@@ -1182,7 +1209,7 @@ def test_a_faulty_probe_raises_what_the_first_one_raised_alone():
         _fd_jacobian(lambda Y: _chart_residuals(kernel, Q, bases, 0.4, Y), y)
     assert str(got.value) == str(ref.value)
     with pytest.raises(NoConvergenceError, match="jacobian probe left the feasible"):
-        centralconfig._kkt_newton(kernel, Q, 0.4, -0.3, 1e-10)
+        centralconfig._kkt_newton(_RowOps(kernel, 0.4), Q, -0.3, 1e-10)
 
 
 def _spy_kkt_newton(monkeypatch, undamped_error=None):
@@ -1213,7 +1240,7 @@ def test_a_newton_run_that_fails_at_its_start_is_not_retried_damped(monkeypatch)
 def test_a_jacobian_probe_failure_at_the_start_point_is_marked_so():
     space, m, Q = _near_antipodal_s3()
     with pytest.raises(NoConvergenceError, match="jacobian probe") as err:
-        centralconfig._kkt_newton(_ForceKernel(space, m), Q, 0.4, -0.3, 1e-10)
+        centralconfig._kkt_newton(_RowOps(_ForceKernel(space, m), 0.4), Q, -0.3, 1e-10)
     assert err.value.at_start is True
 
 

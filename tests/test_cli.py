@@ -93,6 +93,19 @@ def test_verify_reports_missing_fields(tmp_path, capsys):
     assert "points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-4, 1e-6])
+def test_verify_refuses_a_non_cc_at_any_mass_scale(tmp_path, capsys, scale):
+    # acceptance criterion 9's witness, the Lagrangian S2 triangle with body
+    # 0 moved by 0.05: its rows are 2.4 % of its largest pair force at every
+    # scale, while an absolute --tol would confirm it at masses x1e-4
+    base = FIXTURE_BUILDERS["lagrangian_s2"](1.0, 0.5).config
+    Q = base.points.copy()
+    Q[0, 0] += 0.05
+    witness = Configuration.from_raw(base.space, base.masses * scale, Q)
+    assert main(["verify", _write(tmp_path, "witness.json", witness.to_dict())]) == 2
+    assert json.loads(capsys.readouterr().out)["confirmed"] is False
+
+
 # ─── find ────────────────────────────────────────────────────────────────
 
 
@@ -156,6 +169,21 @@ def test_moulton_hyperbolic_catalog(tmp_path, capsys):
         assert item["confirmed"] is True
     # the sidecar catalog is itself verifiable input
     assert main(["verify", str(tmp_path / "h3.csv.json")]) == 0
+
+
+def test_moulton_confirms_heavy_geodesic_ccs(tmp_path, capsys):
+    # residual_max reads 1.2e-7 to 1.6e-7 here, above an absolute 1e-8, but
+    # about 4e-15 of the largest pair force: the catalog confirms every item
+    # and round-trips through verify
+    out = tmp_path / "heavy.csv"
+    assert main(["moulton", "1000,2000,3000", "--space", "H3", "--c", "400",
+                 "--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "heavy.csv.json").read_text())
+    assert sidecar["count"] == 3
+    assert all(item["confirmed"] is True for item in sidecar["items"])
+    assert max(item["residual_max"] for item in sidecar["items"]) > 1e-8
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "heavy.csv.json")]) == 0
 
 
 def test_moulton_two_body_circle(tmp_path, capsys):

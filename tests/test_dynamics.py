@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from curved_nbody.dynamics import (
+    Body,
     Configuration,
     PhaseState,
     Trajectory,
+    _ForceKernel,
     _check_points,
     _first_integrals,
     conserved,
@@ -123,6 +125,26 @@ def test_configuration_arrays_frozen():
     cfg = random_config(Space.S3, 3, np.random.default_rng(4))
     with pytest.raises(ValueError):
         cfg.points[0, 0] = 2.0
+
+
+def test_configuration_bodies_pair_each_mass_with_its_point():
+    cfg = random_config(Space.H3, 4, np.random.default_rng(2))
+    bodies = cfg.bodies()
+    assert len(bodies) == cfg.n
+    for body, m, q in zip(bodies, cfg.masses, cfg.points):
+        assert isinstance(body, Body) and type(body.mass) is float
+        assert body.mass == m and np.array_equal(body.point, q)
+
+
+@pytest.mark.parametrize("space", [Space.S3, Space.H3])
+@pytest.mark.parametrize("n", [3, 5])
+def test_eom_rhs_is_the_force_kernel_rhs_bit_for_bit(space, n):
+    rng = np.random.default_rng(n)
+    cfg = random_config(space, n, rng)
+    state = PhaseState(cfg, random_momenta(cfg, rng))
+    dq, dp = eom_rhs(state)
+    want_dq, want_dp = _ForceKernel(space, cfg.masses).rhs(cfg.points, state.momenta)
+    assert dq.tobytes() == want_dq.tobytes() and dp.tobytes() == want_dp.tobytes()
 
 
 def test_phasestate_requires_tangency():

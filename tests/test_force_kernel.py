@@ -18,6 +18,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 import curved_nbody
 from curved_nbody import dynamics
-from curved_nbody.centralconfig import make_report
+from curved_nbody.centralconfig import _RowOps, make_report
 from curved_nbody.dynamics import (
     _PAIR_LOOP_MAX_N,
     Configuration,
@@ -56,6 +57,7 @@ from curved_nbody.relequil import certify_rigidity, pick_member, re_family_from_
 
 from helpers import random_config, random_momenta
 from pair_loop import LoopKernel
+from row_descent import LoopDescent
 
 
 # ─── the kernel against the formula it replaced ─────────────────────────
@@ -232,7 +234,7 @@ def test_the_generated_step_is_the_pair_loop_bit_for_bit(seed, space, n, kind,
 
 
 # Rows at rest whose pairs clear the singular bounds, with rows that
-# _reproject_rows refuses once a step of 1e-9 has moved them by about
+# the reprojection refuses once a step of 1e-9 has moved them by about
 # 1e-18, each for one of its tests alone: on H3 the lower sheet (w <= 0
 # with <q, q> < 0; its pairs are the upper sheet's) and a light-like row
 # (w > 0 with <q, q> = 0) beside upper-sheet rows, on S3 the zero row.
@@ -257,6 +259,44 @@ def test_a_refused_row_raises_what_the_pair_loop_raises(case, n):
     assert got == _step_run(LoopKernel(space, m), q, p, 1e-9, 1)
     assert got[0] == [] and got[1][0] is DegenerateVectorError
     assert message in got[1][1]
+
+
+# An H3 row below w = 0 beside a row whose <q, q> is inf - inf, a finite
+# row whose squares overflow or an infinite row.  The floats meet those
+# silently; the generated reprojection hands the rows to _reproject, which
+# must raise the lower row's error without a numpy warning for the other.
+_BESIDE_AN_OVERFLOW = {
+    "lower, big": [(-3.0, 0.0, 0.0, -1.0), (1e200, 0.0, 0.0, 2e200)],
+    "big, lower": [(1e200, 0.0, 0.0, 2e200), (-3.0, 0.0, 0.0, -1.0)],
+    "lower, inf": [(-3.0, 0.0, 0.0, -1.0), (math.inf, 0.0, 0.0, math.inf)],
+}
+
+
+def _error_of(fn):
+    """The class and message of the package error fn raises, with numpy's
+    floating-point warnings raised as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            fn()
+        except (SingularPairError, OffShellError, DegenerateVectorError) as exc:
+            return type(exc), str(exc)
+    raise AssertionError("no error raised")
+
+
+@pytest.mark.parametrize("case", list(_BESIDE_AN_OVERFLOW))
+def test_a_refused_row_beside_an_overflowing_one_raises_its_own_error(case):
+    # through a descent trial (q - 1.0 * 0 is q) and through an RK4 step
+    # at rest, each against its row-loop reference.  The step's pair test
+    # refuses the infinite row first, as the pair loop's does
+    q, m = _BESIDE_AN_OVERFLOW[case], np.array([1.0, 2.0])
+    kernel, zeros = _ForceKernel(Space.H3, m), [[0.0] * 4] * 2
+    got = _error_of(lambda: _RowOps(kernel, 1.0).trial(q, 1.0, zeros))
+    assert got == _error_of(lambda: LoopDescent(kernel, 1.0).trial(q, 1.0, zeros))
+    assert got[0] is DegenerateVectorError
+    got = _error_of(lambda: _PairKernel(Space.H3, m).step(q, zeros, 1e-9, 0.5e-9, 1e-9 / 6.0))
+    assert ([], got) == _step_run(LoopKernel(Space.H3, m), q, zeros, 1e-9, 1)
+    assert got[0] is (DegenerateVectorError if "big" in case else SingularPairError)
 
 
 def test_one_key_compiles_one_step(monkeypatch):

@@ -48,6 +48,7 @@ def test_embedding_round_trip():
     g = GeodesicHConfig(thetas=[-0.4, 0.1, 0.9], masses=[1.0, 2.0, 3.0])
     cfg = g.to_configuration()
     assert cfg.space is Space.H3
+    assert g.n == cfg.n == 3
     assert np.allclose(cfg.points[:, 0], np.sinh(g.thetas))
     assert np.allclose(cfg.points[:, 3], np.cosh(g.thetas))
     assert np.allclose(cfg.points[:, 1:3], 0.0)
