@@ -48,6 +48,7 @@ from .dynamics import (
     _ForceKernel,
     _check_points,
     _compiled_once,
+    _fill_diagonal,
     _gram_checked,
     _gram_rows,
     _potential_gram,
@@ -56,7 +57,6 @@ from .dynamics import (
     _singular_bounds,
     _sn_powers,
     _tangent_source,
-    force_function,
     grad_U,
 )
 from .inertia import _grad_I_raw, _r2_rho2, grad_I, moment_of_inertia
@@ -86,6 +86,7 @@ class CCReport:
     U: float
     masses: np.ndarray
     points: np.ndarray
+    scale: float  # the _pair_scale both tests were judged against; not in JSON
 
     def to_json_dict(self) -> dict:
         return {
@@ -196,6 +197,26 @@ def _cc_residual(R):
     return R, float(np.max(np.linalg.norm(R, axis=1)))
 
 
+def _pair_scale(config: Configuration, s=None) -> float:
+    """The largest pair force m_i m_j / sn^2 d_ij, 1.0 for one body (no
+    pair), from the checked Gram matrix s when it is built already."""
+    if config.n == 1:
+        return 1.0
+    s = _gram_checked(config.space, config.points) if s is None else s
+    sn2 = config.space.sigma * (1.0 - s * s)
+    _fill_diagonal(sn2, 1.0)
+    w = np.outer(config.masses, config.masses) / sn2
+    _fill_diagonal(w, 0.0)
+    return float(w.max())
+
+
+def _is_cc(rmax: float, scale: float, tol: float) -> bool:
+    """The CC test of every check: rmax, the largest row norm of grad U -
+    lambda grad I (lambda = 0: special), below tol times _pair_scale, a force
+    of the configuration, not |grad U|, which a special CC drives to zero."""
+    return rmax < tol * scale
+
+
 def lambda_estimate(config: Configuration) -> float:
     """The multiplier consistent with the central-configuration equation.
 
@@ -207,7 +228,7 @@ def lambda_estimate(config: Configuration) -> float:
     space, m, Q = config.space, config.masses, config.points
     r2, rho2 = _r2_rho2(space, Q)
     den = 2.0 * float(np.sum(m * r2 * rho2))
-    if abs(den) <= 1e-12 * max(1.0, float(np.sum(m))):
+    if abs(den) <= 1e-12 * float(np.sum(m)):
         raise DegenerateDenominatorError(
             "all bodies on the axes: multiplier undetermined"
         )
@@ -220,14 +241,17 @@ def lambda_estimate(config: Configuration) -> float:
     return 0.5 * float(np.sum(W * A)) / den
 
 
+def _lambda_or(config, fallback):
+    """lambda_estimate, or fallback where the multiplier is undetermined."""
+    try:
+        return lambda_estimate(config)
+    except DegenerateDenominatorError:
+        return fallback
+
+
 def is_special_cc(config: Configuration, tol: float = 1e-10) -> bool:
-    """True when the force-function gradient vanishes for every body."""
-    return _is_special(grad_U(config), tol)
-
-
-def _is_special(GU, tol) -> bool:
-    """is_special_cc with grad U already built."""
-    return float(np.max(np.linalg.norm(GU, axis=1))) < tol
+    """True when grad U passes the scale-free CC test (_is_cc) at tol."""
+    return _is_cc(_cc_residual(grad_U(config))[1], _pair_scale(config), tol)
 
 
 def criterion_residual(config: Configuration, lam: float) -> np.ndarray:
@@ -304,32 +328,29 @@ def make_report(
     """Assemble the standard report; lambda defaults to lambda_estimate
     (zero when the multiplier is undetermined because all bodies sit on
     the axes).  A lambda given that is not finite raises OutOfRangeError.
-    grad U is built once, for the special test and the residual."""
+    is_special is is_special_cc at special_tol; grad U is built once."""
     GU = grad_U(config)
-    special = _is_special(GU, special_tol)
-    lam = None if lam is None else check_scalar("lambda", lam, positive=False)
-    if lam is None:
-        try:
-            lam = lambda_estimate(config)
-        except DegenerateDenominatorError:
-            lam = 0.0
-    return _report(config, lam, special, GU - lam * grad_I(config))
+    lam = (_lambda_or(config, 0.0) if lam is None
+           else check_scalar("lambda", lam, positive=False))
+    return _report(config, lam, GU, GU - lam * grad_I(config), special_tol)
 
 
-def _report(config, lam, special, R):
-    """make_report's record at the multiplier lam, with the special test's
-    outcome and the rows R = grad U - lam grad I already built."""
+def _report(config, lam, GU, R, special_tol):
+    """make_report's record from grad U and R = grad U - lam grad I, built."""
+    s = _gram_checked(config.space, config.points)
+    scale = _pair_scale(config, s)
     _, rmax = _cc_residual(R)
     return CCReport(
         lam=float(lam),
         residual_max=rmax,
-        is_special=special,
+        is_special=_is_cc(_cc_residual(GU)[1], scale, special_tol),
         cc_class=classify(config),
         orth=orthogonality_relations(config),
         I=moment_of_inertia(config),
-        U=force_function(config),
+        U=_potential_gram(config.space, config.masses, s),
         masses=config.masses,
         points=config.points,
+        scale=scale,
     )
 
 
@@ -1094,19 +1115,8 @@ def _kkt_newton(ops, Q, lam, tol, max_iter=60, damped=False):
     return ops.array(x), lam
 
 
-# find_cc's self-certificate: its criterion rows, at most this fraction of
-# the largest pair force m_i m_j / sn^2 d_ij.  Relative to a force of the
-# configuration, not to |grad U|, which a special CC drives to zero.
+# find_cc's self-certificate: the CC test (_is_cc) at this tol
 _CERTIFICATE_TOL = 1e-8
-
-
-def _largest_pair_force(config):
-    """max over pairs of m_i m_j / sn^2 d_ij, 0.0 for one body."""
-    s = _gram_checked(config.space, config.points)
-    i, j = np.triu_indices(config.n, 1)
-    m = config.masses
-    sn2 = config.space.sigma * (1.0 - s[i, j] * s[i, j])
-    return float(np.max(m[i] * m[j] / sn2, initial=0.0))
 
 
 def _raise_refinement_error(exc, mode, space, Q):
@@ -1160,13 +1170,12 @@ def find_cc(
     damped run of 200 steps.
 
     Returns (configuration, report) once the criterion rows pass the
-    level's tol and a self-certificate: none above _CERTIFICATE_TOL times
-    the largest pair force m_i m_j / sn^2 d_ij.  Raises NoConvergence when
-    iterations run out, the certificate fails, a tangent frame loses rank,
-    or the default seed holds a singular pair (far out on H3, where
-    rounding leaves the seed's Gram entries meaningless, or with masses so
-    large that its bodies coincide), and SingularApproach when the iterate
-    degenerates into the singular set (_raise_refinement_error).
+    level's tol and the scale-free CC test (_is_cc) at _CERTIFICATE_TOL.
+    Raises NoConvergence when iterations run out, the certificate fails, a
+    tangent frame loses rank, or the default seed holds a singular pair (far
+    out on H3, where rounding leaves the seed's Gram entries meaningless, or
+    with masses so large that its bodies coincide), and SingularApproach
+    when the iterate degenerates into the singular set (_raise_refinement_error).
     """
     m = np.asarray(masses, dtype=float)
     level.validate(space, m)
@@ -1185,10 +1194,7 @@ def find_cc(
     Q, s = ops.restore(seed.points.tolist() if rows else seed.points)
     if mode == "descent":
         Q, lam = _descend(ops, Q, s, max_iter)
-        try:
-            lam = lambda_estimate(Configuration(space, m, Q))
-        except DegenerateDenominatorError:
-            pass
+        lam = _lambda_or(Configuration(space, m, Q), lam)
         runs = ({}, {"damped": True})
     elif mode == "saddle":
         Q, lam = np.asarray(Q, dtype=float), ops.direction(Q, s)[1]
@@ -1212,19 +1218,16 @@ def find_cc(
         _raise_refinement_error(error, mode, space, Q)
 
     config = Configuration(space, m, Q)
-    try:
-        lam_final = lambda_estimate(config)
-    except DegenerateDenominatorError:
-        lam_final = lam
+    lam_final = _lambda_or(config, lam)
     GU = grad_U(config)
     R = GU - lam_final * grad_I(config)
     worst = float(np.max(np.abs(_criterion_rows(space, config.points, R))))
     if worst >= level.tol:
         raise NoConvergenceError(f"criterion residual {worst:.3e} above tolerance")
+    report = _report(config, lam_final, GU, R, 1e-10)
     # a non-finite lambda leaves a NaN or infinite row, which fails here too
-    force = _largest_pair_force(config)
-    if not worst <= _CERTIFICATE_TOL * force:
+    if not _is_cc(report.residual_max, report.scale, _CERTIFICATE_TOL):
         raise NoConvergenceError(
-            f"criterion residual {worst:.3e} above {_CERTIFICATE_TOL:g} of the "
-            f"largest pair force {force:.3e}")
-    return config, _report(config, lam_final, _is_special(GU, 1e-10), R)
+            f"residual {report.residual_max:.3e} above {_CERTIFICATE_TOL:g} of the "
+            f"largest pair force {report.scale:.3e}")
+    return config, report

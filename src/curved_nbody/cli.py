@@ -24,7 +24,7 @@ import numpy as np
 
 from .centralconfig import (
     LevelSetSpec,
-    _largest_pair_force,
+    _is_cc,
     canonicalize,
     equivalent,
     find_cc,
@@ -91,10 +91,7 @@ def _report_item(config: Configuration, lam=None, tol: float = 1e-8) -> dict:
     report = make_report(config, lam=lam)
     item = report.to_json_dict()
     item["space"] = config.space.value
-    # relative to the largest pair force m_i m_j / sn^2 d_ij, as find_cc's
-    # certificate, so that rescaled masses confirm alike; one body has no pair
-    scale = _largest_pair_force(config) if config.n > 1 else 1.0
-    item["confirmed"] = bool(report.residual_max < tol * scale)
+    item["confirmed"] = _is_cc(report.residual_max, report.scale, tol)
     return item
 
 

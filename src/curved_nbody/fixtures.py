@@ -3,7 +3,8 @@
 Each constructor builds a configuration whose status is known in closed
 form — either special (the force gradient vanishes identically) or ordinary
 with an explicit lambda.  Every build re-checks its own expectation before
-returning, so a fixture in hand is always a verified ground-truth object.
+returning, with the scale-free CC test (centralconfig._is_cc; lambda = 0 if
+special), so a fixture in hand is always a verified ground-truth object.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .centralconfig import cc_residual, is_special_cc
-from .dynamics import Configuration, grad_U
+from .centralconfig import _is_cc, _pair_scale, cc_residual
+from .dynamics import Configuration
 from .errors import NotACentralConfigError, ParamOutOfDomainError
 from .manifold import Space
 
@@ -53,17 +54,11 @@ class Fixture:
 
 def _checked(fix: Fixture) -> Fixture:
     """Re-verify the stated expectation; a failing fixture is a hard error."""
-    if fix.is_special:
-        worst = float(np.max(np.linalg.norm(grad_U(fix.config), axis=1)))
-        if worst >= _BUILD_TOL:
-            raise NotACentralConfigError(
-                f"fixture {fix.name}: force gradient {worst:.3e} is not zero")
-    else:
-        _, worst = cc_residual(fix.config, fix.expected_lambda)
-        if worst >= _BUILD_TOL:
-            raise NotACentralConfigError(
-                f"fixture {fix.name}: residual {worst:.3e} at "
-                f"lambda={fix.expected_lambda}")
+    lam = 0.0 if fix.is_special else fix.expected_lambda
+    _, worst = cc_residual(fix.config, lam)
+    if not _is_cc(worst, _pair_scale(fix.config), _BUILD_TOL):
+        raise NotACentralConfigError(
+            f"fixture {fix.name}: residual {worst:.3e} at lambda={lam}")
     return fix
 
 

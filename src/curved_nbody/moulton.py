@@ -403,7 +403,7 @@ def enumerate_geodesic_h(masses, c: float):
 # two bodies on the circle S1_xz
 # ---------------------------------------------------------------------------
 
-_EQ19_TOL = 1e-12
+_EQ19_TOL = 1e-12  # of M = m1 + m2 for the balance, of c for the inertia
 
 
 @dataclass(frozen=True)
@@ -474,7 +474,8 @@ def solve_two_body_s(m1: float, m2: float, c: float) -> TwoBodySResult:
     sin^2 theta1 = c (m2 - c) / (m1 (M - 2c)) and
     sin^2 theta2 = c (m1 - c) / (m2 (M - 2c)) with M = m1 + m2; a candidate
     survives only if both squares land strictly inside (0, 1) and the balance
-    relation m1 sin 2theta1 + m2 sin 2theta2 = 0 holds numerically.  The count
+    relation m1 sin 2theta1 + m2 sin 2theta2 = 0 and I = c hold to 1e-12 of M
+    and of c, so that (a m1, a m2, a c) counts as (m1, m2, c).  The count
     is 2 for c in (0, min m) or (max m, M), 0 between, with an equal-mass
     degenerate continuum at c = m reported as ``family``.
     """
@@ -504,7 +505,7 @@ def solve_two_body_s(m1: float, m2: float, c: float) -> TwoBodySResult:
     result = TwoBodySResult()
     for theta2 in (math.pi - a2, 2.0 * math.pi - a2):
         cand = TwoBodySConfig(theta1, theta2, m1, m2, c)
-        if abs(cand.balance_residual()) < _EQ19_TOL and \
-                abs(cand.inertia() - c) < _EQ19_TOL * max(1.0, c):
+        if abs(cand.balance_residual()) < _EQ19_TOL * total and \
+                abs(cand.inertia() - c) < _EQ19_TOL * c:
             result.solutions.append(cand)
     return result

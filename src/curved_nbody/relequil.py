@@ -37,7 +37,7 @@ from .dynamics import (
     step_count,
 )
 from .inertia import grad_I, _r2_rho2
-from .centralconfig import CCReport, cc_residual
+from .centralconfig import CCReport, _cc_residual, _is_cc, _pair_scale, cc_residual
 
 
 class REConstraint(enum.Enum):
@@ -96,23 +96,26 @@ def re_family_from_cc(
 ) -> REFamily:
     """Derive the admissible rate constraint from a verified CC.
 
-    Raises NotACentralConfig when the residual at report.lam exceeds tol,
-    or when a claimed hyperbolic CC has lambda >= 0 or claims to be special
-    (neither can happen for true hyperbolic CCs).
+    Raises NotACentralConfig when the residual at report.lam fails the
+    scale-free CC test (centralconfig._is_cc) at tol, or when a claimed
+    hyperbolic CC has lambda >= 0 or claims to be special (neither can
+    happen for true hyperbolic CCs).  FREE: grad I / 2 m_i below tol too.
     """
     check_scalar("tolerance tol", tol)
     _, rmax = cc_residual(config, report.lam)
-    if not rmax < tol:
+    if not _is_cc(rmax, scale := _pair_scale(config), tol):
         raise NotACentralConfigError(
-            f"residual {rmax:.3e} at lambda = {report.lam} exceeds {tol}"
+            f"residual {rmax:.3e} at lambda = {report.lam} exceeds {tol} of the "
+            f"largest pair force {scale:.3e}"
         )
     if config.space is Space.H3 and (report.is_special or report.lam >= 0.0):
         raise NotACentralConfigError(
             "hyperbolic central configurations always have lambda < 0"
         )
     if report.is_special:
-        gi = float(np.max(np.linalg.norm(grad_I(config), axis=1)))
-        constraint = REConstraint.FREE if gi < tol else REConstraint.EQUAL_MAGNITUDE
+        _, gi = _cc_residual(grad_I(config) / (2.0 * config.masses[:, None]))
+        free = _is_cc(gi, 1.0, tol)
+        constraint = REConstraint.FREE if free else REConstraint.EQUAL_MAGNITUDE
         lam = 0.0
     elif config.space is Space.S3:
         constraint, lam = REConstraint.FIXED_DIFFERENCE, report.lam
@@ -150,7 +153,8 @@ def pick_member(family: REFamily, beta, alpha=None) -> REInstance:
     an int or Fraction (the stored lambda is interpreted exactly as stored),
     boosts are never periodic, single rotations and fixed points always
     are; otherwise the flag is None.  Raises InadmissibleBetaError when
-    the constraint excludes beta or a rate is not finite.
+    the constraint excludes beta by more than 4 ulps of 2|lambda| (the
+    rounding of beta^2 is under 2) or a rate is not finite.
     """
     exact_beta = isinstance(beta, (int, Fraction)) and not isinstance(beta, bool)
     b = float(beta)
@@ -158,7 +162,7 @@ def pick_member(family: REFamily, beta, alpha=None) -> REInstance:
     periodic: bool | None = None
     if family.constraint is REConstraint.FIXED_DIFFERENCE:
         a_sq = b * b - 2.0 * lam
-        if a_sq < -1e-15:
+        if b * b < 2.0 * lam * (1.0 - 2.0**-50):
             raise InadmissibleBetaError(
                 f"beta^2 = {b * b} is below 2*lambda = {2 * lam}"
             )
@@ -168,7 +172,7 @@ def pick_member(family: REFamily, beta, alpha=None) -> REInstance:
             periodic = r is not None if (a and b) else True
     elif family.constraint is REConstraint.FIXED_SUM:
         a_sq = -2.0 * lam - b * b
-        if a_sq < -1e-15:
+        if b * b > -2.0 * lam * (1.0 + 2.0**-50):
             raise InadmissibleBetaError(
                 f"beta^2 = {b * b} exceeds -2*lambda = {-2 * lam}"
             )

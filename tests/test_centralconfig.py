@@ -409,14 +409,17 @@ def test_find_cc_is_deterministic_for_a_fixed_generator_seed():
     assert np.array_equal(a.points, b.points)
 
 
-def test_find_cc_reports_a_near_antipodal_handoff_as_singular():
+def test_find_cc_reports_a_near_antipodal_handoff_as_singular(monkeypatch):
     # the descent drives one pair within 1e-9 of antipodal on this S3 level,
-    # and both Newton attempts then fail
+    # and the undamped Newton run fails at its starting point, so no damped
+    # run follows
+    calls = _spy_kkt_newton(monkeypatch)
     masses = [0.6723989499213578, 1.593522675614464, 1.8911358929368398]
     with pytest.raises(SingularApproachError) as info:
         find_cc(masses, Space.S3, LevelSetSpec(2.4409014417556723),
                 rng=np.random.default_rng(0))
     assert isinstance(info.value.__cause__, NoConvergenceError)
+    assert calls == [{}]
 
 
 @pytest.mark.parametrize("space", [Space.S3, Space.H3])

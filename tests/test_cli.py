@@ -184,6 +184,11 @@ def test_moulton_confirms_heavy_geodesic_ccs(tmp_path, capsys):
     assert max(item["residual_max"] for item in sidecar["items"]) > 1e-8
     capsys.readouterr()
     assert main(["verify", str(tmp_path / "heavy.csv.json")]) == 0
+    # simulate's re_family_from_cc makes the same relative test
+    item = sidecar["items"][0]
+    path = _write(tmp_path, "item0.json", {k: item[k] for k in
+                                           ("space", "masses", "points", "lambda")})
+    assert main(["simulate", path, "--beta", "0", "--horizon", "0.01"]) == 0
 
 
 def test_moulton_two_body_circle(tmp_path, capsys):
