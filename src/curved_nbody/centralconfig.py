@@ -391,10 +391,11 @@ def canonicalize(config: Configuration, eps: float = 1e-9):
 
 
 def equivalent(a: Configuration, b: Configuration, tol: float = 1e-8) -> bool:
-    """Same labeled configuration up to the block isometry group."""
+    """Same labeled configuration up to the block isometry group: masses
+    equal to a relative tol, canonical points to an absolute one."""
     if a.space is not b.space or a.n != b.n:
         return False
-    if not np.allclose(a.masses, b.masses, rtol=0.0, atol=tol):
+    if not np.allclose(a.masses, b.masses, rtol=tol, atol=0.0):
         return False
     ca, _ = canonicalize(a)
     cb, _ = canonicalize(b)

@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import NamedTuple
 
@@ -156,15 +156,7 @@ class ConservedSet:
     omega_zw: float
 
     def as_dict(self) -> dict:
-        return {
-            "energy": self.energy,
-            "omega_xy": self.omega_xy,
-            "omega_xz": self.omega_xz,
-            "omega_xw": self.omega_xw,
-            "omega_yz": self.omega_yz,
-            "omega_yw": self.omega_yw,
-            "omega_zw": self.omega_zw,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def max_abs_diff(self, other: "ConservedSet") -> float:
         a, b = self.as_dict(), other.as_dict()
@@ -268,6 +260,14 @@ def _sn_powers(space: Space, s: np.ndarray):
     _fill_diagonal(sn2, 1.0)
     sn = np.sqrt(np.maximum(sn2, 0.0))
     return sn, sn * sn * sn
+
+
+def _arccsn(space: Space, s):
+    """The distances d with csn d = s, s clipped into arccos's or arccosh's
+    domain, elementwise."""
+    if space is Space.S3:
+        return np.arccos(np.clip(s, -1.0, 1.0))
+    return np.arccosh(np.maximum(s, 1.0))
 
 
 def _potential_raw(space: Space, m: np.ndarray, Q: np.ndarray):
@@ -599,11 +599,6 @@ def _pair_step_source(space: Space, n: int, layout: tuple) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _grad_U_raw(space: Space, m: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """grad U of an (N, 4) array or of each configuration of a stack."""
-    return _ForceKernel(space, m).grad(Q)
-
-
 # ─── public operations ───────────────────────────────────────────────────
 
 
@@ -627,7 +622,7 @@ def pair_force(i: int, j: int, config: Configuration) -> np.ndarray:
 
 def grad_U(config: Configuration) -> np.ndarray:
     """Manifold gradient of U, one tangent row per body: the net forces."""
-    return _grad_U_raw(config.space, config.masses, config.points)
+    return _ForceKernel(config.space, config.masses).grad(config.points)
 
 
 def eom_rhs(state: PhaseState):
@@ -679,11 +674,7 @@ def conserved(state: PhaseState) -> ConservedSet:
 
 def pairwise_distances(config: Configuration) -> np.ndarray:
     """Symmetric (N, N) matrix of geodesic separations, zero diagonal."""
-    s = _gram_checked(config.space, config.points)
-    if config.space is Space.S3:
-        d = np.arccos(np.clip(s, -1.0, 1.0))
-    else:
-        d = np.arccosh(np.maximum(s, 1.0))
+    d = _arccsn(config.space, _gram_checked(config.space, config.points))
     np.fill_diagonal(d, 0.0)
     return d
 

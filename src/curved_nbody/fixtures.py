@@ -62,6 +62,12 @@ def _checked(fix: Fixture) -> Fixture:
     return fix
 
 
+def _positive(v: float, message: str) -> None:
+    """Refuse a parameter that is not finite and positive."""
+    if not (v > 0.0 and np.isfinite(v)):
+        raise ParamOutOfDomainError(message)
+
+
 # ---------------------------------------------------------------------------
 # special configurations on the sphere
 # ---------------------------------------------------------------------------
@@ -94,8 +100,7 @@ def acute_triangle_s1(alpha: float, beta: float) -> Fixture:
 
 def tetrahedron_s2(m: float = 1.0) -> Fixture:
     """Regular tetrahedron of equal masses inscribed in the xyz 2-sphere."""
-    if not (m > 0.0 and np.isfinite(m)):
-        raise ParamOutOfDomainError("mass must be positive")
+    _positive(m, "mass must be positive")
     s2, s6 = math.sqrt(2.0), math.sqrt(6.0)
     points = np.array([
         [0.0, 0.0, 1.0, 0.0],
@@ -111,8 +116,7 @@ def tetrahedron_s2(m: float = 1.0) -> Fixture:
 
 def pentatope_s3(m: float = 1.0) -> Fixture:
     """Regular 4-simplex of equal masses inscribed in the full 3-sphere."""
-    if not (m > 0.0 and np.isfinite(m)):
-        raise ParamOutOfDomainError("mass must be positive")
+    _positive(m, "mass must be positive")
     s3, s5, s6 = math.sqrt(3.0), math.sqrt(5.0), math.sqrt(6.0)
     points = np.array([
         [1.0, 0.0, 0.0, 0.0],
@@ -129,8 +133,7 @@ def pentatope_s3(m: float = 1.0) -> Fixture:
 
 def double_triangle_s3(m: float = 1.0) -> Fixture:
     """Two equilateral triangles on the complementary xy and zw great circles."""
-    if not (m > 0.0 and np.isfinite(m)):
-        raise ParamOutOfDomainError("mass must be positive")
+    _positive(m, "mass must be positive")
     h = math.sqrt(3.0) / 2.0
     points = np.array([
         [0.0, 1.0, 0.0, 0.0],
@@ -152,8 +155,7 @@ def double_triangle_s3(m: float = 1.0) -> Fixture:
 
 def lagrangian_s2(m: float, r: float) -> Fixture:
     """Equilateral triangle of equal masses on a circle of radius r, z > 0."""
-    if not (m > 0.0 and np.isfinite(m)):
-        raise ParamOutOfDomainError("mass must be positive")
+    _positive(m, "mass must be positive")
     if not 0.0 < r < 1.0:
         raise ParamOutOfDomainError("need 0 < r < 1")
     z = math.sqrt(1.0 - r * r)
@@ -175,8 +177,7 @@ def geodesic_s1_isosceles(m: float, z: float) -> Fixture:
 
     lambda = -(m / 2r^3)(1/z + 1/(4|z|^3)) changes sign across z = -1/2.
     """
-    if not (m > 0.0 and np.isfinite(m)):
-        raise ParamOutOfDomainError("mass must be positive")
+    _positive(m, "mass must be positive")
     if not (-1.0 < z < 1.0) or z == 0.0:
         raise ParamOutOfDomainError("need z in (-1, 0) or (0, 1)")
     r = math.sqrt(1.0 - z * z)
@@ -202,8 +203,7 @@ def geodesic_s1_equilateral(m1: float, m2: float, m3: float,
     build-time check rejects inconsistent parameter combinations.
     """
     for m in (m1, m2, m3):
-        if not (m > 0.0 and np.isfinite(m)):
-            raise ParamOutOfDomainError("masses must be positive")
+        _positive(m, "masses must be positive")
     a = -4.0 * (m3 - m2) / 3.0
     b = 4.0 * math.sqrt(3.0) * (2.0 * m1 - m2 - m3) / 9.0
     s, c = math.sin(2.0 * theta), math.cos(2.0 * theta)
@@ -253,10 +253,8 @@ def isosceles_s2(phi: float) -> Fixture:
 
 def lagrangian_h2(m: float, r: float) -> Fixture:
     """Equilateral triangle of equal masses on a hyperbolic circle of radius r."""
-    if not (m > 0.0 and np.isfinite(m)):
-        raise ParamOutOfDomainError("mass must be positive")
-    if not (r > 0.0 and np.isfinite(r)):
-        raise ParamOutOfDomainError("need r > 0")
+    _positive(m, "mass must be positive")
+    _positive(r, "need r > 0")
     w = math.sqrt(1.0 + r * r)
     h = math.sqrt(3.0) / 2.0
     points = np.array([
@@ -273,10 +271,8 @@ def lagrangian_h2(m: float, r: float) -> Fixture:
 
 def geodesic_h1(m: float, r: float) -> Fixture:
     """Symmetric triple on the xw hyperbolic geodesic: vertex plus two wings."""
-    if not (m > 0.0 and np.isfinite(m)):
-        raise ParamOutOfDomainError("mass must be positive")
-    if not (r > 0.0 and np.isfinite(r)):
-        raise ParamOutOfDomainError("need r > 0")
+    _positive(m, "mass must be positive")
+    _positive(r, "need r > 0")
     w = math.sqrt(1.0 + r * r)
     points = np.array([
         [0.0, 0.0, 0.0, 1.0],
@@ -326,20 +322,11 @@ def example2_h3() -> Fixture:
 # registry
 # ---------------------------------------------------------------------------
 
-FIXTURE_BUILDERS = {
-    "acute_triangle_s1": acute_triangle_s1,
-    "tetrahedron_s2": tetrahedron_s2,
-    "pentatope_s3": pentatope_s3,
-    "double_triangle_s3": double_triangle_s3,
-    "lagrangian_s2": lagrangian_s2,
-    "geodesic_s1_isosceles": geodesic_s1_isosceles,
-    "geodesic_s1_equilateral": geodesic_s1_equilateral,
-    "isosceles_s2": isosceles_s2,
-    "lagrangian_h2": lagrangian_h2,
-    "geodesic_h1": geodesic_h1,
-    "example1_s3": example1_s3,
-    "example2_h3": example2_h3,
-}
+FIXTURE_BUILDERS = {f.__name__: f for f in (
+    acute_triangle_s1, tetrahedron_s2, pentatope_s3, double_triangle_s3,
+    lagrangian_s2, geodesic_s1_isosceles, geodesic_s1_equilateral,
+    isosceles_s2, lagrangian_h2, geodesic_h1, example1_s3, example2_h3,
+)}
 
 
 def default_fixtures():

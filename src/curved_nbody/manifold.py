@@ -9,8 +9,8 @@ Minkowski R^{3,1}.  Both are handled through the curvature sign ``sigma``
     on-manifold : <q, q> = sigma
     distance    : d = arccos(sigma <p, q>)  or  arccosh(sigma <p, q>)
 
-sn/csn/ctn below are the sigma-trig functions (sin/cos/cot on S3,
-sinh/cosh/coth on H3), so most formulas can be written once.
+Formulas elsewhere write the sigma-trig functions sn/csn/ctn (sin/cos/cot
+on S3, sinh/cosh/coth on H3) so that one expression serves both spaces.
 """
 
 from __future__ import annotations
@@ -53,24 +53,6 @@ class Space(enum.Enum):
         met = np.array([1.0, 1.0, 1.0, float(self.sigma)])
         met.setflags(write=False)
         self.metric_diagonal = met
-
-
-# ─── sigma-trig helpers ──────────────────────────────────────────────────
-
-
-def sn(d, space: Space):
-    """sin on S3, sinh on H3."""
-    return np.sin(d) if space is Space.S3 else np.sinh(d)
-
-
-def csn(d, space: Space):
-    """cos on S3, cosh on H3."""
-    return np.cos(d) if space is Space.S3 else np.cosh(d)
-
-
-def ctn(d, space: Space):
-    """cot on S3, coth on H3."""
-    return csn(d, space) / sn(d, space)
 
 
 def inner(p, q, space: Space):

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .manifold import GeneratorKind, IsometryGenerator, Space, isometry_matrix
 from .dynamics import (
+    _arccsn,
     _encounter,
     _first_integrals,
     _rk4,
@@ -148,59 +149,62 @@ def pick_member(family: REFamily, beta, alpha=None) -> REInstance:
 
     alpha is derived from the constraint (nonnegative by convention); the
     extra alpha argument applies only to unconstrained families.  The
-    periodic flag is decided exactly when the inputs allow it: rationality
-    of alpha/beta is checked with exact arithmetic when beta is supplied as
-    an int or Fraction (the stored lambda is interpreted exactly as stored),
-    boosts are never periodic, single rotations and fixed points always
-    are; otherwise the flag is None.  Raises InadmissibleBetaError when
-    the constraint excludes beta by more than 4 ulps of 2|lambda| (the
-    rounding of beta^2 is under 2) or a rate is not finite.
+    periodic flag is decided once alpha is known: on H3 it is beta == 0,
+    since any boost component is unbounded; on S3 single rotations, fixed
+    points and equal-magnitude members always close up; otherwise alpha/beta
+    must be rational, which is decided with exact arithmetic when the rates
+    are given exactly (int or Fraction beta, the stored lambda interpreted
+    exactly as stored, or both rates of a free family); else the flag is
+    None.  Raises InadmissibleBetaError when the constraint excludes beta
+    by more than 4 ulps of 2|lambda| (the rounding of beta^2 is under 2) or
+    a rate is not finite.
     """
-    exact_beta = isinstance(beta, (int, Fraction)) and not isinstance(beta, bool)
     b = float(beta)
     lam = family.lam
-    periodic: bool | None = None
-    if family.constraint is REConstraint.FIXED_DIFFERENCE:
+    constraint = family.constraint
+    if constraint is REConstraint.FIXED_DIFFERENCE:
         a_sq = b * b - 2.0 * lam
         if b * b < 2.0 * lam * (1.0 - 2.0**-50):
             raise InadmissibleBetaError(
                 f"beta^2 = {b * b} is below 2*lambda = {2 * lam}"
             )
         a = math.sqrt(max(0.0, a_sq))
-        if exact_beta:
-            r = _rational_sqrt(Fraction(beta) ** 2 - 2 * Fraction(lam))
-            periodic = r is not None if (a and b) else True
-    elif family.constraint is REConstraint.FIXED_SUM:
+    elif constraint is REConstraint.FIXED_SUM:
         a_sq = -2.0 * lam - b * b
         if b * b > -2.0 * lam * (1.0 + 2.0**-50):
             raise InadmissibleBetaError(
                 f"beta^2 = {b * b} exceeds -2*lambda = {-2 * lam}"
             )
         a = math.sqrt(max(0.0, a_sq))
-    elif family.constraint is REConstraint.EQUAL_MAGNITUDE:
+    elif constraint is REConstraint.EQUAL_MAGNITUDE:
         a = abs(b)
-        periodic = True if b else None
     else:  # FREE
         a = abs(float(alpha)) if alpha is not None else 0.0
-        exact_alpha = isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool)
-        if (exact_beta or beta == 0) and (exact_alpha or not a):
-            periodic = True  # rational ratio (or a pure/zero rotation)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise InadmissibleBetaError(f"rates must be finite; got ({a}, {b})")
-    if family.space is Space.S3:
-        gen = IsometryGenerator(GeneratorKind.DOUBLE_ROTATION, a, b)
-        if a == 0.0 or b == 0.0:
-            periodic = True
+    if family.space is Space.H3:
+        periodic = b == 0.0
+    elif a == 0.0 or b == 0.0 or constraint is REConstraint.EQUAL_MAGNITUDE:
+        periodic = True
+    elif constraint is REConstraint.FIXED_DIFFERENCE and _exact(beta):
+        periodic = _rational_sqrt(Fraction(beta) ** 2 - 2 * Fraction(lam)) is not None
+    elif constraint is REConstraint.FREE and _exact(beta) and _exact(alpha):
+        periodic = True
     else:
-        gen = IsometryGenerator(GeneratorKind.ROTATION_BOOST, a, b)
-        periodic = b == 0.0  # any boost component is unbounded
+        periodic = None
+    kind = (GeneratorKind.DOUBLE_ROTATION if family.space is Space.S3
+            else GeneratorKind.ROTATION_BOOST)
     return REInstance(
         config=family.config,
-        generator=gen,
+        generator=IsometryGenerator(kind, a, b),
         classification=_classify_rates(family.space, a, b),
         lam=lam,
         periodic=periodic,
     )
+
+
+def _exact(rate) -> bool:
+    return isinstance(rate, (int, Fraction)) and not isinstance(rate, bool)
 
 
 def re_criterion_residual(
@@ -284,9 +288,7 @@ def _comoving_run(instance: REInstance, horizon: float, dt: float, record: bool)
 
     def distances(Ys):
         s = space.sigma * ((Ys * met) @ Ys.swapaxes(-1, -2))[..., iu[0], iu[1]]
-        if space is Space.S3:
-            return np.arccos(np.clip(s, -1.0, 1.0))
-        return np.arccosh(np.maximum(s, 1.0))
+        return _arccsn(space, s)
 
     def integrals(ks, Ys, Zs):
         # the ambient states (Y R^T, Z R^T) in extended precision: boost

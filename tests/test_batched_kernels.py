@@ -16,7 +16,6 @@ from curved_nbody.dynamics import (
     _ForceKernel,
     _check_points,
     _gram_checked,
-    _grad_U_raw,
     _sn_powers,
 )
 from curved_nbody.errors import SingularPairError
@@ -54,7 +53,8 @@ def test_stacked_kernels_match_their_slices_bitwise(args):
     assert _same_bits(_check_points(space, Q), [_check_points(space, q) for q in Q])
     for got, want in zip(_sn_powers(space, s), zip(*[_sn_powers(space, x) for x in s])):
         assert _same_bits(got, want)
-    assert _same_bits(_grad_U_raw(space, m, Q), [_grad_U_raw(space, m, q) for q in Q])
+    grad = _ForceKernel(space, m).grad
+    assert _same_bits(grad(Q), [grad(q) for q in Q])
     assert _same_bits(_grad_I_raw(space, m, Q), [_grad_I_raw(space, m, q) for q in Q])
     for got, want in zip(_r2_rho2(space, Q), zip(*[_r2_rho2(space, q) for q in Q])):
         assert _same_bits(got, want)

@@ -1255,6 +1255,41 @@ def test_a_newton_run_that_fails_after_a_step_is_retried_damped(monkeypatch):
     assert np.max(np.abs(criterion_residual(cfg, lambda_estimate(cfg)))) < 1e-8
 
 
+def test_a_singular_pair_in_a_newton_run_is_a_singular_approach(monkeypatch):
+    # the pair error ends the run sequence, and find_cc reports it with its
+    # message and as its cause
+    pair = SingularPairError(0, 1, 1.0, "coinciding points in a chart step")
+    calls = _spy_kkt_newton(monkeypatch, pair)
+    with pytest.raises(SingularApproachError) as info:
+        find_cc([1.0, 1.0, 1.0], Space.S3, LevelSetSpec(1.2),
+                rng=np.random.default_rng(0))
+    assert calls == [{}]
+    assert str(info.value) == str(pair)
+    assert info.value.__cause__ is pair
+
+
+def test_newton_takes_a_least_squares_step_on_a_singular_jacobian(monkeypatch):
+    # G = (x0 + x1 - 2)(1, 1) has the exactly singular Jacobian ((1, 1),
+    # (1, 1)), which solve refuses; lstsq's minimum-norm steps from (0, 0)
+    # (two, as the first falls short by rounding) reach (1, 1) to an ulp,
+    # where G rounds to zero
+    lstsq = np.linalg.lstsq
+    calls = []
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **kw: calls.append(a) or lstsq(*a, **kw))
+
+    def rows(x):
+        return np.full(2, x[0] + x[1] - 2.0)
+
+    def chart(x, lam):
+        return rows(x), lambda: np.ones((2, 2)), lambda d: (rows(x + d), x + d, lam)
+
+    x, lam, G, why = centralconfig._newton(
+        chart, np.zeros(2), 0.0, lambda x, lam, G: not G.any(), 5)
+    assert why is None and len(calls) == 2
+    assert x == pytest.approx([1.0, 1.0], rel=0.0, abs=1e-15) and not G.any()
+
+
 def _h3_pair_one_chart_step_apart():
     a = 1e-3
     Q = np.array([[0.0, 0.0, 0.0, 1.0], [np.sinh(a), 0.0, 0.0, np.cosh(a)],

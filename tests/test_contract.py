@@ -29,6 +29,7 @@ from curved_nbody import (
     hessian_geodesic_h,
     integrate,
     make_report,
+    pair_force,
     pick_member,
     re_family_from_cc,
     rescale_curvature,
@@ -540,3 +541,35 @@ def test_cli_subcommands_keep_the_contract(name, data, payload_path):
     assert code != 1 or err.startswith("error: ")
     if code == 0:
         _check_finite_output(argv, out)
+
+
+# ─── malformed shapes, counts and CLI text ───────────────────────────────
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Configuration(Space.S3, [1.0, 1.0, 1.0], _PAIR),
+     "need one mass per point"),
+    (lambda: PhaseState(EX1, np.zeros((2, 4))), "need one momentum row per body"),
+    (lambda: integrate(_STATE, 1e-3, 0), "need steps >= 1 and record_every >= 1"),
+    (lambda: integrate(_STATE, 1e-3, 2, record_every=0),
+     "need steps >= 1 and record_every >= 1"),
+    (lambda: pair_force(1, 1, EX1), "pair_force needs two distinct bodies"),
+    (lambda: GeodesicHConfig([-0.5, NAN], [1.0, 1.0]), "need one finite theta per mass"),
+    (lambda: GeodesicHConfig([-0.5, INF], [1.0, 1.0]), "need one finite theta per mass"),
+])
+def test_a_malformed_shape_or_count_is_a_value_error(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "lagrangian_s2", "--grid", "m=1;r"], "grid entry 'r' is not name=spec"),
+    (["sweep", "lagrangian_s2", "--grid", "m=1;r=0.2:0.8"],
+     "grid range '0.2:0.8' is not start:stop:count"),
+    (["sweep", "lagrangian_s2", "--grid", " ; "], "empty grid specification"),
+    (["find", "1,x,2", "--space", "S3", "--c", "0.4"],
+     "cannot parse masses '1,x,2': could not convert string to float: 'x'"),
+])
+def test_cli_text_it_cannot_parse_exits_1(argv, message):
+    assert _run(argv) == (1, "", f"error: {message}\n")

@@ -13,15 +13,12 @@ from curved_nbody.manifold import (
     GeneratorKind,
     IsometryGenerator,
     Space,
-    csn,
-    ctn,
     distance,
     inner,
     isometry_matrix,
     project_point,
     project_tangent,
     rescale_curvature,
-    sn,
 )
 
 from helpers import random_points
@@ -29,24 +26,8 @@ from row_descent import _add_reduce
 
 
 # ---------------------------------------------------------------------------
-# trig kernels and the signed inner product
+# the signed inner product
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("space", [Space.S3, Space.H3])
-def test_unified_trig_identity(space):
-    # csn^2 + sigma sn^2 = 1 in both geometries
-    x = np.linspace(0.05, 1.4, 17)
-    assert np.allclose(csn(x, space) ** 2 + space.sigma * sn(x, space) ** 2, 1.0)
-    assert np.allclose(ctn(x, space), csn(x, space) / sn(x, space))
-
-
-def test_trig_matches_circular_and_hyperbolic():
-    x = 0.73
-    assert sn(x, Space.S3) == pytest.approx(math.sin(x))
-    assert csn(x, Space.S3) == pytest.approx(math.cos(x))
-    assert sn(x, Space.H3) == pytest.approx(math.sinh(x))
-    assert csn(x, Space.H3) == pytest.approx(math.cosh(x))
-
 
 def test_inner_signature():
     p = np.array([1.0, 2.0, 3.0, 4.0])

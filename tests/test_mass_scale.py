@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curved_nbody.centralconfig import is_special_cc, lambda_estimate, make_report
+from curved_nbody.centralconfig import (
+    equivalent,
+    is_special_cc,
+    lambda_estimate,
+    make_report,
+)
 from curved_nbody.cli import _report_item, main
 from curved_nbody.dynamics import Configuration
 from curved_nbody.errors import (
@@ -152,6 +157,18 @@ def test_a_light_non_cc_equilateral_geodesic_is_refused():
     # largest pair force
     with pytest.raises(NotACentralConfigError):
         FIXTURE_BUILDERS["geodesic_s1_equilateral"](1e-6, 1e-6, 3e-6, math.pi / 4)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9])
+def test_equivalent_tells_permuted_masses_apart_at_any_scale(scale):
+    # (2, 1, 3) and (3, 1, 2) differ by 1e-9 at scale 1e-9, which an
+    # absolute mass test at tol = 1e-8 would call equal
+    fixture = FIXTURE_BUILDERS["geodesic_s1_equilateral"](2.0, 1.0, 3.0, math.pi / 4)
+    points = fixture.config.points
+    a = Configuration(Space.S3, np.array([2.0, 1.0, 3.0]) * scale, points)
+    b = Configuration(Space.S3, np.array([3.0, 1.0, 2.0]) * scale, points)
+    assert not equivalent(a, b)
+    assert equivalent(a, Configuration(Space.S3, a.masses * (1.0 + 1e-12), points))
 
 
 def test_the_equal_mass_tetrahedron_is_special_at_any_mass():

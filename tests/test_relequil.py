@@ -1,6 +1,7 @@
 """Rate constraints, member selection, and rigidity of relative equilibria."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from curved_nbody import (
     GeneratorKind,
     IsometryGenerator,
     REConstraint,
+    REFamily,
     REInstance,
     Space,
     certify_rigidity,
@@ -142,6 +144,76 @@ def test_free_family_accepts_any_rates():
     assert inst.periodic is True  # integer rate ratio
     res = re_criterion_residual(fam.config, 3.0, 2.0)
     assert float(np.max(np.linalg.norm(res, axis=1))) < 1e-9
+
+
+_FD, _FS = REConstraint.FIXED_DIFFERENCE, REConstraint.FIXED_SUM
+_EM, _FR = REConstraint.EQUAL_MAGNITUDE, REConstraint.FREE
+_EE, _E = "positive elliptic-elliptic", "positive elliptic"
+_NEH, _NE, _NH = ("negative elliptic-hyperbolic", "negative elliptic",
+                  "negative hyperbolic")
+
+# (space, constraint, lambda, beta, alpha) -> (alpha, beta, periodic, type)
+# for every constraint on both spaces (families built by hand, so that the
+# rule is pinned off re_family_from_cc's paths too), with exact (int,
+# Fraction), float and zero rates
+_MEMBERS = [
+    # beta^2 - alpha^2 = 2 lambda: alpha/beta rational iff beta^2 - 2 lambda
+    # is a rational square, decided only for an exact beta
+    (Space.S3, _FD, -1.5, 1, None, (2.0, 1.0, True, _EE)),
+    (Space.S3, _FD, -1.5, -1, None, (2.0, -1.0, True, _EE)),
+    (Space.S3, _FD, -1.5, Fraction(1, 2), None, (math.sqrt(3.25), 0.5, False, _EE)),
+    (Space.S3, _FD, -1.5, 1.0, None, (2.0, 1.0, None, _EE)),
+    (Space.S3, _FD, -1.5, 0, None, (math.sqrt(3.0), 0.0, True, _E)),
+    (Space.S3, _FD, -1.5, 0.0, None, (math.sqrt(3.0), 0.0, True, _E)),
+    (Space.S3, _FD, -0.5, 1, None, (math.sqrt(2.0), 1.0, False, _EE)),
+    (Space.S3, _FD, 0.5, 1, None, (0.0, 1.0, True, _E)),
+    (Space.S3, _FD, 0.5, 1.5, None, (math.sqrt(1.25), 1.5, None, _EE)),
+    (Space.S3, _FS, -0.5, 0.5, None, (math.sqrt(0.75), 0.5, None, _EE)),
+    (Space.S3, _FS, -0.5, Fraction(1, 2), None, (math.sqrt(0.75), 0.5, None, _EE)),
+    (Space.S3, _FS, -0.5, 1, None, (0.0, 1.0, True, _E)),
+    (Space.S3, _FS, -0.5, 0, None, (1.0, 0.0, True, _E)),
+    (Space.S3, _EM, 0.0, 0.8, None, (0.8, 0.8, True, _EE)),
+    (Space.S3, _EM, 0.0, -2, None, (2.0, -2.0, True, _EE)),
+    (Space.S3, _EM, 0.0, Fraction(1, 3), None, (1.0 / 3.0, 1.0 / 3.0, True, _EE)),
+    (Space.S3, _EM, 0.0, 0, None, (0.0, 0.0, True, None)),
+    (Space.S3, _FR, 0.0, 2, 3, (3.0, 2.0, True, _EE)),
+    (Space.S3, _FR, 0.0, Fraction(1, 3), 2, (2.0, 1.0 / 3.0, True, _EE)),
+    (Space.S3, _FR, 0.0, 2.0, 3, (3.0, 2.0, None, _EE)),
+    (Space.S3, _FR, 0.0, 2, 3.0, (3.0, 2.0, None, _EE)),
+    (Space.S3, _FR, 0.0, 1.5, 2.5, (2.5, 1.5, None, _EE)),
+    (Space.S3, _FR, 0.0, 0.5, None, (0.0, 0.5, True, _E)),
+    (Space.S3, _FR, 0.0, 0.0, 1.5, (1.5, 0.0, True, _E)),
+    (Space.S3, _FR, 0.0, 2.5, 0.0, (0.0, 2.5, True, _E)),
+    (Space.S3, _FR, 0.0, 0, 0, (0.0, 0.0, True, None)),
+    # alpha^2 + beta^2 = -2 lambda: any boost rate is unbounded
+    (Space.H3, _FS, -0.5, 0, None, (1.0, 0.0, True, _NE)),
+    (Space.H3, _FS, -0.5, 0.0, None, (1.0, 0.0, True, _NE)),
+    (Space.H3, _FS, -0.5, 1, None, (0.0, 1.0, False, _NH)),
+    (Space.H3, _FS, -0.5, Fraction(1, 2), None, (math.sqrt(0.75), 0.5, False, _NEH)),
+    (Space.H3, _FS, -0.5, 0.5, None, (math.sqrt(0.75), 0.5, False, _NEH)),
+    (Space.H3, _FD, -1.5, 1, None, (2.0, 1.0, False, _NEH)),
+    (Space.H3, _FD, -1.5, 0, None, (math.sqrt(3.0), 0.0, True, _NE)),
+    (Space.H3, _EM, 0.0, 0.8, None, (0.8, 0.8, False, _NEH)),
+    (Space.H3, _EM, 0.0, 0, None, (0.0, 0.0, True, None)),
+    (Space.H3, _FR, 0.0, 2, 3, (3.0, 2.0, False, _NEH)),
+    (Space.H3, _FR, 0.0, 0, 3, (3.0, 0.0, True, _NE)),
+    (Space.H3, _FR, 0.0, 1.5, None, (0.0, 1.5, False, _NH)),
+]
+
+
+@pytest.mark.parametrize("space,constraint,lam,beta,alpha,want", _MEMBERS)
+def test_pick_member_table(space, constraint, lam, beta, alpha, want):
+    cfg = FIXTURE_BUILDERS["example1_s3" if space is Space.S3 else "example2_h3"]().config
+    inst = pick_member(REFamily(space, lam, constraint, cfg), beta, alpha)
+    got = (inst.alpha, inst.beta, inst.periodic, inst.classification)
+    assert got == want
+    assert type(inst.alpha) is float and type(inst.beta) is float
+
+
+def test_a_rational_root_makes_a_periodic_member():
+    # beta^2 - 2 lambda = 4 at lambda = -3/2, beta = 1: alpha/beta = 2
+    r = relequil._rational_sqrt(Fraction(1) ** 2 - 2 * Fraction(-1.5))
+    assert r == 2 and type(r) is Fraction
 
 
 # ─── direct criterion vs. multiplier ─────────────────────────────────────
