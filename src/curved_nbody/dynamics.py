@@ -21,6 +21,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from itertools import combinations
+from struct import Struct
 from typing import NamedTuple
 
 import numpy as np
@@ -198,12 +199,19 @@ def _check_points(space: Space, q: np.ndarray) -> np.ndarray:
     would, though not always with the message that configuration raises
     alone.
     """
-    unit = inner(q, q, space)
+    return _check_squares(space, q, q * q, inner(q, q, space))
+
+
+def _check_squares(space: Space, q: np.ndarray, sq: np.ndarray,
+                   unit: np.ndarray) -> np.ndarray:
+    """_check_points of q given its squares sq = q * q and unit =
+    inner(q, q, space), which a caller that needs the squares too
+    (_chart_residuals) sums from them."""
     # the quadratic form carries rounding noise ~ |q|^2 eps, so the
     # on-shell tolerance has to scale with the squared coordinate size;
     # the reductions are ndarray methods, which skip np.sum's and np.max's
     # Python wrappers, a cost that dominates at a few bodies
-    scale = np.maximum(1.0, (q * q).sum(axis=-1))
+    scale = np.maximum(1.0, sq.sum(axis=-1))
     dev = np.abs(unit - space.sigma)
     if not (dev / scale).max() <= EPS_MANIFOLD:
         raise OffShellError(f"point constraint violated by {np.max(dev):.3e}")
@@ -227,11 +235,32 @@ def _gram_checked(space: Space, Q: np.ndarray) -> np.ndarray:
     return s
 
 
-def _gram_rows(space: Space, q: list) -> list:
-    """_gram_checked's matrix of the rows q, unchecked, as rows: the BLAS
-    product, since a float sum would not round it as BLAS does."""
-    a = np.array(q)
-    return (space.sigma * ((a * space.metric_diagonal) @ a.T)).tolist()
+def _gram_operands(space: Space, n: int) -> tuple:
+    """_gram_rows' operands for n rows on space, allocated once per make
+    call of a generated function that checks points: the rows' buffer,
+    which its transpose views, the buffer of the rows times the metric
+    diagonal, and the n x n output."""
+    rows = np.empty((n, 4))
+    return (space, Struct(f"{4 * n}d").pack_into, rows, np.empty((n, 4)), rows.T,
+            np.empty((n, n)))
+
+
+def _gram_rows(operands, *x) -> list:
+    """_gram_checked's matrix of the n rows whose 4n floats are x, in row
+    order, unchecked, as rows; operands is _gram_operands(space, n).
+
+    The product is BLAS's, since a float sum would not round it as BLAS
+    does, taken on the operands' fixed buffers.  The two factors live in
+    two buffers: a product of one buffer with its own transpose would go
+    to syrk, which need not round as gemm does.
+    """
+    space, pack, rows, scaled, rows_t, s = operands
+    pack(rows, 0, *x)
+    np.multiply(rows, space.metric_diagonal, scaled)
+    np.matmul(scaled, rows_t, s)
+    if space is Space.H3:  # sigma * s; on S3 sigma is 1.0, which moves no bit
+        np.multiply(space.sigma, s, s)
+    return s.tolist()
 
 
 def _raise_singular_pair(s: np.ndarray, lo: float, hi: float) -> None:
@@ -338,13 +367,15 @@ class _ForceKernel:
 # Up to this many bodies the stepper runs whole RK4 steps in Python floats:
 # a few dozen numpy calls on (N, 4) arrays per step cost more than the
 # O(N^2) work itself.  On a 2-vCPU Xeon a generated float step takes about
-# 12-15 / 24 / 31-37 us at N = 2 / 3 / 4 against 140-170 us for an array
+# 11-14 / 19-23 / 29-33 us at N = 2 / 3 / 4 against 140-170 us for an array
 # step (the best of 15 runs of 300 steps each); the two meet near N = 10.
 # find_cc's generated row functions, the descent's and Newton's chart
 # evaluations, take the bound too.  At N = 3 one descent trial with the
-# restoration after it takes about 19 us on H3 and 31 us on S3 (a level 2 %
-# off; the S3 row norms are BLAS calls), and an H3 descent capped at 60
-# steps takes 0.2x the array time at N = 4, 0.6x at 12 and 1.9x at 20.
+# restoration after it takes about 16-17 us on H3 and 20-21 us on S3 (a
+# level 2 % off; the S3 row norms and the Gram matrix are BLAS calls on
+# operands allocated once per search, which took 17 and 29 us when each
+# call built its arrays), and an H3 descent capped at 60 steps takes 0.2x
+# the array time at N = 4, 0.6x at 12 and 1.9x at 20.
 # They are the array code bit for bit only while U sums at most 128 terms
 # in numpy's order (_sum_source), N <= 11: at N = 12 the row U differs
 # from the array U on 75 of 200 random H3 Gram matrices.
@@ -375,7 +406,8 @@ class _PairKernel:
     the velocities and velocity term, the co-moving term (_frame_layers),
     the reprojection and the tangent projection.  The two projections run
     inside the generated step too, in _reproject's and project_tangent's
-    expressions; only the S3 row norms leave it, as one numpy call.
+    expressions; only the S3 row norms leave it, as one numpy call on
+    operands that the kernel allocates once (_norm_operands).
     """
 
     def __init__(self, space: Space, m: np.ndarray, xi=None):
@@ -450,7 +482,7 @@ def _pair_step_factory(space: Space, n: int, layout: tuple):
                  "OffShellError": OffShellError, "sqrt": math.sqrt,
                  "isfinite": math.isfinite, "array": np.array,
                  "matmul": np.matmul, "_reproject": _reproject,
-                 "errstate": np.errstate}
+                 "errstate": np.errstate, "_norm_operands": _norm_operands}
     return (_pair_step_source(space, n, layout),
             f"<RK4 step, {space.value}, N = {n}>", namespace)
 
@@ -463,23 +495,51 @@ def _rows_source(name: str, n: int, width: int = 4) -> str:
         f"{',' if width == 1 else ''})" for i in range(n)) + ("," if n == 1 else "")
 
 
+def _flat_source(name: str, n: int, width: int = 4) -> str:
+    """The names of the n rows name_i_0..name_i_{width - 1}, row by row,
+    each followed by a comma: a flat argument list, tuple display or
+    assignment target."""
+    return " ".join(f"{name}_{i}_{r}," for i in range(n) for r in range(width))
+
+
+def _norm_operands(n: int) -> tuple:
+    """The operands of the S3 row norms of _reproject_source for n rows,
+    allocated once per make call: pack, the flat buffer of the rows, its
+    views as a stack of rows and a stack of columns (_reproject's matmul
+    operands), the (n, 1, 1) output and unpack."""
+    rows = np.empty((n, 4))
+    return (Struct(f"{4 * n}d").pack_into, rows, rows[:, None, :], rows[:, :, None],
+            np.empty((n, 1, 1)), Struct(f"{n}d").unpack_from)
+
+
+def _norm_operands_source(space: Space, n: int) -> list:
+    """The line of a make body that binds the operands (_norm_operands)
+    that _reproject_source's S3 lines use; none on H3.  It needs
+    _norm_operands."""
+    if space is Space.H3:
+        return []
+    return [f"    npack, nrows, nleft, nright, nout, nunpack = _norm_operands({n})"]
+
+
 def _reproject_source(space: Space, n: int, src: str, dst: str) -> list:
     """Source lines that scale the rows src_i_r onto space as dst_i_r, in
     _reproject's expressions: the H3 row norms in floats, the S3 ones from
     the stacked matmul that _reproject takes, since BLAS may round their
-    sums of squares with fused multiply-adds.  Rows that _reproject refuses
-    go to it as an array, which raises project_point's error for the first
-    such row.  Its norms of the other rows may overflow or meet inf - inf,
-    which the floats do silently, so numpy's warnings for them are off
-    there.  The lines use a, sq{i} and n{i}, and need array, matmul, sqrt,
-    space, errstate and _reproject."""
+    sums of squares with fused multiply-adds.  The S3 lines pack the rows
+    into the buffer of their make call (_norm_operands_source) and run
+    the matmul on its fixed views, into its fixed output.  Rows that
+    _reproject refuses go to it as an array, which raises project_point's
+    error for the first such row.  Its norms of the other rows may overflow
+    or meet inf - inf, which the floats do silently, so numpy's warnings
+    for them are off there.  The lines use sq{i} and n{i}, and need array,
+    matmul, sqrt, space, errstate and _reproject."""
     bodies = range(n)
     refuse = ['    with errstate(over="ignore", invalid="ignore"):',
               f"        _reproject(space, array([{_rows_source(src, n)}]))  # raises"]
     if space is Space.S3:
-        lines = [f"a = array([{_rows_source(src, n)}])",
-                 f"{''.join(f'n{i}, ' for i in bodies)}= map(sqrt, matmul("
-                 "a[:, None, :], a[:, :, None]).ravel().tolist())",
+        lines = [f"npack(nrows, 0, {_flat_source(src, n)})",
+                 "matmul(nleft, nright, nout)",
+                 f"{''.join(f'n{i}, ' for i in bodies)}= map(sqrt, nunpack(nout))",
                  "if " + " or ".join(f"n{i} < 1e-12" for i in bodies) + ":",
                  *refuse]
     else:
@@ -578,6 +638,7 @@ def _pair_step_source(space: Space, n: int, layout: tuple) -> str:
            for X in "QP" for i in bodies for r in range(4)]
     flat = ", ".join(f"{X}_{i}_{r}" for X in "QP" for i in bodies for r in range(4))
     lines = [f"def make({args}):",
+             *_norm_operands_source(space, n),
              "    def rates(q, p):",
              f"        {rows('Q1')} = q",
              f"        {rows('P1')} = p",

@@ -155,10 +155,12 @@ def pick_member(family: REFamily, beta, alpha=None) -> REInstance:
     must be rational, which is decided with exact arithmetic when the rates
     are given exactly (int or Fraction beta, the stored lambda interpreted
     exactly as stored, or both rates of a free family); else the flag is
-    None.  Raises InadmissibleBetaError when the constraint excludes beta
-    by more than 4 ulps of 2|lambda| (the rounding of beta^2 is under 2) or
-    a rate is not finite.
+    None.  Raises OutOfRangeError for a family lambda that is not finite,
+    as make_report does, and InadmissibleBetaError when the constraint
+    excludes beta by more than 4 ulps of 2|lambda| (the rounding of beta^2
+    is under 2) or a rate is not finite.
     """
+    check_scalar("lambda", family.lam, positive=False)
     b = float(beta)
     lam = family.lam
     constraint = family.constraint

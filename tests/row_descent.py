@@ -10,6 +10,8 @@ with the descent's (_add_reduce, _grad_U_rows, _grad_I_rows, _r2_rows,
 _axpy, and the point check _check_rows with _check_shell_rows) follow,
 unchanged too, and last the row reprojection that these loops and the
 RK4 pair loop (pair_loop.py) take, _reproject_rows, as manifold held it.
+_gram_rows is the Gram product as dynamics held it before its operands
+were allocated once per generated function.
 """
 
 import math
@@ -17,7 +19,7 @@ import math
 import numpy as np
 
 from curved_nbody.centralconfig import _PAIR_MARGIN
-from curved_nbody.dynamics import _check_points, _gram_rows, _singular_bounds
+from curved_nbody.dynamics import _check_points, _singular_bounds
 from curved_nbody.errors import NoConvergenceError, SingularPairError
 from curved_nbody.manifold import EPS_MANIFOLD, Space, project_point
 
@@ -247,6 +249,13 @@ def _check_rows(space: Space, q: list) -> list:
             if not lo <= v <= hi and i != j:
                 raise SingularPairError(i, j, v)
     return s
+
+
+def _gram_rows(space: Space, q: list) -> list:
+    """_gram_checked's matrix of the rows q, unchecked, as rows: the BLAS
+    product, since a float sum would not round it as BLAS does."""
+    a = np.array(q)
+    return (space.sigma * ((a * space.metric_diagonal) @ a.T)).tolist()
 
 
 def _check_shell_rows(space: Space, q: list) -> None:

@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from curved_nbody.errors import (
     SingularPairError,
 )
 from curved_nbody.fixtures import FIXTURE_BUILDERS
+from curved_nbody.relequil import REConstraint, REFamily
 
 from helpers import random_config
 
@@ -330,6 +332,21 @@ def test_a_nan_rate_is_inadmissible(payload_path):
     code, _, err = _run(["simulate", payload_path(), "--beta", "nan",
                          "--horizon", "0.01"])
     assert code == 1 and "InadmissibleBetaError" in err
+
+
+@pytest.mark.parametrize("constraint", list(REConstraint))
+@pytest.mark.parametrize("lam", [NAN, INF, -INF])
+@pytest.mark.parametrize("config", [EX1, EX2], ids=["S3", "H3"])
+def test_pick_member_refuses_a_non_finite_family_lambda(constraint, lam, config):
+    # a hand-built family with lambda NaN gave alpha = 0, "positive
+    # elliptic", through math.sqrt(max(0.0, nan)); make_report's check
+    # refuses it, whatever the rate
+    family = REFamily(config.space, lam, constraint, config)
+    for beta in (0, 1.0, Fraction(1, 2)):
+        with pytest.raises(OutOfRangeError, match="lambda must be finite"):
+            pick_member(family, beta, alpha=1.0)
+    with pytest.raises(OutOfRangeError, match="lambda must be finite"):
+        make_report(config, lam=lam)
 
 
 @pytest.mark.parametrize("kappa", [NAN, INF, -INF, 0.0])
