@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from itertools import combinations
-from struct import Struct
 
 import numpy as np
 
@@ -48,24 +48,21 @@ from .dynamics import (
     Configuration,
     _ForceKernel,
     _check_points,
-    _check_squares,
     _compiled_once,
     _fill_diagonal,
     _flat_source,
     _gram_checked,
-    _gram_operands,
-    _gram_rows,
-    _norm_operands,
-    _norm_operands_source,
     _potential_gram,
+    _products,
     _reproject_source,
     _rows_source,
     _singular_bounds,
     _sn_powers,
+    _sum_source,
     _tangent_source,
     grad_U,
 )
-from .inertia import _grad_I_raw, _r2_rho2, _r2_rho2_of_squares, grad_I, moment_of_inertia
+from .inertia import _grad_I_raw, _r2_rho2, grad_I, moment_of_inertia
 
 EPS_FLAT = 1e-9    # rank tolerance in classify
 EPS_AXIS = 1e-9    # a body this close to the axes uses the special branch
@@ -521,37 +518,12 @@ def _row_ops_factory(space, n):
     space, compiled once per process for each (space, n); every float
     reaches the functions as a closure value."""
     namespace = {"space": space, "sqrt": math.sqrt, "copysign": math.copysign,
-                 "array": np.array, "matmul": np.matmul,
-                 "_check_points": _check_points, "_gram_rows": _gram_rows,
-                 "_force_rows": _force_rows, "_reproject": _reproject,
+                 "array": np.array, "_check_points": _check_points,
+                 "_products": _products, "_reproject": _reproject,
                  "errstate": np.errstate, "_axis_row": _axis_row,
-                 "NoConvergenceError": NoConvergenceError,
-                 "_norm_operands": _norm_operands, "_gram_operands": _gram_operands,
-                 "_force_operands": _force_operands}
+                 "NoConvergenceError": NoConvergenceError}
     return (_row_ops_source(space, n),
             f"<row descent and chart, {space.value}, N = {n}>", namespace)
-
-
-def _force_operands(n):
-    """_force_rows' operands for n bodies, allocated once per make call of
-    the generated row functions: the weight and point buffers, the (n, 4)
-    output and their packers."""
-    return (Struct(f"{n * n}d").pack_into, np.empty((n, n)),
-            Struct(f"{4 * n}d").pack_into, np.empty((n, 4)), np.empty((n, 4)),
-            Struct(f"{4 * n}d").unpack_from)
-
-
-def _force_rows(operands, w, x):
-    """The 4n floats, in row order, of w @ q, grad U's weighted sum of the
-    points, for the n x n weights w and the n point rows q given as flat
-    tuples w and x; operands is _force_operands(n).  The product is BLAS's,
-    since a float sum would not round it as BLAS does, taken on the
-    operands' fixed buffers."""
-    pack_w, weights, pack_x, points, out, unpack = operands
-    pack_w(weights, 0, *w)
-    pack_x(points, 0, *x)
-    np.matmul(weights, points, out)
-    return unpack(out)
 
 
 def _axis_row(p, g):
@@ -559,21 +531,6 @@ def _axis_row(p, g):
     components of g less the one along p's largest coordinate."""
     k = max(range(4), key=lambda i: abs(p[i]))
     return g[:k] + g[k + 1:]
-
-
-def _sum_source(terms):
-    """The expression that sums the expressions terms (at most 128) as
-    numpy's add.reduce sums their values: from 0.0 one by one below eight,
-    else in eight running sums over blocks of eight, combined pairwise,
-    then the rest one by one, the total added to 0.0.  A sum of an array's
-    entries in C order then has the bits of the array's .sum()."""
-    if len(terms) < 8:
-        return "(" + " + ".join(["0.0", *terms]) + ")"
-    full = len(terms) - len(terms) % 8
-    r = [f"({' + '.join(terms[k:full:8])})" for k in range(8)]
-    total = (f"((({r[0]} + {r[1]}) + ({r[2]} + {r[3]}))"
-             f" + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]})))")
-    return f"(0.0 + ({' + '.join([total, *terms[full:]])}))"
 
 
 def _metric_sum_source(n, a, b):
@@ -592,8 +549,8 @@ def _grad_U_source(n, x, s, dst):
     """Source lines for _ForceKernel.grad of the rows x_i_r from their
     checked Gram matrix s_i_j, as dst_i_r: the weights m_i m_j / sn^3 in
     its expressions, each row sum of w s in numpy's order and w @ q the
-    BLAS product (_force_rows).  They use sn, W_i_j, F_i_r and ws{i} and
-    need sigma, mm{i}_{j} and force = _force_operands(n)."""
+    BLAS product force (_products).  They use sn, W_i_j, F_i_r and ws{i}
+    and need sigma, mm{i}_{j} and force."""
     bodies = range(n)
     lines = []
     for i in bodies:
@@ -602,7 +559,7 @@ def _grad_U_source(n, x, s, dst):
                 lines += [f"sn = sqrt(sigma * (1.0 - {s}_{i}_{j} * {s}_{i}_{j}))",
                           f"W_{i}_{j} = {_mm(i, j)} / (sn * sn * sn)"]
     return [*lines, *(f"W_{i}_{i} = 0.0" for i in bodies),
-            f"{_flat_source('F', n)} = _force_rows(force, ({_flat_source('W', n, n)}),"
+            f"{_flat_source('F', n)} = force(({_flat_source('W', n, n)}),"
             f" ({_flat_source(x, n)}))",
             *(f"ws{i} = " + _sum_source([f"W_{i}_{j} * {s}_{i}_{j}" for j in bodies])
               for i in bodies),
@@ -631,10 +588,10 @@ def _check_source(space, n):
     shell takes its shell tests in floats, in its expressions, and sets ok;
     it uses t, e{i} and, on H3, u{i}, and needs sigma, eps and wlo.  check,
     once ok is set, holds the rows as the list q, builds their Gram matrix
-    s from BLAS (_gram_rows on gram = _gram_operands(space, n)), unpacked
-    as s_i_j, and tests it against the singular bounds lo and hi.  Rows
-    that fail a test go to _check_points, which raises its error and
-    message from the same expressions and the same product.
+    s from BLAS (gram, _products), unpacked as s_i_j, and tests it against
+    the singular bounds lo and hi.  Rows that fail a test go to
+    _check_points, which raises its error and message from the same
+    expressions and the same product.
     """
     bodies = range(n)
     h3 = space is Space.H3
@@ -651,7 +608,7 @@ def _check_source(space, n):
     check = [f"q = [{_rows_source('X', n)}]",
              "if not ok:",
              "    _check_points(space, array(q))  # raises",
-             f"s = _gram_rows(gram, {_flat_source('X', n)})",
+             f"s = gram({_flat_source('X', n)})",
              f"{_rows_source('s', n, n)} = s",
              f"if not ({in_bounds}):",
              "    _check_points(space, array(q))  # raises"]
@@ -670,13 +627,11 @@ def _row_ops_source(space, n):
     order, as _chart_residuals writes them.  So the functions give the
     array code's bits, and every failed check raises the array function's
     error and message.  Three products stay numpy calls, since BLAS may
-    round them with fused multiply-adds: the Gram matrix of each checked
-    point (_gram_rows), the S3 row norms of each reprojection
-    (_reproject_source) and the w @ Q of grad U (_force_rows).  make
-    allocates their operands once, as closure values, so a call packs its
-    floats into fixed buffers and runs the product on fixed views; each
-    search builds its own functions (_RowOps), so no two searches share
-    a buffer.
+    round them with fused multiply-adds, the S3 row norms of each
+    reprojection, the Gram matrix of each checked point and the w @ Q of
+    grad U: make takes them from one _products call, so their buffers are
+    allocated once, and each search builds its own functions (_RowOps), so
+    no two searches share a buffer.
 
     restore is _restore_level: each iterate's level error comes first,
     since it needs no Gram matrix.  The iterate on the level takes
@@ -807,9 +762,7 @@ def _row_ops_source(space, n):
              "    ns = -sigma",
              *(f"    tm{i} = 2.0 * m{i}" for i in bodies),
              *(f"    mm{i}_{j} = m{i} * m{j}" for i, j in pairs),
-             *_norm_operands_source(space, n),
-             f"    gram = _gram_operands(space, {n})",
-             f"    force = _force_operands({n})",
+             f"    norms, gram, force = _products(space, {n})",
              "    def trial(q, gamma, R):", *block(trial),
              "    def restore(q):", *block(restore),
              "    def potential(s):", *block(potential),
@@ -852,10 +805,6 @@ def _descend(ops, Q, s, max_iter):
     return np.asarray(Q, dtype=float), lam
 
 
-_UNIT_VECTORS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
-                 (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
-
-
 def _tangent_bases(space, Q):
     """Per-body orthonormal tangent triples (sigma-metric Gram-Schmidt) of
     the (N, 4) array Q, as an (N, 3, 4) array: _tangent_frames' numbers."""
@@ -869,91 +818,60 @@ def _tangent_frames(space, q):
     stripped of its components along the vectors already kept, and kept,
     normalized, if its squared norm exceeds 1e-12, until three are kept.
     It runs in Python floats, because at a few bodies numpy's cost per
-    call on 4-vectors is many times the arithmetic.  Each expression is
+    call on 4-vectors is many times the arithmetic: one generated
+    straight-line function per space (_frame_source).  Each expression is
     inner's or project_tangent's, term for term and in their order, so
-    the frames are bitwise those of the same loop on numpy 4-vectors.
-    A body that keeps e0 and e1, the usual case, takes the generated
-    straight-line function of its space (_frame_source); where it drops
-    one of them, as a body on the axes can, the loop itself (_frame_loop)
-    takes the body from the start.
+    the frames are bitwise those of the same Gram-Schmidt on numpy
+    4-vectors.
 
     Where rounding leaves fewer than three, as on H3 far out (|x| of 1e8
     or more), this raises NoConvergenceError naming the body.
     """
     frame = _frame_factory(space)(space.sigma)
-    return [frame(*p) or _frame_loop(space, i, p) for i, p in enumerate(q)]
-
-
-def _frame_loop(space, i, p):
-    """_tangent_frames' Gram-Schmidt of the row p of body i, as a loop
-    over the unit vectors."""
-    sigma = space.sigma
-
-    def dot(a, b):  # inner(a, b, space)
-        t = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-        return t + a[3] * b[3] if sigma == 1 else t - a[3] * b[3]
-
-    vecs = []
-    for e in _UNIT_VECTORS:
-        coeff = sigma * dot(p, e)  # project_tangent(p, e, space)
-        v = [e[k] - coeff * p[k] for k in range(4)]
-        for b in vecs:
-            coeff = dot(b, v)
-            v = [v[k] - coeff * b[k] for k in range(4)]
-        nrm = dot(v, v)
-        if nrm > 1e-12:
-            r = math.sqrt(nrm)
-            vecs.append([x / r for x in v])
-        if len(vecs) == 3:
-            return vecs
-    raise NoConvergenceError(
-        f"the tangent frame of body {i} lost rank: rounding left "
-        f"{len(vecs)} of its 3 directions")
+    return [frame(i, *p) for i, p in enumerate(q)]
 
 
 @_compiled_once
 def _frame_factory(space):
-    """make(sigma) -> frame(p0, p1, p2, p3) for space, compiled once per
+    """make(sigma) -> frame(i, p0, p1, p2, p3) for space, compiled once per
     process for each space (_frame_source)."""
-    return _frame_source(space), f"<tangent frame, {space.value}>", {"sqrt": math.sqrt}
+    return (_frame_source(space), f"<tangent frame, {space.value}>",
+            {"sqrt": math.sqrt, "NoConvergenceError": NoConvergenceError})
 
 
 def _frame_source(space):
-    """The source of _frame_factory's make: frame(p0, p1, p2, p3) is
-    _frame_loop written out, with the unit vectors' coordinates as
-    literals, so each product and sum is the loop's, for the bodies that
-    keep e0 and e1.  It keeps e2 or, when e2 is dropped, as at every body
-    of the w = 0 great sphere that find_cc's S3 seed starts on, tries e3.
-    It returns the loop's three lists, or None at a dropped e0 or e1 or
-    when e3 is dropped too."""
+    """The source of _frame_factory's make: frame(i, p0, p1, p2, p3) is
+    _tangent_frames' Gram-Schmidt of the row p of body i, written out as a
+    tree of keep and drop branches over the unit vectors e0..e3, whose
+    coordinates are literals.  A branch that has kept three vectors returns
+    them as three lists; one that has tried e3 with fewer kept raises the
+    rank-loss NoConvergenceError."""
     pm = "+" if space is Space.S3 else "-"
 
-    def dot(a, b):  # the loop's dot, term for term
+    def dot(a, b):  # inner(a, b, space), term for term
         return f"{a[0]} * {b[0]} + {a[1]} * {b[1]} + {a[2]} * {b[2]} {pm} {a[3]} * {b[3]}"
 
     p, v = ["p0", "p1", "p2", "p3"], ["v0", "v1", "v2", "v3"]
-    kept = []
 
-    def candidate(k):  # e_k projected and stripped of the kept vectors, nrm
+    def branch(k, kept):  # from candidate e_k on, with the vectors kept
+        if len(kept) == 3:
+            return ["return [" + ", ".join(f"[{', '.join(b)}]" for b in kept) + "]"]
+        if k == 4:
+            return ['raise NoConvergenceError(f"the tangent frame of body {i} lost rank: '
+                    f'rounding left {len(kept)} of its 3 directions")']
+        # e_k projected to the tangent space, stripped of the kept vectors
         e = ["1.0" if r == k else "0.0" for r in range(4)]
         lines = [f"c = sigma * ({dot(p, e)})", *(f"v{r} = {e[r]} - c * p{r}" for r in range(4))]
         for b in kept:
             lines += [f"c = {dot(b, v)}", *(f"v{r} = v{r} - c * {b[r]}" for r in range(4))]
-        return lines + [f"nrm = {dot(v, v)}"]
+        b = [f"b{k}_{r}" for r in range(4)]
+        keep = ["r = sqrt(nrm)", *(f"{b[r]} = v{r} / r" for r in range(4)),
+                *branch(k + 1, [*kept, b])]
+        return [*lines, f"nrm = {dot(v, v)}", "if nrm > 1e-12:",
+                *("    " + line for line in keep), *branch(k + 1, kept)]
 
-    def normalized(k):
-        return ["r = sqrt(nrm)", *(f"b{k}_{r} = v{r} / r" for r in range(4))]
-
-    dropped = ["if not nrm > 1e-12:", "    return None"]
-    body = []
-    for k in range(2):
-        body += [*candidate(k), *dropped, *normalized(k)]
-        kept.append([f"b{k}_{r}" for r in range(4)])
-    frame = "return [" + ", ".join(f"[b{k}_0, b{k}_1, b{k}_2, b{k}_3]" for k in range(3)) + "]"
-    body += [*candidate(2), "if nrm > 1e-12:", *("    " + line for line in normalized(2)),
-             "    " + frame, *candidate(3), *dropped, *normalized(2), frame]
-    return "\n".join(["def make(sigma):", "    def frame(p0, p1, p2, p3):",
-                      *("        " + line for line in body), "    return frame"]) + "\n"
+    return "\n".join(["def make(sigma):", "    def frame(i, p0, p1, p2, p3):",
+                      *("        " + line for line in branch(0, [])), "    return frame"]) + "\n"
 
 
 def _chart_residuals(kernel, Q, bases, c, Y):
@@ -966,11 +884,10 @@ def _chart_residuals(kernel, Q, bases, c, Y):
     I - c, and the points (B, N, 4).  Each row is bitwise what it is when
     evaluated alone.  When rows leave the feasible region, this raises
     what the first of them raises alone.  grad U takes the Gram matrices
-    of the point check, and grad I and the level one r^2 and rho^2; the
-    point check, r^2 and rho^2 share the squared coordinates.  The sums
-    over the frame vectors are written out in the row chart's order
-    (_row_ops_source), so they do not depend on how a numpy version
-    orders einsum.
+    of the point check, and grad I and the level one r^2 and rho^2.  The
+    sums over the frame vectors are written out in the row chart's order
+    (_row_ops_source), so they do not depend on how a numpy version orders
+    einsum.
     """
     space, m = kernel.space, kernel.m
     n = len(m)
@@ -981,11 +898,7 @@ def _chart_residuals(kernel, Q, bases, c, Y):
         step += X[:, :, 1] * bases[:, 1]
         step += X[:, :, 2] * bases[:, 2]
         Qx = _reproject(space, Q + step)
-        sq = Qx * Qx
-        # inner(Qx, Qx, space) term for term, from the squares
-        unit = sq[..., 0] + sq[..., 1] + sq[..., 2]
-        unit = unit + sq[..., 3] if space is Space.S3 else unit - sq[..., 3]
-        s = _check_squares(space, Qx, sq, unit)
+        s = _check_points(space, Qx)
     except _INFEASIBLE:
         if len(Y) > 1:
             # each row alone, in order, the last one too: a stack's message
@@ -993,7 +906,7 @@ def _chart_residuals(kernel, Q, bases, c, Y):
             for y in Y:
                 _chart_residuals(kernel, Q, bases, c, y[None])
         raise
-    split = _r2_rho2_of_squares(space, sq)
+    split = _r2_rho2(space, Qx)
     R = kernel.grad(Qx, s) - Y[:, -1, None, None] * _grad_I_raw(space, m, Qx, split)
     # the frame components sum_d bases_d R_d metric_d: from 0.0, over d in
     # order, the first three metric factors (1.0) left out
@@ -1279,7 +1192,13 @@ def find_cc(
     out on H3, where rounding leaves the seed's Gram entries meaningless, or
     with masses so large that its bodies coincide), and SingularApproach
     when the iterate degenerates into the singular set (_raise_refinement_error).
+    Another mode, or a max_iter that is not an integer >= 0, raises
+    ValueError before any search starts.
     """
+    if mode not in ("descent", "saddle"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0; got {max_iter!r}")
     m = np.asarray(masses, dtype=float)
     level.validate(space, m)
     c = float(level.c)
@@ -1299,11 +1218,9 @@ def find_cc(
         Q, lam = _descend(ops, Q, s, max_iter)
         lam = _lambda_or(Configuration(space, m, Q), lam)
         runs = ({}, {"damped": True})
-    elif mode == "saddle":
+    else:
         Q, lam = np.asarray(Q, dtype=float), ops.direction(Q, s)[1]
         runs = ({"damped": True, "max_iter": 200},)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     for kw in runs:
         try:
             Q, lam = _kkt_newton(ops, Q, lam, level.tol, **kw)

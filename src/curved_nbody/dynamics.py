@@ -199,19 +199,12 @@ def _check_points(space: Space, q: np.ndarray) -> np.ndarray:
     would, though not always with the message that configuration raises
     alone.
     """
-    return _check_squares(space, q, q * q, inner(q, q, space))
-
-
-def _check_squares(space: Space, q: np.ndarray, sq: np.ndarray,
-                   unit: np.ndarray) -> np.ndarray:
-    """_check_points of q given its squares sq = q * q and unit =
-    inner(q, q, space), which a caller that needs the squares too
-    (_chart_residuals) sums from them."""
+    unit = inner(q, q, space)
     # the quadratic form carries rounding noise ~ |q|^2 eps, so the
     # on-shell tolerance has to scale with the squared coordinate size;
     # the reductions are ndarray methods, which skip np.sum's and np.max's
     # Python wrappers, a cost that dominates at a few bodies
-    scale = np.maximum(1.0, sq.sum(axis=-1))
+    scale = np.maximum(1.0, (q * q).sum(axis=-1))
     dev = np.abs(unit - space.sigma)
     if not (dev / scale).max() <= EPS_MANIFOLD:
         raise OffShellError(f"point constraint violated by {np.max(dev):.3e}")
@@ -233,34 +226,6 @@ def _gram_checked(space: Space, Q: np.ndarray) -> np.ndarray:
     s = space.sigma * ((Q * space.metric_diagonal) @ Q.swapaxes(-1, -2))
     _raise_singular_pair(s, *_singular_bounds(space))
     return s
-
-
-def _gram_operands(space: Space, n: int) -> tuple:
-    """_gram_rows' operands for n rows on space, allocated once per make
-    call of a generated function that checks points: the rows' buffer,
-    which its transpose views, the buffer of the rows times the metric
-    diagonal, and the n x n output."""
-    rows = np.empty((n, 4))
-    return (space, Struct(f"{4 * n}d").pack_into, rows, np.empty((n, 4)), rows.T,
-            np.empty((n, n)))
-
-
-def _gram_rows(operands, *x) -> list:
-    """_gram_checked's matrix of the n rows whose 4n floats are x, in row
-    order, unchecked, as rows; operands is _gram_operands(space, n).
-
-    The product is BLAS's, since a float sum would not round it as BLAS
-    does, taken on the operands' fixed buffers.  The two factors live in
-    two buffers: a product of one buffer with its own transpose would go
-    to syrk, which need not round as gemm does.
-    """
-    space, pack, rows, scaled, rows_t, s = operands
-    pack(rows, 0, *x)
-    np.multiply(rows, space.metric_diagonal, scaled)
-    np.matmul(scaled, rows_t, s)
-    if space is Space.H3:  # sigma * s; on S3 sigma is 1.0, which moves no bit
-        np.multiply(space.sigma, s, s)
-    return s.tolist()
 
 
 def _raise_singular_pair(s: np.ndarray, lo: float, hi: float) -> None:
@@ -327,10 +292,10 @@ class _ForceKernel:
     """The pairwise force law of one mass vector on one space, on arrays.
 
     Built once per run from (space, m), so that the stage loop of an
-    integration does not rebuild the metric diagonal, the mass column and
-    the singular-pair bounds on every call.  grad and
-    rhs take an (N, 4) array or a (B, N, 4) stack.  The Gram matrix is
-    _gram_checked's expression, so results and errors match it bitwise.
+    integration does not rebuild the metric diagonal and the mass column
+    on every call.  grad and rhs take an (N, 4) array or a (B, N, 4)
+    stack.  The Gram matrix is _gram_checked's, so results and errors
+    match it bitwise.
     The mass outer product is rebuilt per call rather than kept, so that a
     run holds no extra N x N array.  The stepper uses it above
     _PAIR_LOOP_MAX_N bodies; _PairKernel serves the few-body runs.
@@ -342,15 +307,13 @@ class _ForceKernel:
         self.met = space.metric_diagonal
         self.m = m
         self.mcol = m[:, None]
-        self.lo, self.hi = _singular_bounds(space)
 
     def grad(self, Q: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
         """grad U of Q; a singular pair raises what _gram_checked raises.
         s is the Gram matrix that a point check of Q (_check_points)
         returned, which grad then takes instead of rebuilding it."""
         if s is None:
-            s = self.sigma * ((Q * self.met) @ Q.swapaxes(-1, -2))
-            _raise_singular_pair(s, self.lo, self.hi)
+            s = _gram_checked(self.space, Q)
         _, sn3 = _sn_powers(self.space, s)
         w = self.mcol * self.m / sn3
         _fill_diagonal(w, 0.0)
@@ -391,23 +354,23 @@ class _PairKernel:
     """Whole RK4 steps of a few bodies in Python floats, in the frame
     co-moving with exp(t xi) when a generator xi is given.
 
-    A state is a list of N rows of four floats.  step and rates run a
+    A state is a list of N rows of four floats.  step runs a
     straight-line function built for this kernel's space, body count and
     co-moving column layout (_pair_step_factory), which takes the masses,
     the pair products m_i m_j, sigma, the w-metric sign, the singular
     bounds and the layer coefficients as closure values.  Each unordered
     pair's s, singular-pair test, sn^3 and weight w = m_i m_j / sn^3 are
-    computed once, in _ForceKernel's expressions, and each body's force
-    and weight sums start from 0.0 and take its pairs in the order of j;
-    the forces differ from _ForceKernel's BLAS sums by rounding only.  A
-    singular pair raises SingularPairError(i, j, s) for the first such
-    pair i < j, judged by its own s.  The rest is the array stepper's
-    arithmetic operation for operation, so bit for bit: the stage sums,
-    the velocities and velocity term, the co-moving term (_frame_layers),
-    the reprojection and the tangent projection.  The two projections run
-    inside the generated step too, in _reproject's and project_tangent's
-    expressions; only the S3 row norms leave it, as one numpy call on
-    operands that the kernel allocates once (_norm_operands).
+    computed once per stage, in _ForceKernel's expressions, and each
+    body's force and weight sums start from 0.0 and take its pairs in the
+    order of j (_sum_source); the forces differ from _ForceKernel's BLAS
+    sums by rounding only.  A singular pair raises SingularPairError(i, j,
+    s) for the first such pair i < j, judged by its own s.  The rest is
+    the array stepper's arithmetic operation for operation, so bit for
+    bit: the stage sums, the velocities and velocity term, the co-moving
+    term (_frame_layers), the reprojection and the tangent projection.
+    The two projections run inside the generated step too, in _reproject's
+    and project_tangent's expressions; only the S3 row norms leave it, as
+    one BLAS product on buffers that the kernel allocates once (_products).
     """
 
     def __init__(self, space: Space, m: np.ndarray, xi=None):
@@ -415,15 +378,10 @@ class _PairKernel:
         ms = [float(v) for v in m]
         make = _pair_step_factory(
             space, len(ms), tuple(tuple(c for c, _ in layer) for layer in layers))
-        self._rates, self._step = make(
+        self._step = make(
             *ms, *(ms[i] * ms[j] for i, j in combinations(range(len(ms)), 2)),
             float(space.sigma), float(space.metric_diagonal[3]),
             *_singular_bounds(space), *(k for layer in layers for _, k in layer))
-
-    def rates(self, q: list, p: list):
-        """(dq/dt, dp/dt) of the equations of motion at one state (q, p),
-        in the co-moving frame when the kernel has a generator."""
-        return self._rates(q, p)
 
     def step(self, q: list, p: list, dt: float, half: float, sixth: float):
         """One RK4 step plus projection from (q, p); half = 0.5 dt and
@@ -469,8 +427,8 @@ def _compiled_once(build):
 
 @_compiled_once
 def _pair_step_factory(space: Space, n: int, layout: tuple):
-    """make(m_0.., m_i m_j.., sigma, mw, lo, hi, k..) -> (rates, step)
-    for n bodies, compiled once per process for each key.
+    """make(m_0.., m_i m_j.., sigma, mw, lo, hi, k..) -> step for n
+    bodies, compiled once per process for each key.
 
     layout holds, for each co-moving layer (_frame_layers), the column each
     of the four rows reads; the coefficients k, layer by layer and row by
@@ -481,8 +439,8 @@ def _pair_step_factory(space: Space, n: int, layout: tuple):
     namespace = {"space": space, "SingularPairError": SingularPairError,
                  "OffShellError": OffShellError, "sqrt": math.sqrt,
                  "isfinite": math.isfinite, "array": np.array,
-                 "matmul": np.matmul, "_reproject": _reproject,
-                 "errstate": np.errstate, "_norm_operands": _norm_operands}
+                 "_reproject": _reproject, "errstate": np.errstate,
+                 "_products": _products}
     return (_pair_step_source(space, n, layout),
             f"<RK4 step, {space.value}, N = {n}>", namespace)
 
@@ -502,44 +460,82 @@ def _flat_source(name: str, n: int, width: int = 4) -> str:
     return " ".join(f"{name}_{i}_{r}," for i in range(n) for r in range(width))
 
 
-def _norm_operands(n: int) -> tuple:
-    """The operands of the S3 row norms of _reproject_source for n rows,
-    allocated once per make call: pack, the flat buffer of the rows, its
-    views as a stack of rows and a stack of columns (_reproject's matmul
-    operands), the (n, 1, 1) output and unpack."""
-    rows = np.empty((n, 4))
-    return (Struct(f"{4 * n}d").pack_into, rows, rows[:, None, :], rows[:, :, None],
-            np.empty((n, 1, 1)), Struct(f"{n}d").unpack_from)
+def _sum_source(terms) -> str:
+    """The expression that sums the expressions terms (at most 128) as
+    numpy's add.reduce sums their values: from 0.0 one by one below eight,
+    else in eight running sums over blocks of eight, combined pairwise,
+    then the rest one by one, the total added to 0.0.  A sum of an array's
+    entries in C order then has the bits of the array's .sum()."""
+    if len(terms) < 8:
+        return "(" + " + ".join(["0.0", *terms]) + ")"
+    full = len(terms) - len(terms) % 8
+    r = [f"({' + '.join(terms[k:full:8])})" for k in range(8)]
+    total = (f"((({r[0]} + {r[1]}) + ({r[2]} + {r[3]}))"
+             f" + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]})))")
+    return f"(0.0 + ({' + '.join([total, *terms[full:]])}))"
 
 
-def _norm_operands_source(space: Space, n: int) -> list:
-    """The line of a make body that binds the operands (_norm_operands)
-    that _reproject_source's S3 lines use; none on H3.  It needs
-    _norm_operands."""
-    if space is Space.H3:
-        return []
-    return [f"    npack, nrows, nleft, nright, nout, nunpack = _norm_operands({n})"]
+def _products(space: Space, n: int) -> tuple:
+    """(norms, gram, force): the three products of generated few-body code
+    for n rows on space that stay BLAS calls, since a float sum would not
+    round them as BLAS does.  Each make call of the generated code calls
+    this once, so the buffers here are its own: a call packs its floats
+    into them and runs the product on fixed views, into a fixed output.
+
+    norms(*x) is the n sums of squares of the rows whose 4n floats are x,
+    in row order, as _reproject's stacked matmul takes them for the S3
+    row norms.  gram(*x) is _gram_checked's matrix of those rows,
+    unchecked, as rows; its two factors live in two buffers, since a
+    product of one buffer with its own transpose would go to syrk, which
+    need not round as gemm does.  force(w, x) is the 4n floats of w @ q,
+    grad U's weighted sum of the points, for the n x n weights w and the
+    rows q given as flat tuples w and x.
+    """
+    pack, unpack = Struct(f"{4 * n}d").pack_into, Struct(f"{4 * n}d").unpack_from
+    rows, scaled, out = np.empty((n, 4)), np.empty((n, 4)), np.empty((n, 4))
+    sums, unpack_sums = np.empty((n, 1, 1)), Struct(f"{n}d").unpack_from
+    weights, pack_w, s = np.empty((n, n)), Struct(f"{n * n}d").pack_into, np.empty((n, n))
+    left, right, rows_t = rows[:, None, :], rows[:, :, None], rows.T
+    met = space.metric_diagonal
+
+    def norms(*x):
+        pack(rows, 0, *x)
+        np.matmul(left, right, sums)
+        return unpack_sums(sums)
+
+    def gram(*x):
+        pack(rows, 0, *x)
+        np.multiply(rows, met, scaled)
+        np.matmul(scaled, rows_t, s)
+        if space is Space.H3:  # sigma * s; on S3 sigma is 1.0, which moves no bit
+            np.multiply(space.sigma, s, s)
+        return s.tolist()
+
+    def force(w, x):
+        pack_w(weights, 0, *w)
+        pack(rows, 0, *x)
+        np.matmul(weights, rows, out)
+        return unpack(out)
+
+    return norms, gram, force
 
 
 def _reproject_source(space: Space, n: int, src: str, dst: str) -> list:
     """Source lines that scale the rows src_i_r onto space as dst_i_r, in
     _reproject's expressions: the H3 row norms in floats, the S3 ones from
     the stacked matmul that _reproject takes, since BLAS may round their
-    sums of squares with fused multiply-adds.  The S3 lines pack the rows
-    into the buffer of their make call (_norm_operands_source) and run
-    the matmul on its fixed views, into its fixed output.  Rows that
-    _reproject refuses go to it as an array, which raises project_point's
-    error for the first such row.  Its norms of the other rows may overflow
-    or meet inf - inf, which the floats do silently, so numpy's warnings
-    for them are off there.  The lines use sq{i} and n{i}, and need array,
-    matmul, sqrt, space, errstate and _reproject."""
+    sums of squares with fused multiply-adds (norms, the first of the
+    make call's _products).  Rows that _reproject refuses go to it as an
+    array, which raises project_point's error for the first such row.  Its
+    norms of the other rows may overflow or meet inf - inf, which the
+    floats do silently, so numpy's warnings for them are off there.  The
+    lines use sq{i} and n{i}, and need array, sqrt, space, errstate,
+    _reproject and, on S3, norms."""
     bodies = range(n)
     refuse = ['    with errstate(over="ignore", invalid="ignore"):',
               f"        _reproject(space, array([{_rows_source(src, n)}]))  # raises"]
     if space is Space.S3:
-        lines = [f"npack(nrows, 0, {_flat_source(src, n)})",
-                 "matmul(nleft, nright, nout)",
-                 f"{''.join(f'n{i}, ' for i in bodies)}= map(sqrt, nunpack(nout))",
+        lines = [f"{''.join(f'n{i}, ' for i in bodies)}= map(sqrt, norms({_flat_source(src, n)}))",
                  "if " + " or ".join(f"n{i} < 1e-12" for i in bodies) + ":",
                  *refuse]
     else:
@@ -569,10 +565,10 @@ def _tangent_source(space: Space, n: int, x: str, v: str, dst: str) -> list:
 
 
 def _pair_step_source(space: Space, n: int, layout: tuple) -> str:
-    """The source of _pair_step_factory's make for n bodies on space: rates
-    runs one stage of the equations of motion on the rows (q, p), step four
-    stages, the RK4 sum, the finiteness test, the reprojection and the
-    tangent projection.
+    """The source of _pair_step_factory's make for n bodies on space: step
+    runs the four stages of the equations of motion from the rows (q, p),
+    the RK4 sum, the finiteness test, the reprojection and the tangent
+    projection.
 
     Stage k reads the rows Qk_i_r, Pk_i_r and writes the rates dQk_i_r,
     dPk_i_r.  Each expression and each summation order is the pair loop's
@@ -591,9 +587,6 @@ def _pair_step_source(space: Space, n: int, layout: tuple) -> str:
 
     def rows(name):
         return _rows_source(name, n)
-
-    def from_zero(terms):
-        return " + ".join(["0.0", *terms])
 
     def co_moving(Y, i, r):  # less (y[c] * k + 0.0), layer by layer
         return "".join(f" - ({Y}_{i}_{cols[r]} * {ks[r]} + 0.0)"
@@ -616,11 +609,11 @@ def _pair_step_source(space: Space, n: int, layout: tuple) -> str:
             out += [f"v{r} = {P}_{i}_{r} / m{i}" for r in range(4)]
             out += ["u = sigma * (m%d * (v0 * v0 + v1 * v1 + v2 * v2"
                     " + mw * v3 * v3))" % i,
-                    "c = " + from_zero(f"ws{ij}" for ij, _ in near)]
+                    "c = " + _sum_source([f"ws{ij}" for ij, _ in near])]
             for r in range(4):
-                f = from_zero(f"w{ij} * {Q}_{j}_{r}" for ij, j in near)
+                f = _sum_source([f"w{ij} * {Q}_{j}_{r}" for ij, j in near])
                 out += [f"dQ{t}_{i}_{r} = v{r}{co_moving(Q, i, r)}",
-                        f"dP{t}_{i}_{r} = ({f}) - c * {Q}_{i}_{r}"
+                        f"dP{t}_{i}_{r} = {f} - c * {Q}_{i}_{r}"
                         f" - u * {Q}_{i}_{r}{co_moving(P, i, r)}"]
         return out
 
@@ -638,12 +631,7 @@ def _pair_step_source(space: Space, n: int, layout: tuple) -> str:
            for X in "QP" for i in bodies for r in range(4)]
     flat = ", ".join(f"{X}_{i}_{r}" for X in "QP" for i in bodies for r in range(4))
     lines = [f"def make({args}):",
-             *_norm_operands_source(space, n),
-             "    def rates(q, p):",
-             f"        {rows('Q1')} = q",
-             f"        {rows('P1')} = p",
-             *block(stage(1)),
-             f"        return [{rows('dQ1')}], [{rows('dP1')}]",
+             f"    norms = _products(space, {n})[0]",
              "    def step(q, p, dt, half, sixth):",
              f"        {rows('Q1')} = q",
              f"        {rows('P1')} = p",
@@ -656,7 +644,7 @@ def _pair_step_source(space: Space, n: int, layout: tuple) -> str:
              *block(_reproject_source(space, n, "Q", "X")),
              *block(_tangent_source(space, n, "X", "P", "Z")),
              f"        return [{rows('X')}], [{rows('Z')}]",
-             "    return rates, step"]
+             "    return step"]
     return "\n".join(lines) + "\n"
 
 

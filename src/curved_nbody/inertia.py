@@ -33,11 +33,7 @@ def cylindrical_split(config: Configuration) -> CylindricalSplit:
 
 def _r2_rho2(space: Space, Q: np.ndarray):
     """r^2 and rho^2 of each row of an (N, 4) array or a (..., N, 4) stack."""
-    return _r2_rho2_of_squares(space, Q * Q)
-
-
-def _r2_rho2_of_squares(space: Space, sq: np.ndarray):
-    """_r2_rho2 of Q given its squares sq = Q * Q."""
+    sq = Q * Q
     return sq[..., 0] + sq[..., 1], space.sigma * sq[..., 2] + sq[..., 3]
 
 

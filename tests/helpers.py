@@ -1,9 +1,12 @@
-"""Shared builders for randomized, safely-separated test configurations."""
+"""Shared builders for randomized, safely-separated test configurations,
+and the numpy oracle of the generated tangent frames."""
+
+import math
 
 import numpy as np
 
 from curved_nbody.dynamics import Configuration
-from curved_nbody.manifold import Space, project_tangent
+from curved_nbody.manifold import Space, inner, project_tangent
 
 
 def random_points(space, n, rng, spread=1.0):
@@ -66,3 +69,28 @@ def geodesic_shift(cfg, i, direction, h, space):
     else:
         pts[i] = np.cosh(h) * pts[i] + np.sinh(h) * direction
     return Configuration(space, cfg.masses, pts)
+
+
+def _gram_schmidt_row(space, q):
+    """The sigma-metric Gram-Schmidt of the row q over the unit vectors e0..e3
+    on numpy 4-vectors, through inner and project_tangent: (the vectors
+    kept, at most three, and the indices of the unit vectors kept)."""
+    vecs, kept = [], []
+    for k, e in enumerate(np.eye(4)):
+        v = project_tangent(q, e, space)
+        for b in vecs:
+            v = v - inner(b, v, space) * b
+        nrm = inner(v, v, space)
+        if nrm > 1e-12:
+            vecs.append(v / math.sqrt(nrm))
+            kept.append(k)
+        if len(vecs) == 3:
+            break
+    return vecs, kept
+
+
+def _tangent_bases_by_rows(space, Q):
+    """centralconfig._tangent_bases as _gram_schmidt_row of each row of Q:
+    the reference its generated Python-float frames must match.  A row
+    whose frame loses rank keeps fewer than three vectors."""
+    return np.array([_gram_schmidt_row(space, q)[0] for q in Q])

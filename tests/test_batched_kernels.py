@@ -20,9 +20,9 @@ from curved_nbody.dynamics import (
 )
 from curved_nbody.errors import SingularPairError
 from curved_nbody.inertia import _grad_I_raw, _r2_rho2
-from curved_nbody.manifold import Space, inner, project_point, project_tangent
+from curved_nbody.manifold import Space, project_point
 
-from helpers import random_config, random_points
+from helpers import _tangent_bases_by_rows, random_config, random_points
 
 stacks = st.tuples(
     st.integers(0, 2**32 - 1),
@@ -82,25 +82,6 @@ def test_chart_residual_rows_match_rows_evaluated_alone(args):
     alone = [_chart_residuals(kernel, Q, bases, 0.7, y[None]) for y in Y]
     assert _same_bits(G, [g[0] for g, _ in alone])
     assert _same_bits(Qx, [q[0] for _, q in alone])
-
-
-def _tangent_bases_by_rows(space, Q):
-    """_tangent_bases as a Gram-Schmidt on numpy 4-vectors through inner
-    and project_tangent: the reference its Python-float loop must match."""
-    bases = []
-    for q in Q:
-        vecs = []
-        for e in np.eye(4):
-            v = project_tangent(q, e, space)
-            for b in vecs:
-                v = v - inner(b, v, space) * b
-            nrm = inner(v, v, space)
-            if nrm > 1e-12:
-                vecs.append(v / math.sqrt(nrm))
-            if len(vecs) == 3:
-                break
-        bases.append(np.array(vecs))
-    return np.array(bases)
 
 
 def _axis_rows(space, t):

@@ -727,6 +727,20 @@ def _counting(calls, fn):
     return counted
 
 
+def _count_product(monkeypatch, names, calls, k):
+    """Count in calls each call of product k (0 norms, 1 gram, 2 force) of
+    the _products that the generated functions of namespace names take,
+    in make calls from now on."""
+    products = names["_products"]
+
+    def counted(space, n):
+        out = list(products(space, n))
+        out[k] = _counting(calls, out[k])
+        return tuple(out)
+
+    monkeypatch.setitem(names, "_products", counted)
+
+
 @pytest.mark.parametrize("space", [Space.S3, Space.H3])
 def test_one_restoration_builds_one_gram_matrix(space, monkeypatch):
     # the iterates the restoration discards are checked in floats; only the
@@ -740,11 +754,10 @@ def test_one_restoration_builds_one_gram_matrix(space, monkeypatch):
     monkeypatch.setattr(row_descent, "_check_rows_float",
                         _counting(floats, row_descent._check_rows_float))
     want = LoopDescent(kernel, c).restore(cfg.points.tolist())
-    rows, grams = _RowOps(kernel, c), []
-    names = rows.restore.__globals__
-    for name in ("_check_points", "_gram_rows"):
-        monkeypatch.setitem(names, name, _counting(grams, names[name]))
-    got = rows.restore(cfg.points.tolist())
+    grams, names = [], centralconfig._row_ops_factory(space, 3).__globals__
+    monkeypatch.setitem(names, "_check_points", _counting(grams, names["_check_points"]))
+    _count_product(monkeypatch, names, grams, 1)
+    got = _RowOps(kernel, c).restore(cfg.points.tolist())
     assert len(floats) >= 3 and len(grams) == 1
     assert _flat_bits(got) == _flat_bits(want)
 
@@ -828,8 +841,9 @@ def test_newton_builds_the_stationarity_rows_once_per_chart_point(
     # each chart point (the origins and every trial) builds grad U - lam
     # grad I once; the stopping test builds them only at the starting point
     # of each Newton run, and at every other point reuses the trial's rows.
-    # The generated functions build grad U through one BLAS product,
-    # _force_rows, whose calls are counted inside the chart's two calls
+    # The generated functions build grad U through one BLAS product, the
+    # force of _products, whose calls are counted inside the chart's two
+    # calls
     built, points, starts, fresh = [], [], [], []
     names = centralconfig._row_ops_factory(space, len(masses)).__globals__
     row_ops = centralconfig._row_ops
@@ -846,7 +860,7 @@ def test_newton_builds_the_stationarity_rows_once_per_chart_point(
         *descent, residuals, criterion = row_ops(kernel, c)
         return (*descent, builds(points, residuals), builds(fresh, criterion))
 
-    monkeypatch.setitem(names, "_force_rows", _counting(built, names["_force_rows"]))
+    _count_product(monkeypatch, names, built, 2)
     monkeypatch.setattr(centralconfig, "_row_ops", counted_ops)
     monkeypatch.setattr(_RowOps, "start", _counting(starts, _RowOps.start))
     find_cc(masses, space, LevelSetSpec(c), rng=np.random.default_rng(seed))

@@ -37,7 +37,7 @@ from curved_nbody import (
     solve_geodesic_h,
     solve_two_body_s,
 )
-from curved_nbody import dynamics
+from curved_nbody import centralconfig, dynamics
 from curved_nbody.cli import main
 from curved_nbody.errors import (
     CurvedNBodyError,
@@ -284,6 +284,25 @@ def test_find_skips_a_seed_whose_default_seed_is_singular():
                            "--seeds", "2"])
     assert (code, err) == (2, "")
     assert json.loads(out)["count"] == 0
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"mode": "bogus"}, "unknown mode 'bogus'"),
+    ({"max_iter": 2.5}, "max_iter must be an integer >= 0; got 2.5"),
+    ({"max_iter": -1}, "max_iter must be an integer >= 0; got -1"),
+])
+def test_find_cc_refuses_a_mode_or_max_iter_before_any_search(kw, message, monkeypatch):
+    # no default seed is built and no row function is compiled or made
+    calls = []
+    for name in ("default_seed", "_row_ops"):
+        def spy(*args, _name=name, _original=getattr(centralconfig, name), **kws):
+            calls.append(_name)
+            return _original(*args, **kws)
+
+        monkeypatch.setattr(centralconfig, name, spy)
+    with pytest.raises(ValueError) as err:
+        find_cc([1.0, 1.0, 1.0], Space.S3, LevelSetSpec(0.4), **kw)
+    assert str(err.value) == message and calls == []
 
 
 def test_find_refuses_zero_seeds():

@@ -2,25 +2,22 @@
 
 The generated row functions take their three BLAS products (the S3 row
 norms of a reprojection, the Gram matrix of a point check and grad U's
-w @ q) on operands allocated once per make call, and the tangent frames
-of a body that keeps e0 and e1 come from generated straight-line code,
-with the Gram-Schmidt loop as the fallback.  _chart_residuals writes
-out the sums that einsum took.  Each must give the bits, errors and
-messages of what it replaces.
+w @ q) from one _products call per make call, on buffers allocated
+there, and the tangent frames come from a generated Gram-Schmidt, a tree
+of keep and drop branches over the unit vectors.  _chart_residuals
+writes out the sums that einsum took.  Each must give the bits, errors
+and messages of the numpy code it replaces.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
 
-from curved_nbody import centralconfig
 from curved_nbody.centralconfig import (
     _RowOps,
     _chart_residuals,
-    _force_operands,
-    _force_rows,
-    _frame_loop,
     _row_ops_factory,
     _tangent_bases,
     _tangent_frames,
@@ -30,9 +27,7 @@ from curved_nbody.dynamics import (
     _PairKernel,
     _check_points,
     _gram_checked,
-    _gram_operands,
-    _gram_rows,
-    _norm_operands_source,
+    _products,
     _reproject_source,
     _rows_source,
 )
@@ -40,7 +35,7 @@ from curved_nbody.errors import CurvedNBodyError, DegenerateVectorError, NoConve
 from curved_nbody.inertia import _grad_I_raw, _r2_rho2
 from curved_nbody.manifold import Space, _reproject, project_point
 
-from helpers import random_config, random_points
+from helpers import _gram_schmidt_row, _tangent_bases_by_rows, random_config, random_points
 
 SPACES = [Space.S3, Space.H3]
 
@@ -70,8 +65,8 @@ def _outcome(fn):
 def _reprojection(space, n):
     """_reproject_source's lines for n rows as one function of the rows,
     compiled with the namespace of the generated row functions and bound
-    to the operands of one make call."""
-    lines = ["def make():", *_norm_operands_source(space, n),
+    to the products of one make call."""
+    lines = ["def make():", f"    norms = _products(space, {n})[0]",
              "    def reproject(q):",
              f"        {_rows_source('Y', n)} = q",
              *("        " + line for line in _reproject_source(space, n, "Y", "X")),
@@ -124,29 +119,29 @@ def test_a_refused_row_raises_what_project_point_raises(space, row, message):
 @pytest.mark.parametrize("space", SPACES)
 def test_the_buffered_gram_rows_are_the_gram_matrix_bit_for_bit(space):
     rng = np.random.default_rng(35)
-    operands = {n: _gram_operands(space, n) for n in range(1, 5)}
+    grams = {n: _products(space, n)[1] for n in range(1, 5)}
     for k in range(3000):
         n = 1 + k % 4
         Q = _special_rows(rng, n)
         with np.errstate(all="ignore"):
             want = space.sigma * ((Q * space.metric_diagonal) @ Q.swapaxes(-1, -2))
-            got = _gram_rows(operands[n], *Q.ravel().tolist())
+            got = grams[n](*Q.ravel().tolist())
         assert np.array(got).tobytes() == want.tobytes()
     for n in range(1, 5):  # _gram_checked itself, where it accepts the rows
         Q = random_config(space, n, rng).points
-        assert (np.array(_gram_rows(operands[n], *Q.ravel().tolist())).tobytes()
+        assert (np.array(grams[n](*Q.ravel().tolist())).tobytes()
                 == _gram_checked(space, Q).tobytes())
 
 
 def test_the_buffered_force_rows_are_the_matrix_product_bit_for_bit():
     rng = np.random.default_rng(36)
-    operands = {n: _force_operands(n) for n in range(1, 5)}
+    forces = {n: _products(Space.S3, n)[2] for n in range(1, 5)}
     for k in range(3000):
         n = 1 + k % 4
         w, q = _special_rows(rng, n)[:, :n].tolist(), _special_rows(rng, n).tolist()
         with np.errstate(all="ignore"):
             want = np.array(w) @ np.array(q)
-            got = _force_rows(operands[n], sum(w, []), sum(q, []))
+            got = forces[n](sum(w, []), sum(q, []))
         assert np.array(got).tobytes() == want.tobytes()
 
 
@@ -174,15 +169,16 @@ def _ops_run(ops, Q):
 
 
 def _buffers(*functions):
-    """The ids of the arrays that the closures of functions hold, alone or
-    in a tuple of operands."""
+    """The ids of the writable arrays that the closures of functions hold,
+    or the closures of the functions they hold (the products)."""
     ids = set()
     for fn in functions:
         for cell in fn.__closure__ or ():
-            value = cell.cell_contents
-            for v in value if isinstance(value, tuple) else (value,):
-                if isinstance(v, np.ndarray):
-                    ids.add(id(v.base if v.base is not None else v))
+            v = cell.cell_contents
+            if isinstance(v, types.FunctionType):
+                ids |= _buffers(v)
+            elif isinstance(v, np.ndarray) and v.flags.writeable:
+                ids.add(id(v.base if v.base is not None else v))
     return ids
 
 
@@ -227,63 +223,57 @@ def test_two_pair_kernels_keep_their_own_operands(space):
             assert np.array([q, p]).tobytes() == alone[k][step]
 
 
-def _loop_frames(space, q):
-    return [_frame_loop(space, i, p) for i, p in enumerate(q)]
-
-
-def _counted_fallback(monkeypatch):
-    calls = []
-    def loop(space, i, p):
-        calls.append(i)
-        return _frame_loop(space, i, p)
-    monkeypatch.setattr(centralconfig, "_frame_loop", loop)
-    return calls
+# The frames' reference is the numpy Gram-Schmidt loop _tangent_bases_by_rows.
 
 
 @pytest.mark.parametrize("space", SPACES)
-def test_the_generated_frames_are_the_loop_bit_for_bit(space, monkeypatch):
+def test_the_generated_frames_are_the_loop_bit_for_bit(space):
     rng = np.random.default_rng(39)
-    calls = _counted_fallback(monkeypatch)
     for k in range(2000):
-        q = random_points(space, 1 + k % 4, rng).tolist()
-        assert (np.array(_tangent_frames(space, q)).tobytes()
-                == np.array(_loop_frames(space, q)).tobytes())
-    assert calls == []
+        Q = random_points(space, 1 + k % 4, rng)
+        assert _tangent_bases(space, Q).tobytes() == _tangent_bases_by_rows(space, Q).tobytes()
 
 
-def test_a_body_on_the_w_0_sphere_keeps_e3_without_the_loop(monkeypatch):
+def test_a_body_on_the_w_0_sphere_keeps_e3_without_the_loop():
     # find_cc's S3 seeds start on the w = 0 great sphere, where e2 is
     # dropped and e3 completes the frame; -0.0 and 0.0 both
     rng = np.random.default_rng(40)
-    calls = _counted_fallback(monkeypatch)
     for k in range(500):
-        q = random_points(Space.S3, 3, rng)
-        q[:, 3] = [0.0, -0.0, 0.0] if k % 2 else [-0.0, 0.0, -0.0]
-        q[:, :3] /= np.linalg.norm(q[:, :3], axis=1, keepdims=True)
-        got = _tangent_frames(Space.S3, q.tolist())
-        assert np.array(got).tobytes() == np.array(_loop_frames(Space.S3, q.tolist())).tobytes()
+        Q = random_points(Space.S3, 3, rng)
+        Q[:, 3] = [0.0, -0.0, 0.0] if k % 2 else [-0.0, 0.0, -0.0]
+        Q[:, :3] /= np.linalg.norm(Q[:, :3], axis=1, keepdims=True)
+        got = _tangent_frames(Space.S3, Q.tolist())
+        assert np.array(got).tobytes() == _tangent_bases_by_rows(Space.S3, Q).tobytes()
         assert all(b[2][:3] == [0.0, 0.0, 0.0] for b in got)
-    assert calls == []
 
 
-@pytest.mark.parametrize("space, row, falls_back", [
-    (Space.S3, [1.0, 0.0, 0.0, 0.0], True),     # e0 dropped
+# bodies on the axes, which between them reach each leaf of the frame
+# tree that keeps three vectors
+_AXES = [
+    (Space.S3, [1.0, 0.0, 0.0, 0.0], True),     # e0 dropped: {1, 2, 3}
     (Space.S3, [-1.0, -0.0, 0.0, -0.0], True),
-    (Space.S3, [0.0, 1.0, 0.0, -0.0], True),    # e1 dropped
+    (Space.S3, [0.0, 1.0, 0.0, -0.0], True),    # e1 dropped: {0, 2, 3}
     (Space.S3, [0.6, -0.8, 0.0, -0.0], True),   # the xy circle: e1 dropped
-    (Space.S3, [0.0, -0.0, 1.0, 0.0], False),   # e2 dropped, e3 kept
-    (Space.S3, [0.0, -0.0, 0.6, 0.8], False),
-    (Space.S3, [-0.0, 0.0, 0.0, -1.0], False),  # e0, e1 and e2 kept
+    (Space.S3, [0.0, -0.0, 1.0, 0.0], False),   # e2 dropped: {0, 1, 3}
+    (Space.S3, [0.0, -0.0, 0.6, 0.8], False),   # {0, 1, 2}
+    (Space.S3, [-0.0, 0.0, 0.0, -1.0], False),
     (Space.H3, [0.0, -0.0, 0.0, 1.0], False),
     (Space.H3, [-0.0, 0.0, math.sinh(0.7), math.cosh(0.7)], False),
-])
-def test_bodies_on_the_axes_match_the_loop(space, row, falls_back, monkeypatch):
-    calls = _counted_fallback(monkeypatch)
-    good = random_points(space, 2, np.random.default_rng(41)).tolist()
-    q = [good[0], row, good[1]]
-    got = _tangent_frames(space, q)
-    assert np.array(got).tobytes() == np.array(_loop_frames(space, q)).tobytes()
-    assert calls == ([1] if falls_back else [])
+]
+
+
+@pytest.mark.parametrize("space, row, e0_or_e1_dropped", _AXES)
+def test_bodies_on_the_axes_match_the_loop(space, row, e0_or_e1_dropped):
+    good = random_points(space, 2, np.random.default_rng(41))
+    Q = np.array([good[0], row, good[1]])
+    assert _tangent_bases(space, Q).tobytes() == _tangent_bases_by_rows(space, Q).tobytes()
+    kept = _gram_schmidt_row(space, Q[1])[1]
+    assert (kept[:2] != [0, 1]) == e0_or_e1_dropped
+
+
+def test_the_axes_rows_reach_every_leaf_that_keeps_three_vectors():
+    leaves = {tuple(_gram_schmidt_row(space, np.array(row))[1]) for space, row, _ in _AXES}
+    assert leaves == {(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)}
 
 
 @pytest.mark.parametrize("far, left", [
@@ -291,18 +281,16 @@ def test_bodies_on_the_axes_match_the_loop(space, row, falls_back, monkeypatch):
     ([0.0, -3e8, 0.0, math.sqrt(1.0 + 9e16)], 2),     # e1 dropped
     ([6e9, 0.0, 8e9, math.sqrt(1.0 + 1e20)], 1),
 ])
-def test_a_far_h3_body_still_loses_rank_with_the_loops_message(far, left, monkeypatch):
-    calls = _counted_fallback(monkeypatch)
+def test_a_far_h3_body_still_loses_rank_with_the_loops_message(far, left):
+    # the leaves that lose rank, leaving two and one: the loop keeps as
+    # many vectors, and the message names the body
     q = random_points(Space.H3, 2, np.random.default_rng(42)).tolist()
     q.insert(1, far)
-    with pytest.raises(NoConvergenceError) as loop:
-        _frame_loop(Space.H3, 1, far)
     with pytest.raises(NoConvergenceError) as got:
         _tangent_frames(Space.H3, q)
-    assert str(got.value) == str(loop.value)
     assert str(got.value) == (f"the tangent frame of body 1 lost rank: rounding "
                               f"left {left} of its 3 directions")
-    assert calls == [1]
+    assert len(_gram_schmidt_row(Space.H3, np.array(far))[0]) == left
 
 
 def _einsum_chart_residuals(kernel, Q, bases, c, Y):
